@@ -33,7 +33,7 @@ from .laxhopf_core import (
 )
 from .moderation import SolverConfig, build_moderation_table, moderation_table_to_csv
 from .trajectories import trajectory_to_csv
-from .verify import DPGrids, Scenario, convergence_study, dp_oracle, surface_to_csv
+from .verify import DPGrids, Scenario, convergence_study, surface_to_csv
 
 _KINDS = ("classic", "generalized", "discounted", "economy", "wtp", "verify")
 
@@ -188,8 +188,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
             for r in rows:
                 writer.writerow([repr(r.dt), repr(r.oracle_value),
                                  repr(r.formula_value), repr(r.error)])
-        surface = dp_oracle(terminal, cost, levels[-1])
-        surface_to_csv(surface, out_dir / "value_surface.csv")
+        surface_to_csv(rows[-1].surface, out_dir / "value_surface.csv")
         for r in rows:
             print(f"dt={r.dt:.6g} error={r.error:.6g}")
         return 0

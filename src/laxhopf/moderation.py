@@ -5,8 +5,13 @@ normalized cumulated cost among trajectories anchored at x(T) = x whose average
 transaction over the window equals upsilon.  The inner solver is a direct
 transcription into N velocity variables: projected gradient descent with an
 exact closed-form projection onto the affine constraint set, finite-difference
-gradients and a small multi-start sweep.  Infeasibility is a value (+infinity),
-not an exception, so the outer minimization can fold over infeasible cells.
+gradients and a small multi-start sweep.  Each trial step is the two-point
+(Barzilai-Borwein) step s's/s'y from the last displacement and gradient change,
+capped at step_growth times the last accepted step, then Armijo backtracking.
+A start stops at a small projected gradient, at an accepted decrease of at
+most 1e-12 * max(|f|, 1), at a failed line search or after max_iter steps.
+Infeasibility is a value (+infinity), not an exception, so the outer
+minimization can fold over infeasible cells.
 
 The same machinery serves the interest-rate variant: an optional rate field
 weights each quadrature node by the accumulation factor of its own trajectory.
@@ -37,6 +42,7 @@ __all__ = [
 ]
 
 _EXP_CAP = 700.0  # exp overflow guard on accumulated rates
+_REL_DECREASE = 1e-12  # a start stops once an accepted step gains <= this * max(|f|, 1)
 
 
 @dataclass(frozen=True)
@@ -45,11 +51,11 @@ class SolverConfig:
 
     n_steps: int = 32
     multi_starts: int = 8          # perturbed starts beyond the constant one
-    max_iter: int = 200
-    grad_tol: float = 1e-8
+    max_iter: int = 200            # descent steps per start; 0 evaluates the starts only
+    grad_tol: float = 1e-8         # a start stops once the projected gradient norm is below this
     armijo: float = 1e-4
-    step_init: float = 1.0
-    step_growth: float = 2.0       # trial-step growth after an unbacktracked accept
+    step_init: float = 1.0         # first trial step of each start
+    step_growth: float = 2.0       # cap on a trial step, as a multiple of the last accepted one
     max_backtracks: int = 40
     fd_step: float = 1e-6          # relative central-difference step
     max_alternations: int = 50     # clip-then-project rounds for boxed domains
@@ -82,7 +88,9 @@ class _WindowObjective:
         self.ell = len(self.terminal)
         self.dt = self.omega / self.n
         self.mid_times = (self.T - self.omega) + self.dt * (np.arange(self.n) + 0.5)
-        self.admissible = admissible
+        self.bounds = None if admissible is None else np.array(
+            [admissible.bound_at(float(t)) for t in self.mid_times]
+        )
 
     def _mid_states(self, U: np.ndarray) -> np.ndarray:
         # U: (B, N, l); x at node k is terminal - dt * sum_{j >= k} u_j
@@ -115,10 +123,9 @@ class _WindowObjective:
             mids.reshape(B * self.n, self.ell),
             U.reshape(B * self.n, self.ell),
         ).reshape(B, self.n)
-        if self.admissible is not None:
-            bounds = np.array([self.admissible.bound_at(float(t)) for t in self.mid_times])
+        if self.bounds is not None:
             norms = np.linalg.norm(U, axis=2)
-            lvals = np.where(norms > bounds + 1e-12, np.inf, lvals)
+            lvals = np.where(norms > self.bounds + 1e-12, np.inf, lvals)
         if self.rate is not None:
             mvals = self._rate_batch(U, mids)
             # tail integral of m from each step midpoint to T (midpoint rule)
@@ -217,28 +224,33 @@ def _solve_window_problem(cost, rate, T, x, omega, upsilon, cfg: SolverConfig,
         val = obj.value(u)
         if not math.isfinite(val):
             continue
-        step = cfg.step_init
+        step, prev = cfg.step_init, None   # prev: (u, g) of the previous iterate
         for _ in range(cfg.max_iter):
             g = obj.gradient(u, cfg.fd_step)
+            if prev is not None:
+                # two-point step s's / s'y, capped: near the +inf region of a
+                # cost an uncapped step overshoots and backtracks many times
+                s_vec, y_vec = u - prev[0], g - prev[1]
+                sty = float(np.vdot(s_vec, y_vec))
+                cap = cfg.step_growth * step
+                step = min(float(np.vdot(s_vec, s_vec)) / sty, cap) if sty > 0 else cap
             pg = u - _project(u - g, upsilon, box, cfg.max_alternations)
             if np.linalg.norm(pg) < cfg.grad_tol:
                 break
             s = step
-            accepted = False
-            for bt in range(cfg.max_backtracks):
+            for _ in range(cfg.max_backtracks):
                 cand = _project(u - s * g, upsilon, box, cfg.max_alternations)
                 cval = obj.value(cand)
                 move = float(np.sum((u - cand) ** 2))
                 if math.isfinite(cval) and cval <= val - cfg.armijo * move / max(s, 1e-300):
-                    u, val = cand, cval
-                    accepted = True
-                    if bt == 0:
-                        step = min(step * cfg.step_growth, 1e8)
-                    else:
-                        step = s
                     break
                 s *= 0.5
-            if not accepted:
+            else:
+                break  # no step satisfied the Armijo test
+            decrease = val - cval
+            prev, step = (u, g), s
+            u, val = cand, cval
+            if decrease <= _REL_DECREASE * max(abs(val), 1.0):
                 break
         if val < best_val:
             best_val, best_u = val, u

@@ -305,13 +305,15 @@ class ConvergenceRow:
     oracle_value: float
     formula_value: float
     error: float
+    surface: ValueSurface = field(repr=False, compare=False)  # this level's oracle surface
 
 
 def convergence_study(scenario: Scenario, levels: Sequence[DPGrids]):
     """|formula value - oracle value| across DP refinement levels.
 
     The formula value comes from one generalized Lax-Hopf run; each level runs
-    the DP oracle on its own grids and reads the nearest node to (T, x).
+    the DP oracle on its own grids and reads the nearest node to (T, x).  Each
+    row keeps its level's surface, so callers need not sweep a level again.
     """
     if len(levels) < 2:
         raise MisuseError("convergence_study needs at least two refinement levels")
@@ -325,7 +327,7 @@ def convergence_study(scenario: Scenario, levels: Sequence[DPGrids]):
         oracle = surface.value_near(scenario.T, scenario.x).to_float()
         rows.append(ConvergenceRow(
             dt=grids.dt, oracle_value=oracle, formula_value=formula,
-            error=abs(formula - oracle),
+            error=abs(formula - oracle), surface=surface,
         ))
     return rows
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -56,6 +57,32 @@ class TestModerate:
     def test_nonpositive_aperture_misuse(self, fast_cfg):
         with pytest.raises(MisuseError):
             moderate(prob(QUAD, omega=0.0), fast_cfg)
+
+
+def counted(cost):
+    """The cost with its batch evaluator wrapped to record one entry per call."""
+    calls = []
+
+    def batch(t, X, U):
+        calls.append(len(U))
+        return cost.batch_evaluator(t, X, U)
+
+    return dataclasses.replace(cost, batch_evaluator=batch), calls
+
+
+class TestStopRule:
+    def test_quick_start_stops_early(self):
+        # README quick-start cell; a descent run to max_iter makes 4,482 calls
+        cost, calls = counted(WQ)
+        lam, _ = moderate(prob(cost, upsilon=1.0), SolverConfig(seed=0))
+        assert len(calls) <= 600
+        assert lam.value == pytest.approx(REF_WQ, abs=2e-3)
+
+    def test_no_iterations_no_gradient(self):
+        cost, calls = counted(WQ)
+        cfg = SolverConfig(max_iter=0, seed=0)
+        moderate(prob(cost, upsilon=1.0), cfg)
+        assert len(calls) == cfg.multi_starts + 1  # one value per start
 
 
 class TestInvariants:
