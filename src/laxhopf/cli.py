@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields as dc_fields
 from pathlib import Path
 
@@ -261,16 +259,14 @@ def _set_path(cfg: dict, axis: str, value: float):
         _fail(axis, "axis must address a numeric field")
 
 
-def sweep_config(cfg: dict, axis: str, values, out_dir: Path, threads: int = 1) -> int:
+def sweep_config(cfg: dict, axis: str, values, out_dir: Path) -> int:
     """One run per swept value; failed rows keep their exit code, the sweep continues."""
     out_dir.mkdir(parents=True, exist_ok=True)
     if values:
         # validate the axis against the base config before any row runs
         _set_path(json.loads(json.dumps(cfg)), axis, float(values[0]))
-    rows = []
 
-    def one(i_value):
-        i, value = i_value
+    def one(i, value):
         sub = json.loads(json.dumps(cfg))
         _set_path(sub, axis, value)
         row_dir = out_dir / f"row_{i:03d}"
@@ -282,11 +278,7 @@ def sweep_config(cfg: dict, axis: str, values, out_dir: Path, threads: int = 1) 
         v = doc.get("value")
         return (value, None if v == "inf" else v, doc.get("omega_star"), code)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, enumerate(values)))
-    else:
-        rows = [one(iv) for iv in enumerate(values)]
+    rows = [one(i, value) for i, value in enumerate(values)]
     with open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([axis, "value", "omega_star", "exit_code"])
@@ -342,15 +334,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="scenario JSON path")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="parallel rows for sweep (fallback: LAXHOPF_THREADS)")
     parser.add_argument("--axis", default=None, help="sweep: dotted path of the swept field")
     parser.add_argument("--values", default=None, help="sweep: comma-separated numbers")
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("LAXHOPF_THREADS", "1"))
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -366,7 +353,7 @@ def main(argv=None) -> int:
             if args.axis is None or args.values is None:
                 _fail("sweep", "--axis and --values are required")
             values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-            return sweep_config(cfg, args.axis, values, out_dir, threads=threads)
+            return sweep_config(cfg, args.axis, values, out_dir)
         if args.command == "conjugate":
             return conjugate_config(cfg, out_dir)
         return moderate_config(cfg, out_dir)

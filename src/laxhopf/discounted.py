@@ -9,7 +9,6 @@ counterpart bit for bit under the same solver configuration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -17,8 +16,7 @@ import numpy as np
 
 from .costs import CostField, TerminalCost, eval_terminal
 from .errors import MisuseError, RateOverflowError
-from .extreal import INF, ExtReal
-from .laxhopf_core import OuterGrid, ValueResult, _cell_seed, _finish, _outer_minimize
+from .laxhopf_core import OuterGrid, ValueResult, _moderated_cells, _reduce
 from .moderation import _EXP_CAP, SolverConfig, _solve_window_problem
 from .trajectories import Trajectory, enrichment
 
@@ -113,27 +111,11 @@ def discounted_value(terminal: TerminalCost, cost: CostField, rate: RateField,
     along the cell's own discounted-moderation argmin trajectory.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    omega_max = float(np.max(grid.normalized().omega_values))
 
-    def cell(omega, ups):
-        if omega == 0.0:
-            return eval_terminal(terminal, T, x).to_float(), None
-        c_val = eval_terminal(terminal, T - omega, x - omega * ups)
-        if not c_val.is_finite:
-            return math.inf, None
-        rng = np.random.default_rng(_cell_seed(cfg.seed, omega, ups))
-        lam, traj = _solve_window_problem(cost, rate, T, x, omega, ups, cfg, rng=rng)
-        if not lam.is_finite:
-            return math.inf, None
-        d0 = float(accumulate_rate(traj, rate).factors[0])
-        return d0 * c_val.value + omega * lam.value, (lam, traj, c_val.value, d0)
+    def discount(traj):
+        return float(accumulate_rate(traj, rate).factors[0])
 
-    value, om, ups, payload = _outer_minimize(grid, cell, omega_max)
-    if om == 0.0 or payload is None:
-        return _finish(value, om, ups, x.copy() if math.isfinite(value) else None,
-                       None, None, None)
-    lam, traj, c_start, d0 = payload
-    return _finish(value, om, ups, x - om * ups, traj, lam, c_start, discount=d0)
+    return _reduce(x, grid, _moderated_cells(terminal, cost, rate, T, x, cfg, discount))
 
 
 def actualized_enrichment_certificate(result: ValueResult, terminal: TerminalCost,

@@ -5,22 +5,26 @@ omega * l(upsilon); the generalized reduction replaces l(upsilon) with the
 moderated cost of the inner trajectory problem.  The zero-aperture cell always
 contributes c(T, x), so the value never exceeds the instantaneous cost where
 that is finite.  Grid optima are sharpened by a coordinate pattern search with
-step halving around the incumbent.
+step halving around the incumbent.  Cells are priced in batches: the grid pass
+is one batch, and the probes the search asks for next are prefetched as one
+batch and then replayed in order, so the search path is that of pricing one
+cell at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, replace
+from typing import Optional
 
 import numpy as np
 
-from .costs import CostField, TerminalCost, eval_cost, eval_terminal
-from .errors import MisuseError
+from .costs import (CostField, TerminalCost, eval_cost, eval_cost_batch, eval_terminal,
+                    eval_terminal_batch)
+from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
-from .moderation import SolverConfig, _solve_window_problem
+from .moderation import SolverConfig, _solve_cells
 from .trajectories import Trajectory, Window, enrichment
 
 __all__ = [
@@ -96,40 +100,69 @@ def _cell_seed(base_seed: int, omega: float, upsilon: np.ndarray):
 
 
 class _CellCache:
-    def __init__(self, fn):
-        self.fn = fn
+    """Priced cells by rounded (omega, upsilon); ``fill`` prices every unseen cell in one batch."""
+
+    def __init__(self, cells_fn):
+        self.cells_fn = cells_fn
         self.store = {}
 
-    def __call__(self, omega: float, upsilon: np.ndarray):
-        key = (round(float(omega), 12), tuple(np.round(np.atleast_1d(upsilon), 12)))
+    @staticmethod
+    def key(omega, ups):
+        return (round(float(omega), 12), tuple(np.round(np.atleast_1d(ups), 12)))
+
+    def fill(self, cells, keys) -> None:
+        """Price the unseen cells of [(omega, upsilon)], whose keys are given, in one call."""
+        todo = {}
+        for key, (omega, ups) in zip(keys, cells):
+            if key not in self.store and key not in todo:
+                todo[key] = (float(omega), np.atleast_1d(ups))
+        if todo:
+            self.store.update(zip(todo, self.cells_fn(list(todo.values()))))
+
+    def prefetch(self, cells) -> list:
+        """Speculative fill; returns the keys.  A batch that raises stores
+        nothing, so each cell asked for later is priced alone and raises as
+        it would have."""
+        keys = [self.key(omega, ups) for omega, ups in cells]
+        try:
+            self.fill(cells, keys)
+        except (RateOverflowError, EvaluationFault):
+            pass
+        return keys
+
+    def get(self, key, omega, ups):
         if key not in self.store:
-            self.store[key] = self.fn(float(omega), np.atleast_1d(upsilon))
+            self.fill([(omega, ups)], [key])
         return self.store[key]
 
 
-def _outer_minimize(grid: OuterGrid, cell_fn, omega_max: float):
-    """Grid pass plus optional pattern search; deterministic smallest-(omega, upsilon) tie-break."""
+def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
+    """Grid pass plus optional pattern search; deterministic smallest-(omega, upsilon) tie-break.
+
+    ``cells_fn`` prices a list of (omega, upsilon) cells.  The grid pass is one
+    batch.  Before each greedy sweep, and again after each move, the probes
+    the sweep asks for next are prefetched as one batch; the sweep then
+    replays them in order, so the search path is that of pricing one cell at
+    a time.
+    """
     grid = grid.normalized()
-    cells = _CellCache(cell_fn)
+    cells = _CellCache(cells_fn)
     ell = grid.upsilon_lattice.shape[1]
     zero_ups = np.zeros(ell)
 
     def key_of(omega, ups, value):
         return (value, float(omega), tuple(np.atleast_1d(ups)))
 
+    grid_cells = [(0.0, zero_ups) if omega == 0.0 else (float(omega), ups)
+                  for omega in grid.omega_values
+                  for ups in (grid.upsilon_lattice[:1] if omega == 0.0 else grid.upsilon_lattice)]
+    keys = [cells.key(omega, ups) for omega, ups in grid_cells]
+    cells.fill(grid_cells, keys)
     best = None
-    for omega in grid.omega_values:
-        if omega == 0.0:
-            value, _ = cells(0.0, zero_ups)
-            cand = key_of(0.0, zero_ups, value)
-            if best is None or cand < best:
-                best = cand
-            continue
-        for ups in grid.upsilon_lattice:
-            value, _ = cells(float(omega), ups)
-            cand = key_of(omega, ups, value)
-            if cand < best:
-                best = cand
+    for key, (omega, ups) in zip(keys, grid_cells):
+        cand = key_of(omega, ups, cells.store[key][0])
+        if best is None or cand < best:
+            best = cand
 
     if grid.refine and math.isfinite(best[0]):
         pos = np.asarray(grid.omega_values)[np.asarray(grid.omega_values) > 0]
@@ -139,27 +172,39 @@ def _outer_minimize(grid: OuterGrid, cell_fn, omega_max: float):
             col = np.unique(grid.upsilon_lattice[:, h])
             steps.append(float(np.min(np.diff(col))) if len(col) > 1 else 0.25)
         steps = np.asarray(steps)
+        moves = [(d, sgn) for d in range(1 + ell) for sgn in (+1.0, -1.0)]
+
+        def probes(y, todo):
+            out = []
+            for d, sgn in todo:
+                p = y.copy()
+                p[d] += sgn * steps[d]
+                om = min(max(p[0], 0.0), omega_max)
+                out.append((om, p[1:]) if om > 0 else (0.0, zero_ups))
+            return out
+
         y = np.array([best[1], *best[2]])
         for _ in range(grid.max_rounds):
             for _ in range(50):  # greedy moves at the current step size
+                ahead = probes(y, moves)
+                keys = cells.prefetch(ahead)
                 moved = False
-                for d in range(1 + ell):
-                    for sgn in (+1.0, -1.0):
-                        probe = y.copy()
-                        probe[d] += sgn * steps[d]
-                        om = min(max(probe[0], 0.0), omega_max)
-                        ups = probe[1:] if om > 0 else zero_ups
-                        value, _ = cells(om, ups) if om > 0 else cells(0.0, zero_ups)
-                        cand = (value, om, tuple(ups))
-                        if cand < best:
-                            best = cand
-                            y = np.array([om, *ups])
-                            moved = True
+                for k in range(len(moves)):
+                    om, ups = ahead[k]
+                    value, _ = cells.get(keys[k], om, ups)
+                    cand = (value, om, tuple(ups))
+                    if cand < best:
+                        best = cand
+                        y = np.array([om, *ups])
+                        moved = True
+                        ahead[k + 1:] = probes(y, moves[k + 1:])
+                        keys[k + 1:] = cells.prefetch(ahead[k + 1:])
                 if not moved:
                     break
             steps = steps * grid.shrink
     value, omega_star, ups_star = best[0], best[1], np.asarray(best[2])
-    _, payload = cells(omega_star, ups_star if omega_star > 0 else zero_ups)
+    at = ups_star if omega_star > 0 else zero_ups
+    _, payload = cells.get(cells.key(omega_star, at), omega_star, at)
     return value, omega_star, ups_star, payload
 
 
@@ -186,58 +231,92 @@ def _finish(value, omega_star, ups_star, start, traj, lam, c_start, discount=Non
     )
 
 
+def _reduce(x: np.ndarray, grid: OuterGrid, cells_fn) -> ValueResult:
+    """The one outer reduction; its variants differ only in how ``cells_fn``
+    prices a batch of cells: (value, (lambda, trajectory, c_start, discount))
+    or (value, None) for each."""
+    omega_max = float(np.max(grid.normalized().omega_values))
+    value, om, ups, payload = _outer_minimize(grid, cells_fn, omega_max)
+    if om == 0.0 or payload is None:
+        return _finish(value, om, ups, x.copy() if math.isfinite(value) else None,
+                       None, None, None)
+    lam, traj, c_start, discount = payload
+    return _finish(value, om, ups, x - om * ups, traj, lam, c_start, discount=discount)
+
+
+def _moderated_cells(terminal: TerminalCost, cost: CostField, rate, T: float, x: np.ndarray,
+                     cfg: SolverConfig, discount=None):
+    """Cell pricer of the generalized reduction: D * c(T - omega, x - omega*upsilon)
+    + omega * moderated cost, and c(T, x) at zero aperture.
+
+    The windows of all cells with a finite start cost are solved together, each
+    with its own seed; ``discount(trajectory)`` is the factor D (1 without it).
+    """
+    def cells_fn(cells):
+        out, live = [], []
+        for om, ups in cells:
+            if om == 0.0:
+                out.append((eval_terminal(terminal, T, x).to_float(), None))
+                continue
+            c_val = eval_terminal(terminal, T - om, x - om * ups)
+            if c_val.is_finite:
+                live.append((len(out), om, ups, c_val.value))
+            out.append((math.inf, None))
+        if live:
+            solved = _solve_cells(cost, rate, T, x, [om for _, om, _, _ in live],
+                                  [ups for _, _, ups, _ in live], cfg,
+                                  [_cell_seed(cfg.seed, om, ups) for _, om, ups, _ in live])
+            for (i, om, _, c), (lam, traj) in zip(live, solved):
+                if lam.is_finite:
+                    d0 = None if discount is None else discount(traj)
+                    out[i] = ((c if d0 is None else d0 * c) + om * lam.value, (lam, traj, c, d0))
+        return out
+
+    return cells_fn
+
+
 def classic_lax_hopf(terminal: TerminalCost, cost: CostField, T: float, x,
                      grid: OuterGrid, n_steps: int = 32) -> ValueResult:
     """Classic reduction for velocity-only convex costs.
 
     Each positive-aperture cell costs c(T - omega, x - omega*upsilon) +
-    omega * l(upsilon); the optimal trajectory is the straight line.
+    omega * l(upsilon), priced with one terminal and one cost batch per
+    aperture; the optimal trajectory is the straight line.
     """
     if not (cost.velocity_only and cost.declared_convex_in_u):
         raise MisuseError("classic_lax_hopf requires a velocity-only cost declared convex in u")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    omega_max = float(np.max(grid.normalized().omega_values))
 
-    def cell(omega, ups):
-        if omega == 0.0:
-            return eval_terminal(terminal, T, x).to_float(), None
-        c_val = eval_terminal(terminal, T - omega, x - omega * ups)
-        if not c_val.is_finite:
-            return math.inf, None
-        lval = eval_cost(cost, T, x, ups)
-        return (c_val + lval * omega).to_float(), (lval, c_val.value)
+    def cells_fn(cells):
+        out = [(math.inf, None)] * len(cells)
+        by_omega = {}
+        for i, (om, _) in enumerate(cells):
+            if om == 0.0:
+                out[i] = (eval_terminal(terminal, T, x).to_float(), None)
+            else:
+                by_omega.setdefault(om, []).append(i)
+        for om, idx in by_omega.items():
+            ups = np.array([cells[i][1] for i in idx])
+            c_vals = eval_terminal_batch(terminal, T - om, x - om * ups)
+            live = np.isfinite(c_vals)
+            lvals = eval_cost_batch(cost, np.full(int(live.sum()), float(T)),
+                                    np.broadcast_to(x, ups[live].shape), ups[live])
+            for i, c, lval in zip(np.asarray(idx)[live], c_vals[live].tolist(), lvals.tolist()):
+                out[i] = (c + lval * om, (ExtReal(lval), None, c, None))
+        return out
 
-    value, om, ups, payload = _outer_minimize(grid, cell, omega_max)
-    if om == 0.0 or payload is None:
-        return _finish(value, om, ups, x.copy() if math.isfinite(value) else None,
-                       None, None, None)
-    lval, c_start = payload
-    traj = _straight_line(T, x, om, ups, n_steps)
-    return _finish(value, om, ups, x - om * ups, traj, lval, c_start)
+    result = _reduce(x, grid, cells_fn)
+    if not result.omega_star or not result.value.is_finite:
+        return result
+    return replace(result, trajectory=_straight_line(
+        T, x, result.omega_star, result.upsilon_star, n_steps))
 
 
 def generalized_lax_hopf(terminal: TerminalCost, cost: CostField, T: float, x,
                          grid: OuterGrid, cfg: SolverConfig) -> ValueResult:
     """Generalized reduction: omega * moderated cost replaces omega * l(upsilon)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    omega_max = float(np.max(grid.normalized().omega_values))
-
-    def cell(omega, ups):
-        if omega == 0.0:
-            return eval_terminal(terminal, T, x).to_float(), None
-        c_val = eval_terminal(terminal, T - omega, x - omega * ups)
-        if not c_val.is_finite:
-            return math.inf, None
-        rng = np.random.default_rng(_cell_seed(cfg.seed, omega, ups))
-        lam, traj = _solve_window_problem(cost, None, T, x, omega, ups, cfg, rng=rng)
-        return (c_val + (lam * omega if lam.is_finite else INF)).to_float(), (lam, traj, c_val.value)
-
-    value, om, ups, payload = _outer_minimize(grid, cell, omega_max)
-    if om == 0.0 or payload is None:
-        return _finish(value, om, ups, x.copy() if math.isfinite(value) else None,
-                       None, None, None)
-    lam, traj, c_start = payload
-    return _finish(value, om, ups, x - om * ups, traj, lam, c_start)
+    return _reduce(x, grid, _moderated_cells(terminal, cost, None, T, x, cfg))
 
 
 def optimum_certificate(result: ValueResult, terminal: TerminalCost,

@@ -13,6 +13,13 @@ most 1e-12 * max(|f|, 1), at a failed line search or after max_iter steps.
 Infeasibility is a value (+infinity), not an exception, so the outer
 minimization can fold over infeasible cells.
 
+Many cells are solved at once: every (cell, start) pair is a lane of one
+(L, N, l) array, and each objective or finite-difference batch covers all
+lanes still descending.  Every lane keeps its own step, line search,
+projection and stop rule, and a lane that stops leaves the batch.  A lane's
+arithmetic does not depend on the other lanes, so a cell solved in any batch
+gives the same bits as the cell solved alone.
+
 The same machinery serves the interest-rate variant: an optional rate field
 weights each quadrature node by the accumulation factor of its own trajectory.
 """
@@ -21,7 +28,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,6 +50,7 @@ __all__ = [
 
 _EXP_CAP = 700.0  # exp overflow guard on accumulated rates
 _REL_DECREASE = 1e-12  # a start stops once an accepted step gains <= this * max(|f|, 1)
+_GRADIENT_ROWS = 1 << 15  # evaluator rows per finite-difference batch (bounds memory, not results)
 
 
 @dataclass(frozen=True)
@@ -76,193 +84,230 @@ class ModerationProblem:
 
 
 class _WindowObjective:
-    """Normalized (optionally rate-weighted) cumulated cost as a function of velocities."""
+    """Normalized (optionally rate-weighted) cumulated cost as a function of velocities.
 
-    def __init__(self, cost, rate, T, omega, terminal_state, n_steps, admissible=None):
+    Every lane carries its own aperture, step and quadrature times; ``values``
+    and ``gradient`` take the lane of each velocity matrix they price.
+    """
+
+    def __init__(self, cost, rate, T, omegas, terminal_state, n_steps, admissible=None):
         self.cost = cost
         self.rate = rate
-        self.T = float(T)
-        self.omega = float(omega)
+        self.omega = np.asarray(omegas, dtype=float)                  # (L,)
         self.terminal = np.asarray(terminal_state, dtype=float)
         self.n = int(n_steps)
         self.ell = len(self.terminal)
         self.dt = self.omega / self.n
-        self.mid_times = (self.T - self.omega) + self.dt * (np.arange(self.n) + 0.5)
+        self.scale = self.dt / self.omega
+        self.mid_times = (float(T) - self.omega)[:, None] + self.dt[:, None] * (np.arange(self.n) + 0.5)
         self.bounds = None if admissible is None else np.array(
-            [admissible.bound_at(float(t)) for t in self.mid_times]
+            [[admissible.bound_at(float(t)) for t in row] for row in self.mid_times]
         )
 
-    def _mid_states(self, U: np.ndarray) -> np.ndarray:
-        # U: (B, N, l); x at node k is terminal - dt * sum_{j >= k} u_j
-        tail = np.cumsum(U[:, ::-1, :], axis=1)[:, ::-1, :] * self.dt
-        nodes_lo = self.terminal - tail                      # x at node k
-        return nodes_lo + 0.5 * self.dt * U                  # midpoint of [x_k, x_{k+1}]
-
-    def _rate_batch(self, U, mids):
-        B = len(U)
-        t_flat = np.tile(self.mid_times, B)
-        X_flat = mids.reshape(B * self.n, self.ell)
-        U_flat = U.reshape(B * self.n, self.ell)
+    def _rate_batch(self, t_flat, X_flat, U_flat):
         if self.rate.batch_evaluator is not None:
-            vals = np.asarray(self.rate.batch_evaluator(t_flat, X_flat, U_flat), dtype=float)
-        else:
-            vals = np.array(
-                [float(self.rate.evaluator(float(t_flat[i]), X_flat[i], U_flat[i]))
-                 for i in range(B * self.n)]
-            )
-        return vals.reshape(B, self.n)
+            return np.asarray(self.rate.batch_evaluator(t_flat, X_flat, U_flat), dtype=float)
+        return np.array([float(self.rate.evaluator(float(t), x, u))
+                         for t, x, u in zip(t_flat, X_flat, U_flat)])
 
-    def values(self, U: np.ndarray) -> np.ndarray:
-        """Objective for a batch of velocity matrices U (B, N, l) -> (B,) with inf."""
-        U = np.asarray(U, dtype=float)
-        mids = self._mid_states(U)
-        B = len(U)
-        lvals = eval_cost_batch(
-            self.cost,
-            np.tile(self.mid_times, B),
-            mids.reshape(B * self.n, self.ell),
-            U.reshape(B * self.n, self.ell),
-        ).reshape(B, self.n)
+    def values(self, U: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        """Objective of velocity matrices U (B, N, l) on lanes (B,) -> (B,) with inf."""
+        B, n = len(U), self.n
+        dt = self.dt[lanes][:, None]
+        # x at node k is terminal - dt * sum_{j >= k} u_j; cost and rate see the step midpoint
+        tail = U[:, ::-1, :].cumsum(axis=1)[:, ::-1, :] * dt[:, :, None]
+        mids = (self.terminal - tail) + (0.5 * dt)[:, :, None] * U
+        t_flat = self.mid_times[lanes].ravel()
+        X_flat, U_flat = mids.reshape(B * n, self.ell), U.reshape(B * n, self.ell)
+        lvals = eval_cost_batch(self.cost, t_flat, X_flat, U_flat).reshape(B, n)
         if self.bounds is not None:
             norms = np.linalg.norm(U, axis=2)
-            lvals = np.where(norms > self.bounds + 1e-12, np.inf, lvals)
+            lvals = np.where(norms > self.bounds[lanes] + 1e-12, np.inf, lvals)
         if self.rate is not None:
-            mvals = self._rate_batch(U, mids)
+            mvals = self._rate_batch(t_flat, X_flat, U_flat).reshape(B, n)
             # tail integral of m from each step midpoint to T (midpoint rule)
-            tails = np.cumsum(mvals[:, ::-1], axis=1)[:, ::-1] * self.dt
-            integ = tails - 0.5 * self.dt * mvals
+            tails = mvals[:, ::-1].cumsum(axis=1)[:, ::-1] * dt
+            integ = tails - (0.5 * dt) * mvals
             if np.any(integ > _EXP_CAP):
-                _, k = np.unravel_index(int(np.argmax(integ)), integ.shape)
+                b, k = np.unravel_index(int(np.argmax(integ)), integ.shape)
                 raise RateOverflowError(
-                    f"accumulated rate overflows exp at node {k} (t={self.mid_times[k]})"
+                    f"accumulated rate overflows exp at node {k} (t={self.mid_times[lanes[b], k]})"
                 )
             lvals = lvals * np.exp(integ)
-        return (self.dt / self.omega) * lvals.sum(axis=1)
+        return self.scale[lanes] * lvals.sum(axis=1)
 
-    def value(self, U: np.ndarray) -> float:
-        return float(self.values(U[None])[0])
+    def gradient(self, U: np.ndarray, lanes: np.ndarray, base: np.ndarray, fd_rel: float):
+        """Central finite-difference gradients; one-sided near the infinite region.
 
-    def gradient(self, U: np.ndarray, fd_rel: float):
-        """Central finite-difference gradient; one-sided near the infinite region."""
-        z = U.ravel()
-        n = z.size
-        h = fd_rel * np.maximum(1.0, np.abs(z))
-        pert = np.broadcast_to(z, (2 * n, n)).copy()
+        ``base`` holds each lane's objective at U.  The perturbed rows are
+        priced in chunks of at most _GRADIENT_ROWS evaluator rows.
+        """
+        B, n = len(U), U[0].size
+        Z = U.reshape(B, n)
+        H = fd_rel * np.maximum(1.0, np.abs(Z))
         idx = np.arange(n)
-        pert[idx, idx] += h
-        pert[n + idx, idx] -= h
-        vals = self.values(pert.reshape(2 * n, self.n, self.ell))
-        plus, minus = vals[:n], vals[n:]
-        g = np.empty(n)
-        both = np.isfinite(plus) & np.isfinite(minus)
-        g[both] = (plus[both] - minus[both]) / (2 * h[both])
-        if not both.all():
-            base = self.value(U)
-            only_p = np.isfinite(plus) & ~np.isfinite(minus)
-            only_m = ~np.isfinite(plus) & np.isfinite(minus)
-            neither = ~np.isfinite(plus) & ~np.isfinite(minus)
-            g[only_p] = (plus[only_p] - base) / h[only_p]
-            g[only_m] = (base - minus[only_m]) / h[only_m]
-            g[neither] = 0.0
+        vals = np.empty((B, 2 * n))
+        per_call = max(1, _GRADIENT_ROWS // (2 * n * self.n))
+        for lo in range(0, B, per_call):
+            z, h = Z[lo:lo + per_call], H[lo:lo + per_call]
+            pert = np.repeat(z[:, None, :], 2 * n, axis=1)
+            pert[:, idx, idx] += h
+            pert[:, n + idx, idx] -= h
+            vals[lo:lo + per_call] = self.values(
+                pert.reshape(-1, self.n, self.ell), np.repeat(lanes[lo:lo + per_call], 2 * n)
+            ).reshape(-1, 2 * n)
+        plus, minus = vals[:, :n], vals[:, n:]
+        if np.isfinite(vals).all():
+            return ((plus - minus) / (2 * H)).reshape(U.shape)
+        fin_p, fin_m = np.isfinite(plus), np.isfinite(minus)
+        base = base[:, None]
+        with np.errstate(invalid="ignore"):
+            g = np.where(fin_p & fin_m, (plus - minus) / (2 * H),
+                         np.where(fin_p, (plus - base) / H,
+                                  np.where(fin_m, (base - minus) / H, 0.0)))
         return g.reshape(U.shape)
 
 
-def _project_affine(U: np.ndarray, upsilon: np.ndarray) -> np.ndarray:
-    """Exact projection onto {mean_k u_k = upsilon} (subtract the residual mean)."""
-    return U - (U.mean(axis=0) - upsilon)
-
-
 def _project(U: np.ndarray, upsilon: np.ndarray, box, max_alternations: int) -> np.ndarray:
+    """Project each lane of U (B, N, l) onto {mean_k u_k = upsilon_b} (inside the box).
+
+    Without a box the projection is exact (subtract the residual mean).  With a
+    box each lane alternates clipping and the affine projection until it is
+    inside, then a repair pass spreads any residual mean drift over strictly
+    interior steps.
+    """
+    upsilon, n = upsilon[:, None, :], U.shape[1]
     if box is None:
-        return _project_affine(U, upsilon)
+        return U - (U.sum(axis=1, keepdims=True) / n - upsilon)
     lo, hi = box[:, 0], box[:, 1]
-    V = U
+    V = U.copy()
+    live = np.arange(len(V))
     for _ in range(max_alternations):
-        clipped = np.clip(V, lo, hi)
-        V = _project_affine(clipped, upsilon)
-        if np.all(V >= lo - 1e-12) and np.all(V <= hi + 1e-12):
+        W = np.clip(V[live], lo, hi)
+        W = W - (W.sum(axis=1, keepdims=True) / n - upsilon[live])
+        V[live] = W
+        live = live[~np.all((W >= lo - 1e-12) & (W <= hi + 1e-12), axis=(1, 2))]
+        if not live.size:
             break
-    # repair any residual mean drift using strictly interior steps only
     V = np.clip(V, lo, hi)
-    resid = V.mean(axis=0) - upsilon
-    for h in range(V.shape[1]):
-        if resid[h] == 0.0:
-            continue
-        interior = (V[:, h] > lo[h] + 1e-12) & (V[:, h] < hi[h] - 1e-12)
-        m = int(interior.sum())
-        if m:
-            V[interior, h] -= resid[h] * V.shape[0] / m
-    return V
+    resid = V.sum(axis=1, keepdims=True) / n - upsilon
+    interior = (V > lo + 1e-12) & (V < hi - 1e-12)
+    m = interior.sum(axis=1, keepdims=True)
+    shift = resid * n / np.maximum(m, 1)
+    return np.where(interior, V - shift, V)
+
+
+def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs,
+                 n_steps=None, admissible=None):
+    """Solve many (omega, upsilon) cells in lockstep, one lane per start of each cell.
+
+    ``rngs`` holds one seed or generator per cell; returns one
+    (ExtReal lambda, Trajectory or None) per cell.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n_steps = int(n_steps or cfg.n_steps)
+    if n_steps < 1:
+        raise MisuseError("moderation needs at least one step")
+    omegas = [float(om) for om in omegas]
+    for om in omegas:
+        if om <= 0:
+            raise MisuseError(f"moderation needs a positive aperture, got {om}")
+    upsilons = [np.atleast_1d(np.asarray(u, dtype=float)) for u in upsilons]
+    box = None if cost.domain_box is None else np.asarray(cost.domain_box, dtype=float)
+    out = [(INF, None)] * len(omegas)
+
+    cell_of, starts = [], []
+    for i, (ups, rng) in enumerate(zip(upsilons, rngs)):
+        if box is not None and (np.any(ups < box[:, 0]) or np.any(ups > box[:, 1])):
+            continue  # the mean of box-constrained steps cannot leave the box
+        rng = np.random.default_rng(cfg.seed if rng is None else rng)
+        first = np.tile(ups, (n_steps, 1))
+        scale = 0.5 * float(np.linalg.norm(ups)) + 0.1
+        starts.append(first)
+        for _ in range(cfg.multi_starts):
+            starts.append(first + rng.uniform(-1.0, 1.0, size=(n_steps, len(ups))) * scale)
+        cell_of += [i] * (cfg.multi_starts + 1)
+    if not starts:
+        return out
+    cell_of = np.asarray(cell_of)
+    ups = np.asarray(upsilons)[cell_of]
+    obj = _WindowObjective(cost, rate, T, np.asarray(omegas)[cell_of], x, n_steps, admissible)
+
+    def project(V, lanes):
+        return _project(V, ups[lanes], box, cfg.max_alternations)
+
+    def dots(V, W):  # per-lane <V, W>; matmul takes the same dot kernel as np.vdot
+        return np.matmul(V.reshape(len(V), 1, -1), W.reshape(len(W), -1, 1))[:, 0, 0]
+
+    lanes = np.arange(len(cell_of))
+    U = project(np.asarray(starts), lanes)
+    val = obj.values(U, lanes)
+    # the lanes still descending: ids, iterate u, value v, last accepted step;
+    # a lane that stops leaves its iterate and value in U and val
+    ids = np.flatnonzero(np.isfinite(val))
+    u, v = U[ids], val[ids]
+    step = np.full(len(ids), float(cfg.step_init))
+    prev_u = prev_g = None
+
+    def keep(go):
+        nonlocal ids, u, v, step, prev_u, prev_g, g
+        U[ids[~go]], val[ids[~go]] = u[~go], v[~go]
+        ids, u, v, step, prev_u, prev_g, g = (
+            a[go] for a in (ids, u, v, step, prev_u, prev_g, g))
+
+    for _ in range(cfg.max_iter):
+        if not ids.size:
+            break
+        g = obj.gradient(u, ids, v, cfg.fd_step)
+        if prev_u is not None:
+            # two-point step s's / s'y, capped: near the +inf region of a cost
+            # an uncapped step overshoots and backtracks many times
+            s_vec, y_vec = u - prev_u, g - prev_g
+            sty = dots(s_vec, y_vec)
+            cap = cfg.step_growth * step
+            curved = sty > 0
+            step = np.where(curved, np.minimum(dots(s_vec, s_vec) / np.where(curved, sty, 1.0), cap), cap)
+        else:
+            prev_u = prev_g = u
+        pg = u - project(u - g, ids)
+        go = ~(np.sqrt(dots(pg, pg)) < cfg.grad_tol)
+        if not go.all():
+            keep(go)
+        # Armijo backtracking, all searching lanes priced together
+        s, cand, cval = step.copy(), u.copy(), v.copy()
+        todo = np.arange(len(ids))
+        for _ in range(cfg.max_backtracks):
+            if not todo.size:
+                break
+            trial = project(u[todo] - s[todo][:, None, None] * g[todo], ids[todo])
+            tval = obj.values(trial, ids[todo])
+            move = np.sum(((u[todo] - trial) ** 2).reshape(len(todo), -1), axis=1)
+            ok = np.isfinite(tval) & (tval <= v[todo] - cfg.armijo * move / np.maximum(s[todo], 1e-300))
+            cand[todo[ok]], cval[todo[ok]] = trial[ok], tval[ok]
+            s[todo[~ok]] *= 0.5
+            todo = todo[~ok]
+        go = v - cval > _REL_DECREASE * np.maximum(np.abs(cval), 1.0)
+        go[todo] = False  # no step satisfied the Armijo test
+        prev_u, prev_g, u, v, step = u, g, cand, cval, s
+        if not go.all():
+            keep(go)
+    U[ids], val[ids] = u, v
+
+    for i in set(cell_of.tolist()):
+        own = np.flatnonzero(cell_of == i)
+        best = own[int(np.argmin(val[own]))]   # first start wins ties
+        if math.isfinite(val[best]):
+            traj = Trajectory(window=Window(T=float(T), omega=omegas[i]),
+                              terminal_state=x, velocities=U[best].copy())
+            out[i] = (ExtReal(float(val[best])), traj)
+    return out
 
 
 def _solve_window_problem(cost, rate, T, x, omega, upsilon, cfg: SolverConfig,
                           rng=None, n_steps=None, admissible=None):
-    """Shared inner solver; returns (ExtReal lambda, Trajectory or None)."""
-    if omega <= 0:
-        raise MisuseError(f"moderation needs a positive aperture, got {omega}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    upsilon = np.atleast_1d(np.asarray(upsilon, dtype=float))
-    n_steps = int(n_steps or cfg.n_steps)
-    if n_steps < 1:
-        raise MisuseError("moderation needs at least one step")
-    box = None if cost.domain_box is None else np.asarray(cost.domain_box, dtype=float)
-    if box is not None and (np.any(upsilon < box[:, 0]) or np.any(upsilon > box[:, 1])):
-        return INF, None  # the mean of box-constrained steps cannot leave the box
-
-    obj = _WindowObjective(cost, rate, T, omega, x, n_steps, admissible)
-    rng = np.random.default_rng(cfg.seed if rng is None else rng)
-
-    starts = [np.tile(upsilon, (n_steps, 1))]
-    scale = 0.5 * float(np.linalg.norm(upsilon)) + 0.1
-    for _ in range(cfg.multi_starts):
-        noise = rng.uniform(-1.0, 1.0, size=(n_steps, len(upsilon))) * scale
-        starts.append(starts[0] + noise)
-
-    best_val, best_u = math.inf, None
-    for start in starts:
-        u = _project(start, upsilon, box, cfg.max_alternations)
-        val = obj.value(u)
-        if not math.isfinite(val):
-            continue
-        step, prev = cfg.step_init, None   # prev: (u, g) of the previous iterate
-        for _ in range(cfg.max_iter):
-            g = obj.gradient(u, cfg.fd_step)
-            if prev is not None:
-                # two-point step s's / s'y, capped: near the +inf region of a
-                # cost an uncapped step overshoots and backtracks many times
-                s_vec, y_vec = u - prev[0], g - prev[1]
-                sty = float(np.vdot(s_vec, y_vec))
-                cap = cfg.step_growth * step
-                step = min(float(np.vdot(s_vec, s_vec)) / sty, cap) if sty > 0 else cap
-            pg = u - _project(u - g, upsilon, box, cfg.max_alternations)
-            if np.linalg.norm(pg) < cfg.grad_tol:
-                break
-            s = step
-            for _ in range(cfg.max_backtracks):
-                cand = _project(u - s * g, upsilon, box, cfg.max_alternations)
-                cval = obj.value(cand)
-                move = float(np.sum((u - cand) ** 2))
-                if math.isfinite(cval) and cval <= val - cfg.armijo * move / max(s, 1e-300):
-                    break
-                s *= 0.5
-            else:
-                break  # no step satisfied the Armijo test
-            decrease = val - cval
-            prev, step = (u, g), s
-            u, val = cand, cval
-            if decrease <= _REL_DECREASE * max(abs(val), 1.0):
-                break
-        if val < best_val:
-            best_val, best_u = val, u
-
-    if best_u is None or not math.isfinite(best_val):
-        return INF, None
-    traj = Trajectory(
-        window=Window(T=float(T), omega=float(omega)),
-        terminal_state=x,
-        velocities=best_u,
-    )
-    return ExtReal(best_val), traj
+    """One cell of :func:`_solve_cells`; returns (ExtReal lambda, Trajectory or None)."""
+    return _solve_cells(cost, rate, T, x, [omega], [upsilon], cfg, [rng],
+                        n_steps=n_steps, admissible=admissible)[0]
 
 
 def moderate(prob: ModerationProblem, cfg: SolverConfig, rng=None):
@@ -308,7 +353,7 @@ class ModerationTable:
 
 
 def build_moderation_table(cost, T, x, omega_grid, upsilon_grid, cfg: SolverConfig) -> ModerationTable:
-    """Fill the (omega, upsilon) grid by independent moderate calls.
+    """Fill the (omega, upsilon) grid in one lockstep solve of every entry.
 
     Per-entry infeasibility is data (+infinity), never an error.  Entries get
     deterministic per-cell seeds so the table is reproducible regardless of
@@ -321,14 +366,13 @@ def build_moderation_table(cost, T, x, omega_grid, upsilon_grid, cfg: SolverConf
     if omega_grid.size == 0 or upsilon_grid.size == 0:
         raise MisuseError("moderation table grids must be non-empty")
     n, m = len(omega_grid), len(upsilon_grid)
-    values = np.full((n, m), np.inf)
-    argmins = [[None] * m for _ in range(n)]
-    for i, om in enumerate(omega_grid):
-        for j, ups in enumerate(upsilon_grid):
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, i, j]))
-            lam, traj = _solve_window_problem(cost, None, T, x, float(om), ups, cfg, rng=rng)
-            values[i, j] = lam.to_float()
-            argmins[i][j] = traj
+    cells = [(i, j) for i in range(n) for j in range(m)]
+    solved = _solve_cells(
+        cost, None, T, x, [omega_grid[i] for i, _ in cells], [upsilon_grid[j] for _, j in cells],
+        cfg, [np.random.SeedSequence([cfg.seed, i, j]) for i, j in cells],
+    )
+    values = np.array([lam.to_float() for lam, _ in solved]).reshape(n, m)
+    argmins = [[traj for _, traj in solved[i * m:(i + 1) * m]] for i in range(n)]
     return ModerationTable(
         omega_grid=omega_grid, upsilon_grid=upsilon_grid, values=values,
         argmins=argmins, base_point=(float(T), np.atleast_1d(np.asarray(x, dtype=float))),

