@@ -11,6 +11,7 @@ from .costs import (
     ConjugateTable,
     CostField,
     MarchaudReport,
+    RateField,
     TerminalCost,
     build_conjugate_table,
     check_marchaud,
@@ -18,6 +19,7 @@ from .costs import (
     eval_terminal,
     legendre_fenchel,
     make_cost,
+    make_rate,
     make_terminal,
     subdifferential_check,
 )
@@ -54,12 +56,10 @@ from .laxhopf_core import (
 )
 from .discounted import (
     AccumulationProfile,
-    RateField,
     accumulate_rate,
     actualized_enrichment_certificate,
     discounted_moderate,
     discounted_value,
-    make_rate,
 )
 from .economy import (
     EconomyState,

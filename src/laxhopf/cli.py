@@ -12,15 +12,16 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import fields as dc_fields
 from pathlib import Path
 
 import numpy as np
 
-from .costs import build_conjugate_table, make_cost, make_terminal
-from .discounted import actualized_enrichment_certificate, discounted_value, make_rate
-from .economy import ImpetusCostSpec, economic_value, pack_economy
+from .costs import build_conjugate_table, make_cost, make_rate, make_terminal
+from .discounted import discounted_value
+from .economy import ImpetusCostSpec, economic_value
 from .errors import ConfigError, LaxHopfError, MisuseError
 from .laxhopf_core import (
     OuterGrid,
@@ -53,6 +54,32 @@ def _get(cfg: dict, path: str, default=KeyError, kind=None):
     return node
 
 
+def _num(cfg: dict, path: str, default=KeyError, cast=float, low=None):
+    """The finite number at ``path``, at least ``low`` when given."""
+    raw = _get(cfg, path, default)
+    try:
+        value = cast(raw)
+        ok = math.isfinite(value) and (low is None or value >= low)
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        _fail(path, f"expected a finite number{'' if low is None else f' >= {low}'}, got {raw!r}")
+    return value
+
+
+def _array(cfg: dict, path: str, pairs: bool = False) -> np.ndarray:
+    """A non-empty list of finite numbers at ``path``, or of [lo, hi] pairs."""
+    raw = _get(cfg, path, kind=list)
+    try:
+        arr = np.asarray(raw, dtype=float).reshape((-1, 2) if pairs else -1)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
+    if not arr.size or not np.isfinite(arr).all() or (not pairs and np.ndim(raw) != 1):
+        what = "[lo, hi] pairs" if pairs else "numbers"
+        _fail(path, f"expected a non-empty list of finite {what}, got {raw!r}")
+    return arr
+
+
 def load_config(path) -> dict:
     try:
         with open(path) as fh:
@@ -73,7 +100,7 @@ def load_config(path) -> dict:
 
 def _solver_cfg(cfg: dict) -> SolverConfig:
     raw = dict(_get(cfg, "solver", {}, dict))
-    raw.setdefault("seed", int(_get(cfg, "seed", 0)))
+    raw.setdefault("seed", _num(cfg, "seed", 0, int))
     known = {f.name for f in dc_fields(SolverConfig)}
     for key in raw:
         if key not in known:
@@ -91,17 +118,20 @@ def _named(cfg, path, factory):
         _fail(f"{path}.name", str(exc))
 
 
-def _outer_grid(cfg: dict) -> OuterGrid:
-    o = _get(cfg, "outer", kind=dict)
+def _outer_grid(cfg: dict, dim=None) -> OuterGrid:
+    _get(cfg, "outer", kind=dict)
+    box = _array(cfg, "outer.upsilon_box", pairs=True)
+    if dim is not None and len(box) != dim:
+        _fail("outer.upsilon_box", f"needs {dim} [lo, hi] pairs, one per coordinate of x")
     try:
         return OuterGrid.build(
-            omega_max=float(_get(cfg, "outer.omega_max")),
-            n_omega=int(_get(cfg, "outer.n_omega", 10)),
-            upsilon_box=_get(cfg, "outer.upsilon_box", kind=list),
-            n_upsilon=int(_get(cfg, "outer.n_upsilon", 21)),
+            omega_max=_num(cfg, "outer.omega_max"),
+            n_omega=_num(cfg, "outer.n_omega", 10, int, low=1),
+            upsilon_box=box,
+            n_upsilon=_num(cfg, "outer.n_upsilon", 21, int, low=1),
             refine=bool(_get(cfg, "outer.refine", True)),
-            shrink=float(_get(cfg, "outer.shrink", 0.5)),
-            max_rounds=int(_get(cfg, "outer.max_rounds", 10)),
+            shrink=_num(cfg, "outer.shrink", 0.5),
+            max_rounds=_num(cfg, "outer.max_rounds", 10, int),
         )
     except MisuseError as exc:
         _fail("outer", str(exc))
@@ -111,7 +141,7 @@ def _dp_grids(cfg: dict, path="dp") -> DPGrids:
     d = _get(cfg, path, kind=dict)
     try:
         return DPGrids.build(
-            t0=float(d.get("t0", 0.0)), T=float(_get(cfg, "T")),
+            t0=float(d.get("t0", 0.0)), T=_num(cfg, "T"),
             n_t=int(d["n_t"]), state_box=d["state_box"],
             state_step=float(d["state_step"]), velocity_box=d["velocity_box"],
             velocity_step=float(d["velocity_step"]),
@@ -136,7 +166,7 @@ def _economy_spec(cfg: dict) -> ImpetusCostSpec:
     params = _get(cfg, "economy.scalar_params", {}, dict)
     return ImpetusCostSpec(
         scalar_cost=_IMPETUS_SCALARS[name](**params),
-        gamma_price=float(_get(cfg, "economy.gamma_price")),
+        gamma_price=_num(cfg, "economy.gamma_price"),
         gamma_agents=tuple(float(g) for g in _get(cfg, "economy.gamma_agents", kind=list)),
         shared_prices=bool(_get(cfg, "economy.shared_prices", False)),
     )
@@ -147,19 +177,19 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     kind = cfg["kind"]
     out_dir.mkdir(parents=True, exist_ok=True)
     solver = _solver_cfg(cfg)
-    T = float(_get(cfg, "T"))
+    T = _num(cfg, "T")
 
     if kind == "wtp":
         terminal = _named(cfg, "terminal", make_terminal)
         w = _get(cfg, "wtp", kind=dict)
-        box = np.asarray(_get(cfg, "wtp.state_box", kind=list), float).reshape(-1, 2)
-        n = int(_get(cfg, "wtp.n_state", 101))
+        box = _array(cfg, "wtp.state_box", pairs=True)
+        n = _num(cfg, "wtp.n_state", 101, int, low=1)
         axes = [np.linspace(lo, hi, n) for lo, hi in box]
         mesh = np.meshgrid(*axes, indexing="ij")
         grid_pts = np.stack([m.ravel() for m in mesh], axis=1)
         value = wtp_value(
-            terminal, float(_get(cfg, "wtp.velocity_bound")), T,
-            _get(cfg, "x", kind=list), float(_get(cfg, "wtp.omega")), grid_pts,
+            terminal, _num(cfg, "wtp.velocity_bound"), T,
+            _array(cfg, "x"), _num(cfg, "wtp.omega"), grid_pts,
         )
         doc = {"value": "inf" if not value.is_finite else value.value}
         (out_dir / "result.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
@@ -174,11 +204,9 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         cost = _named(cfg, "cost", make_cost)
         levels_raw = _get(cfg, "verify.levels", kind=list)
         levels = [_dp_grids({"T": T, "dp": lv}, "dp") for lv in levels_raw]
-        scenario = Scenario(
-            terminal=terminal, cost=cost, T=T,
-            x=np.atleast_1d(np.asarray(_get(cfg, "x", kind=list), float)),
-            outer_grid=_outer_grid(cfg), solver_cfg=solver,
-        )
+        x = _array(cfg, "x")
+        scenario = Scenario(terminal=terminal, cost=cost, T=T, x=x,
+                            outer_grid=_outer_grid(cfg, len(x)), solver_cfg=solver)
         rows = convergence_study(scenario, levels)
         with open(out_dir / "error_table.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -197,12 +225,12 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         allocations = np.asarray(_get(cfg, "economy.allocations", kind=list), float)
         prices = np.asarray(_get(cfg, "economy.prices", kind=list), float)
         result = economic_value(terminal, spec, T, allocations, prices,
-                                _outer_grid(cfg), solver)
+                                _outer_grid(cfg, 2 * allocations.size), solver)
     else:
         terminal = _named(cfg, "terminal", make_terminal)
         cost = _named(cfg, "cost", make_cost)
-        x = _get(cfg, "x", kind=list)
-        grid = _outer_grid(cfg)
+        x = _array(cfg, "x")
+        grid = _outer_grid(cfg, len(x))
         if kind == "classic":
             result = classic_lax_hopf(terminal, cost, T, x, grid,
                                       n_steps=solver.n_steps)
@@ -219,7 +247,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     if table_spec is not None and kind in ("generalized", "discounted"):
         cost = _named(cfg, "cost", make_cost)
         table = build_moderation_table(
-            cost, T, _get(cfg, "x", kind=list),
+            cost, T, x,
             table_spec["omega_grid"], table_spec["upsilon_grid"], solver,
         )
         moderation_table_to_csv(table, out_dir / "moderation_table.csv")
@@ -298,7 +326,7 @@ def conjugate_config(cfg: dict, out_dir: Path) -> int:
     t = float(c.get("t", 0.0))
     x = np.atleast_1d(np.asarray(c.get("x", [0.0]), float))
     dual = np.asarray(_get(cfg, "conjugate.dual_grid", kind=list), float)
-    vbox = np.asarray(_get(cfg, "conjugate.velocity_box", kind=list), float).reshape(-1, 2)
+    vbox = _array(cfg, "conjugate.velocity_box", pairs=True)
     n = int(c.get("n_velocity", 2001))
     axes = [np.linspace(lo, hi, n) for lo, hi in vbox]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -319,7 +347,7 @@ def moderate_config(cfg: dict, out_dir: Path) -> int:
     cost = _named(cfg, "cost", make_cost)
     m = _get(cfg, "moderation", kind=dict)
     table = build_moderation_table(
-        cost, float(_get(cfg, "T")), _get(cfg, "x", kind=list),
+        cost, _num(cfg, "T"), _array(cfg, "x"),
         _get(cfg, "moderation.omega_grid", kind=list),
         _get(cfg, "moderation.upsilon_grid", kind=list),
         _solver_cfg(cfg),

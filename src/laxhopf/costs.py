@@ -1,66 +1,92 @@
-"""Transaction-cost fields, terminal costs, conjugation and growth checks.
+"""Transaction-cost and rate fields, terminal costs, conjugation and growth checks.
 
-A :class:`CostField` wraps an evaluator ``l(t, x, u)`` together with the flags
-the solvers rely on (velocity-only, declared convexity) and an optional
-per-coordinate velocity box outside of which the cost is +infinity.  Conjugates
-are computed by exhaustive maximization over a velocity lattice; at desk-scale
-dimensions this is cheap and unconditionally correct.
+A :class:`CostField` wraps a running cost ``l(t, x, u)`` together with the
+flags the solvers rely on (velocity-only, declared convexity) and an optional
+per-coordinate velocity box outside of which the cost is +infinity; a
+:class:`RateField` wraps an interest rate ``m(t, x, u)``.  Both are batch-first:
+the catalog fields carry only a batch evaluator over rows ``(t, X, U)``, and
+every evaluation, the scalar :func:`eval_cost` included, goes through one
+helper that also owns the box and the NaN fault.  A scalar ``evaluator`` is
+kept for user fields without a batch form and is looped row by row.
+Conjugates are computed by exhaustive maximization over a velocity lattice; at
+desk-scale dimensions this is cheap and unconditionally correct.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import EmptyDomainError, EvaluationFault, MisuseError
-from .extreal import INF, ExtReal
+from .extreal import ExtReal
 
 __all__ = [
     "CostField",
+    "RateField",
     "TerminalCost",
     "ConjugateTable",
     "MarchaudReport",
     "eval_cost",
     "eval_cost_batch",
+    "eval_rate_batch",
     "eval_terminal",
     "legendre_fenchel",
     "build_conjugate_table",
     "subdifferential_check",
     "check_marchaud",
     "make_cost",
+    "make_rate",
     "make_terminal",
 ]
 
 
 def _as_vec(x) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(x, dtype=float))
-    return a
+    return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def _require_evaluator(fld) -> None:
+    if fld.evaluator is None and fld.batch_evaluator is None:
+        raise MisuseError(f"{type(fld).__name__} needs an evaluator or a batch_evaluator")
 
 
 @dataclass(frozen=True)
 class CostField:
     """Evaluatable transaction-cost function l(t, x, u) with metadata.
 
-    ``evaluator`` returns a float or ExtReal; ``batch_evaluator``, when
-    present, takes arrays ``(t (m,), X (m, l), U (m, l))`` and returns a float
-    array where +infinity is IEEE inf (internal fast path only; the scalar API
-    always speaks ExtReal).
+    ``batch_evaluator`` takes arrays ``(t (m,), X (m, l), U (m, l))`` and
+    returns a float array where +infinity is IEEE inf; ``evaluator`` is the
+    scalar form ``(t, x, u) -> float or ExtReal`` for fields without a batch
+    form.  At least one of the two is required.
     """
 
-    evaluator: Callable
+    evaluator: Optional[Callable] = None
     velocity_only: bool = False
     declared_convex_in_u: bool = False
     domain_box: Optional[np.ndarray] = None  # shape (l, 2) velocity bounds
     batch_evaluator: Optional[Callable] = None
+
+    def __post_init__(self):
+        _require_evaluator(self)
 
     def in_domain_box(self, u: np.ndarray) -> bool:
         if self.domain_box is None:
             return True
         box = np.asarray(self.domain_box, dtype=float)
         return bool(np.all(u >= box[:, 0]) and np.all(u <= box[:, 1]))
+
+
+@dataclass(frozen=True)
+class RateField:
+    """Per-time-unit interest rate m(t, x, u), no sign restriction; evaluators as in CostField."""
+
+    evaluator: Optional[Callable] = None
+    batch_evaluator: Optional[Callable] = None
+
+    def __post_init__(self):
+        _require_evaluator(self)
 
 
 @dataclass(frozen=True)
@@ -74,49 +100,51 @@ class TerminalCost:
         return eval_terminal(self, t, x).is_finite
 
 
-def eval_cost(cost: CostField, t: float, x, u) -> ExtReal:
-    """Evaluate l(t, x, u); +infinity outside the domain box, NaN is a fault."""
-    x = _as_vec(x)
-    u = _as_vec(u)
-    if not cost.in_domain_box(u):
-        return INF
-    raw = cost.evaluator(t, x, u)
-    raw = raw.to_float() if isinstance(raw, ExtReal) else float(raw)
-    if math.isnan(raw):
-        raise EvaluationFault(f"cost evaluator returned NaN at t={t}, x={x}, u={u}")
-    return ExtReal(raw)
+def _to_float(raw) -> float:
+    return raw.to_float() if isinstance(raw, ExtReal) else float(raw)
 
 
-def eval_cost_batch(cost: CostField, t: np.ndarray, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Vectorized cost evaluation; returns a float array using IEEE inf.
+def _field_rows(fld, what: str, t, X, U, box=None) -> np.ndarray:
+    """Rows of a cost or rate field as a float array with IEEE inf.
 
-    Falls back to a scalar loop when the field carries no batch evaluator.
+    Runs the batch evaluator, or loops the scalar one row by row; rows whose
+    velocity leaves ``box`` are +infinity, and a NaN row is a fault.
     """
     t = np.asarray(t, dtype=float)
     X = np.asarray(X, dtype=float)
     U = np.asarray(U, dtype=float)
-    if cost.batch_evaluator is not None:
-        vals = np.asarray(cost.batch_evaluator(t, X, U), dtype=float)
+    if fld.batch_evaluator is not None:
+        vals = np.asarray(fld.batch_evaluator(t, X, U), dtype=float)
     else:
-        vals = np.empty(len(U), dtype=float)
-        for i in range(len(U)):
-            vals[i] = eval_cost(cost, float(t[i]), X[i], U[i]).to_float()
-    if cost.domain_box is not None:
-        box = np.asarray(cost.domain_box, dtype=float)
-        outside = np.any((U < box[:, 0]) | (U > box[:, 1]), axis=1)
-        vals = np.where(outside, np.inf, vals)
+        vals = np.array([_to_float(fld.evaluator(float(t[i]), X[i], U[i])) for i in range(len(U))])
+    if box is not None:
+        box = np.asarray(box, dtype=float)
+        vals = np.where(np.any((U < box[:, 0]) | (U > box[:, 1]), axis=1), np.inf, vals)
     if np.isnan(vals).any():
         i = int(np.flatnonzero(np.isnan(vals))[0])
-        raise EvaluationFault(
-            f"cost evaluator returned NaN at t={t[i]}, x={X[i]}, u={U[i]}"
-        )
+        raise EvaluationFault(f"{what} evaluator returned NaN at t={t[i]}, x={X[i]}, u={U[i]}")
     return vals
+
+
+def eval_cost_batch(cost: CostField, t: np.ndarray, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Cost rows l(t_i, X_i, U_i); a float array using IEEE inf, +inf outside the domain box."""
+    return _field_rows(cost, "cost", t, X, U, cost.domain_box)
+
+
+def eval_rate_batch(rate: RateField, t: np.ndarray, X: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Rate rows m(t_i, X_i, U_i) as a float array."""
+    return _field_rows(rate, "rate", t, X, U)
+
+
+def eval_cost(cost: CostField, t: float, x, u) -> ExtReal:
+    """l(t, x, u) as one row of :func:`eval_cost_batch`."""
+    row = eval_cost_batch(cost, [float(t)], _as_vec(x)[None], _as_vec(u)[None])
+    return ExtReal(float(row[0]))
 
 
 def eval_terminal(term: TerminalCost, t: float, x) -> ExtReal:
     x = _as_vec(x)
-    raw = term.evaluator(t, x)
-    raw = raw.to_float() if isinstance(raw, ExtReal) else float(raw)
+    raw = _to_float(term.evaluator(t, x))
     if math.isnan(raw):
         raise EvaluationFault(f"terminal evaluator returned NaN at t={t}, x={x}")
     return ExtReal(raw)
@@ -144,17 +172,12 @@ def _grid_2d(velocity_grid) -> np.ndarray:
     return g
 
 
-def legendre_fenchel(cost: CostField, t: float, x, p, velocity_grid) -> ExtReal:
-    """Conjugate l*(t, x, p) = sup_u (<p,u> - l(t,x,u)) over a velocity lattice.
-
-    A lower bound on the true supremum, converging under grid refinement.
-    Raises :class:`EmptyDomainError` when every grid point has infinite cost.
-    """
+def _lattice_costs(cost: CostField, t: float, x, velocity_grid):
+    """The finite lattice points and their costs at (t, x); all-infinite is an error."""
     grid = _grid_2d(velocity_grid)
     if grid.size == 0:
         raise MisuseError("legendre_fenchel needs a non-empty velocity grid")
     x = _as_vec(x)
-    p = _as_vec(p)
     m = len(grid)
     lvals = eval_cost_batch(cost, np.full(m, float(t)), np.broadcast_to(x, (m, len(x))), grid)
     finite = np.isfinite(lvals)
@@ -162,8 +185,17 @@ def legendre_fenchel(cost: CostField, t: float, x, p, velocity_grid) -> ExtReal:
         raise EmptyDomainError(
             f"all velocity-grid points have infinite cost at t={t}, x={x}"
         )
-    scores = grid[finite] @ p - lvals[finite]
-    return ExtReal(float(scores.max()))
+    return grid[finite], lvals[finite]
+
+
+def legendre_fenchel(cost: CostField, t: float, x, p, velocity_grid) -> ExtReal:
+    """Conjugate l*(t, x, p) = sup_u (<p,u> - l(t,x,u)) over a velocity lattice.
+
+    A lower bound on the true supremum, converging under grid refinement.
+    Raises :class:`EmptyDomainError` when every grid point has infinite cost.
+    """
+    grid, lvals = _lattice_costs(cost, t, x, velocity_grid)
+    return ExtReal(float((grid @ _as_vec(p) - lvals).max()))
 
 
 @dataclass(frozen=True)
@@ -183,11 +215,11 @@ class ConjugateTable:
 
 
 def build_conjugate_table(cost: CostField, t: float, x, dual_grid, velocity_grid) -> ConjugateTable:
+    """l*(t, x, p) at every dual point p, from one cost evaluation of the lattice."""
     dual = np.asarray(dual_grid, dtype=float)
     duals = dual if dual.ndim > 1 else dual[:, None]
-    vals = np.array(
-        [legendre_fenchel(cost, t, x, p, velocity_grid).to_float() for p in duals]
-    )
+    grid, lvals = _lattice_costs(cost, t, x, velocity_grid)
+    vals = np.array([float((grid @ p - lvals).max()) for p in duals])
     return ConjugateTable(dual_grid=dual, values=vals, base_point=(float(t), _as_vec(x)))
 
 
@@ -275,32 +307,20 @@ def check_marchaud(
                 )
             lo, hi = box[:, 0], box[:, 1]
         us = rng.uniform(lo, hi, size=(8, ell))
-        finite_us = []
-        for u in us:
-            lv = eval_cost(cost, t, x, u)
-            if not lv.is_finite:
-                continue
-            finite_us.append((u, lv.value))
-            if lv.value < -1e-12:
-                violations.append(
-                    MarchaudViolation("nonnegativity", t, x, u, f"l = {lv.value:.3g} < 0")
-                )
-            if lv.value > radius + 1e-9:
-                violations.append(
-                    MarchaudViolation(
-                        "upper-bound", t, x, u, f"l = {lv.value:.3g} exceeds {radius:.3g}"
-                    )
-                )
-        for i in range(len(finite_us) - 1):
-            (u1, v1), (u2, v2) = finite_us[i], finite_us[i + 1]
-            mid = eval_cost(cost, t, x, 0.5 * (u1 + u2))
-            if mid.is_finite and mid.value > 0.5 * (v1 + v2) + convexity_tol:
-                violations.append(
-                    MarchaudViolation(
-                        "midpoint-convexity", t, x, 0.5 * (u1 + u2),
-                        f"l(mid) = {mid.value:.3g} > {(0.5 * (v1 + v2)):.3g}",
-                    )
-                )
+        lv = eval_cost_batch(cost, np.full(8, t), np.broadcast_to(x, us.shape), us)
+        fu, fv = us[np.isfinite(lv)], lv[np.isfinite(lv)]
+        for u, v in zip(fu, fv):
+            if v < -1e-12:
+                violations.append(MarchaudViolation("nonnegativity", t, x, u, f"l = {v:.3g} < 0"))
+            if v > radius + 1e-9:
+                violations.append(MarchaudViolation(
+                    "upper-bound", t, x, u, f"l = {v:.3g} exceeds {radius:.3g}"))
+        mids, chords = 0.5 * (fu[:-1] + fu[1:]), 0.5 * (fv[:-1] + fv[1:])
+        mv = eval_cost_batch(cost, np.full(len(mids), t), np.broadcast_to(x, mids.shape), mids)
+        for u, v, chord in zip(mids, mv, chords):
+            if np.isfinite(v) and v > chord + convexity_tol:
+                violations.append(MarchaudViolation(
+                    "midpoint-convexity", t, x, u, f"l(mid) = {v:.3g} > {chord:.3g}"))
     return MarchaudReport(violations=violations, n_samples=n_samples)
 
 
@@ -326,7 +346,6 @@ def make_cost(name: str, **params) -> CostField:
         a = float(params.pop("a", 0.5))
         _reject_extras(name, params)
         return CostField(
-            evaluator=lambda t, x, u: a * float(u @ u),
             velocity_only=True,
             declared_convex_in_u=a >= 0,
             domain_box=domain,
@@ -335,7 +354,6 @@ def make_cost(name: str, **params) -> CostField:
     if name == "abs":
         _reject_extras(name, params)
         return CostField(
-            evaluator=lambda t, x, u: float(np.sum(np.abs(u))),
             velocity_only=True,
             declared_convex_in_u=True,
             domain_box=domain,
@@ -346,7 +364,6 @@ def make_cost(name: str, **params) -> CostField:
         a1 = float(params.pop("a1", 1.0))
         _reject_extras(name, params)
         return CostField(
-            evaluator=lambda t, x, u: (a0 + a1 * t) * float(u @ u) / 2.0,
             velocity_only=False,
             declared_convex_in_u=True,
             domain_box=domain,
@@ -356,7 +373,6 @@ def make_cost(name: str, **params) -> CostField:
         tol = float(params.pop("tol", 1e-12))
         _reject_extras(name, params)
         return CostField(
-            evaluator=lambda t, x, u: 0.0 if np.all(np.abs(u) <= tol) else math.inf,
             velocity_only=True,
             declared_convex_in_u=True,
             domain_box=domain,
@@ -365,6 +381,21 @@ def make_cost(name: str, **params) -> CostField:
             ),
         )
     raise MisuseError(f"unknown cost {name!r}")
+
+
+def make_rate(name: str, **params) -> RateField:
+    """Catalog: "zero", "constant" (r), "velocity" (m = sum of velocity components)."""
+    if name == "zero":
+        _reject_extras(name, params)
+        return RateField(batch_evaluator=lambda t, X, U: np.zeros(len(U)))
+    if name == "constant":
+        r = float(params.pop("r", 0.0))
+        _reject_extras(name, params)
+        return RateField(batch_evaluator=lambda t, X, U: np.full(len(U), r))
+    if name == "velocity":
+        _reject_extras(name, params)
+        return RateField(batch_evaluator=lambda t, X, U: np.sum(U, axis=1))
+    raise MisuseError(f"unknown rate {name!r}")
 
 
 def make_terminal(name: str, **params) -> TerminalCost:

@@ -3,6 +3,8 @@
 A rate field m(t, x, u) accumulates along each candidate trajectory; every
 quantity is actualized to the terminal time T, i.e. the factor applied at time
 tau is exp of the tail integral of m from tau to T along the trajectory itself.
+Rate fields and their catalog live in :mod:`laxhopf.costs` (re-exported here)
+and are evaluated through the same batch path as the costs.
 With m identically zero every operation here reproduces its undiscounted
 counterpart bit for bit under the same solver configuration.
 """
@@ -10,11 +12,11 @@ counterpart bit for bit under the same solver configuration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .costs import CostField, TerminalCost, eval_terminal
+from .costs import CostField, RateField, TerminalCost, eval_rate_batch, eval_terminal, make_rate
 from .errors import MisuseError, RateOverflowError
 from .laxhopf_core import OuterGrid, ValueResult, _moderated_cells, _reduce
 from .moderation import _EXP_CAP, SolverConfig, _solve_window_problem
@@ -32,41 +34,6 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RateField:
-    """Per-time-unit interest rate m(t, x, u); no sign restriction."""
-
-    evaluator: Callable
-    batch_evaluator: Optional[Callable] = None
-
-
-def make_rate(name: str, **params) -> RateField:
-    """Catalog: "zero", "constant" (r), "velocity" (m = sum of velocity components)."""
-    if name == "zero":
-        if params:
-            raise MisuseError(f"unknown parameters for 'zero': {sorted(params)}")
-        return RateField(
-            evaluator=lambda t, x, u: 0.0,
-            batch_evaluator=lambda t, X, U: np.zeros(len(U)),
-        )
-    if name == "constant":
-        r = float(params.pop("r", 0.0))
-        if params:
-            raise MisuseError(f"unknown parameters for 'constant': {sorted(params)}")
-        return RateField(
-            evaluator=lambda t, x, u: r,
-            batch_evaluator=lambda t, X, U: np.full(len(U), r),
-        )
-    if name == "velocity":
-        if params:
-            raise MisuseError(f"unknown parameters for 'velocity': {sorted(params)}")
-        return RateField(
-            evaluator=lambda t, x, u: float(np.sum(u)),
-            batch_evaluator=lambda t, X, U: np.sum(U, axis=1),
-        )
-    raise MisuseError(f"unknown rate {name!r}")
-
-
-@dataclass(frozen=True)
 class AccumulationProfile:
     """Per-node factors exp(tail integral of m) along a trajectory; 1 at the terminal node."""
 
@@ -76,18 +43,8 @@ class AccumulationProfile:
 
 def accumulate_rate(traj: Trajectory, rate: RateField) -> AccumulationProfile:
     """Node factors D_k = exp(integral of m from t_k to T), midpoint quadrature."""
-    n = traj.n_steps
-    if rate.batch_evaluator is not None:
-        mvals = np.asarray(
-            rate.batch_evaluator(traj.mid_times, traj.mid_states, traj.velocities),
-            dtype=float,
-        )
-    else:
-        mvals = np.array(
-            [float(rate.evaluator(float(t), x, u))
-             for t, x, u in zip(traj.mid_times, traj.mid_states, traj.velocities)]
-        )
-    tails = np.zeros(n + 1)
+    mvals = eval_rate_batch(rate, traj.mid_times, traj.mid_states, traj.velocities)
+    tails = np.zeros(traj.n_steps + 1)
     tails[:-1] = np.cumsum((traj.dt * mvals)[::-1])[::-1]
     if np.any(tails > _EXP_CAP):
         k = int(np.flatnonzero(tails > _EXP_CAP)[0])

@@ -3,7 +3,9 @@
 The economic value function is the generalized Lax-Hopf reduction run on the
 doubled state (allocations, prices) with the impetus cost as running cost: a
 convex scalar cost of the impetus, finite only while every agent's transaction
-speed and every price fluctuation stay within their bounds.
+speed and every price fluctuation stay within their bounds.  The impetus cost
+has one form, the batch field of :func:`impetus_cost_field`; the scalar
+:func:`impetus_cost` is one row of it.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .costs import CostField, TerminalCost
+from .costs import CostField, TerminalCost, eval_cost
 from .errors import MisuseError
-from .extreal import INF, ExtReal
+from .extreal import ExtReal
 from .laxhopf_core import OuterGrid, ValueResult, generalized_lax_hopf, optimum_certificate
 from .moderation import SolverConfig
 
@@ -100,21 +102,17 @@ class ImpetusCostSpec:
 
 def impetus_cost(spec: ImpetusCostSpec, t: float, state: EconomyState,
                  x_dot, p_dot) -> ExtReal:
-    """scalar_cost(impetus) while every velocity-norm bound holds at t, else +infinity."""
+    """scalar_cost(impetus) while every velocity-norm bound holds at t, else +infinity.
+
+    One row of :func:`impetus_cost_field` at the packed state and velocities.
+    """
     x_dot = np.asarray(x_dot, dtype=float)
     p_dot = np.asarray(p_dot, dtype=float)
-    if len(spec.gamma_agents) != state.n_agents:
-        raise MisuseError("one transaction bound per agent is required")
-    for i in range(state.n_agents):
-        if np.linalg.norm(x_dot[i]) > _bound_at(spec.gamma_agents[i], t) + 1e-12:
-            return INF
-    g0 = _bound_at(spec.gamma_price, t)
-    rows = p_dot[:1] if spec.shared_prices else p_dot
-    for row in rows:
-        if np.linalg.norm(row) > g0 + 1e-12:
-            return INF
-    e = impetus(state, x_dot, p_dot)
-    return ExtReal(float(spec.scalar_cost(e)))
+    if x_dot.shape != state.allocations.shape or p_dot.shape != state.prices.shape:
+        raise MisuseError("velocity shapes must match the economy state")
+    field = impetus_cost_field(spec, state.n_agents, state.dim)
+    return eval_cost(field, t, pack_economy(state.allocations, state.prices),
+                     pack_economy(x_dot, p_dot))
 
 
 def pack_economy(allocations, prices) -> np.ndarray:
@@ -134,16 +132,14 @@ def unpack_economy(z: np.ndarray, n_agents: int, dim: int) -> EconomyState:
 
 
 def impetus_cost_field(spec: ImpetusCostSpec, n_agents: int, dim: int) -> CostField:
-    """Impetus cost as a CostField over the packed (allocations, prices) state."""
-    half = n_agents * dim
+    """Impetus cost as a CostField over the packed (allocations, prices) state.
 
-    def scalar(t, z, z_dot):
-        state = unpack_economy(z, n_agents, dim)
-        return impetus_cost(
-            spec, float(t), state,
-            z_dot[:half].reshape(n_agents, dim),
-            z_dot[half:].reshape(n_agents, dim),
-        ).to_float()
+    ``spec.scalar_cost`` is applied once per row; the speed bounds are checked
+    here and nowhere else.
+    """
+    if len(spec.gamma_agents) != n_agents:
+        raise MisuseError("one transaction bound per agent is required")
+    half = n_agents * dim
 
     def batch(t, Z, Zd):
         m = len(Z)
@@ -163,13 +159,7 @@ def impetus_cost_field(spec: ImpetusCostSpec, n_agents: int, dim: int) -> CostFi
         bad |= np.any(np.linalg.norm(p_rows, axis=2) > g0[:, None] + 1e-12, axis=1)
         return np.where(bad, np.inf, vals)
 
-    return CostField(
-        evaluator=scalar,
-        velocity_only=False,
-        declared_convex_in_u=False,
-        domain_box=None,
-        batch_evaluator=batch,
-    )
+    return CostField(velocity_only=False, declared_convex_in_u=False, batch_evaluator=batch)
 
 
 def economic_value(terminal: TerminalCost, spec: ImpetusCostSpec, T: float,

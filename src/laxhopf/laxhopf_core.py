@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import (CostField, TerminalCost, eval_cost, eval_cost_batch, eval_terminal,
-                    eval_terminal_batch)
+from .costs import CostField, TerminalCost, eval_cost_batch, eval_terminal, eval_terminal_batch
 from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
 from .moderation import SolverConfig, _solve_cells
@@ -139,6 +138,10 @@ class _CellCache:
 def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
     """Grid pass plus optional pattern search; deterministic smallest-(omega, upsilon) tie-break.
 
+    When the zero-aperture cell wins the grid pass, the search walks from the
+    best positive-aperture grid cell instead, moving on strict gains only, and
+    its end point replaces the zero cell only if it is strictly cheaper.
+
     ``cells_fn`` prices a list of (omega, upsilon) cells.  The grid pass is one
     batch.  Before each greedy sweep, and again after each move, the probes
     the sweep asks for next are prefetched as one batch; the sweep then
@@ -158,23 +161,19 @@ def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
                   for ups in (grid.upsilon_lattice[:1] if omega == 0.0 else grid.upsilon_lattice)]
     keys = [cells.key(omega, ups) for omega, ups in grid_cells]
     cells.fill(grid_cells, keys)
-    best = None
-    for key, (omega, ups) in zip(keys, grid_cells):
-        cand = key_of(omega, ups, cells.store[key][0])
-        if best is None or cand < best:
-            best = cand
+    priced = [key_of(om, ups, cells.store[key][0]) for key, (om, ups) in zip(keys, grid_cells)]
+    best = min(priced)
 
     if grid.refine and math.isfinite(best[0]):
         pos = np.asarray(grid.omega_values)[np.asarray(grid.omega_values) > 0]
         d_omega = float(np.min(np.diff(pos))) if len(pos) > 1 else omega_max / 4.0
-        steps = [d_omega]
+        first_steps = [d_omega]
         for h in range(ell):
             col = np.unique(grid.upsilon_lattice[:, h])
-            steps.append(float(np.min(np.diff(col))) if len(col) > 1 else 0.25)
-        steps = np.asarray(steps)
+            first_steps.append(float(np.min(np.diff(col))) if len(col) > 1 else 0.25)
         moves = [(d, sgn) for d in range(1 + ell) for sgn in (+1.0, -1.0)]
 
-        def probes(y, todo):
+        def probes(y, todo, steps):
             out = []
             for d, sgn in todo:
                 p = y.copy()
@@ -183,37 +182,39 @@ def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
                 out.append((om, p[1:]) if om > 0 else (0.0, zero_ups))
             return out
 
-        y = np.array([best[1], *best[2]])
-        for _ in range(grid.max_rounds):
-            for _ in range(50):  # greedy moves at the current step size
-                ahead = probes(y, moves)
-                keys = cells.prefetch(ahead)
-                moved = False
-                for k in range(len(moves)):
-                    om, ups = ahead[k]
-                    value, _ = cells.get(keys[k], om, ups)
-                    cand = (value, om, tuple(ups))
-                    if cand < best:
-                        best = cand
-                        y = np.array([om, *ups])
-                        moved = True
-                        ahead[k + 1:] = probes(y, moves[k + 1:])
-                        keys[k + 1:] = cells.prefetch(ahead[k + 1:])
-                if not moved:
-                    break
-            steps = steps * grid.shrink
+        def search(best, strict):
+            """Greedy pattern search from ``best``; ``strict`` moves on a lower value only."""
+            steps, y = np.asarray(first_steps), np.array([best[1], *best[2]])
+            for _ in range(grid.max_rounds):
+                for _ in range(50):  # greedy moves at the current step size
+                    ahead = probes(y, moves, steps)
+                    keys = cells.prefetch(ahead)
+                    moved = False
+                    for k in range(len(moves)):
+                        om, ups = ahead[k]
+                        cand = (cells.get(keys[k], om, ups)[0], om, tuple(ups))
+                        if (cand[0] < best[0]) if strict else (cand < best):
+                            best, y, moved = cand, np.array([om, *ups]), True
+                            ahead[k + 1:] = probes(y, moves[k + 1:], steps)
+                            keys[k + 1:] = cells.prefetch(ahead[k + 1:])
+                    if not moved:
+                        break
+                steps = steps * grid.shrink
+            return best
+
+        if best[1] > 0:
+            best = search(best, strict=False)
+        else:
+            # every probe from the zero cell ties with it or maps back to it, so
+            # walk from the best positive-aperture cell instead; the upsilon = 0
+            # column ties with c(T, x) at every omega, so only strict gains move
+            start = min((c for c in priced if c[1] > 0), default=(math.inf,))
+            if math.isfinite(start[0]):
+                best = min(best, search(start, strict=True))
     value, omega_star, ups_star = best[0], best[1], np.asarray(best[2])
     at = ups_star if omega_star > 0 else zero_ups
     _, payload = cells.get(cells.key(omega_star, at), omega_star, at)
     return value, omega_star, ups_star, payload
-
-
-def _straight_line(T, x, omega, upsilon, n_steps) -> Trajectory:
-    return Trajectory(
-        window=Window(T=float(T), omega=float(omega)),
-        terminal_state=np.atleast_1d(np.asarray(x, dtype=float)),
-        velocities=np.tile(np.atleast_1d(upsilon), (n_steps, 1)),
-    )
 
 
 def _finish(value, omega_star, ups_star, start, traj, lam, c_start, discount=None) -> ValueResult:
@@ -308,8 +309,9 @@ def classic_lax_hopf(terminal: TerminalCost, cost: CostField, T: float, x,
     result = _reduce(x, grid, cells_fn)
     if not result.omega_star or not result.value.is_finite:
         return result
-    return replace(result, trajectory=_straight_line(
-        T, x, result.omega_star, result.upsilon_star, n_steps))
+    return replace(result, trajectory=Trajectory(
+        window=Window(T=float(T), omega=result.omega_star), terminal_state=x,
+        velocities=np.tile(result.upsilon_star, (n_steps, 1))))
 
 
 def generalized_lax_hopf(terminal: TerminalCost, cost: CostField, T: float, x,
@@ -349,15 +351,11 @@ def dynamic_value_profile(result: ValueResult, terminal: TerminalCost, cost: Cos
     c_start = eval_terminal(terminal, traj.window.start, traj.states[0])
     if not c_start.is_finite:
         raise MisuseError("start state leaves the departure tube")
-    vals = [c_start.value]
-    running = c_start.value
-    for t, xm, u in zip(traj.mid_times, traj.mid_states, traj.velocities):
-        step = eval_cost(cost, float(t), xm, u)
-        if not step.is_finite:
-            raise MisuseError("optimal trajectory hits an infinite-cost step")
-        running += traj.dt * step.value
-        vals.append(running)
-    return list(zip(traj.times.tolist(), vals))
+    steps = eval_cost_batch(cost, traj.mid_times, traj.mid_states, traj.velocities)
+    if not np.isfinite(steps).all():
+        raise MisuseError("optimal trajectory hits an infinite-cost step")
+    vals = np.cumsum(np.concatenate([[c_start.value], traj.dt * steps]))
+    return list(zip(traj.times.tolist(), vals.tolist()))
 
 
 def wtp_value(terminal: TerminalCost, velocity_bound: float, T: float, x,
@@ -379,14 +377,9 @@ def wtp_value(terminal: TerminalCost, velocity_bound: float, T: float, x,
     pts = np.asarray(state_grid, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    radius = omega * velocity_bound
-    inside = np.linalg.norm(pts - x, axis=1) <= radius + 1e-12
-    best = INF
-    for y in pts[inside]:
-        v = eval_terminal(terminal, T - omega, y)
-        if v < best:
-            best = v
-    return best
+    inside = np.linalg.norm(pts - x, axis=1) <= omega * velocity_bound + 1e-12
+    vals = eval_terminal_batch(terminal, T - omega, pts[inside])
+    return ExtReal(float(np.min(vals, initial=np.inf)))
 
 
 def value_result_to_json(result: ValueResult) -> str:

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import CostField, eval_cost, eval_cost_batch
+from .costs import CostField, eval_cost, eval_cost_batch, eval_rate_batch
 from .errors import MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
 from .trajectories import AdmissibleSpec, Trajectory, Window
@@ -104,12 +104,6 @@ class _WindowObjective:
             [[admissible.bound_at(float(t)) for t in row] for row in self.mid_times]
         )
 
-    def _rate_batch(self, t_flat, X_flat, U_flat):
-        if self.rate.batch_evaluator is not None:
-            return np.asarray(self.rate.batch_evaluator(t_flat, X_flat, U_flat), dtype=float)
-        return np.array([float(self.rate.evaluator(float(t), x, u))
-                         for t, x, u in zip(t_flat, X_flat, U_flat)])
-
     def values(self, U: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         """Objective of velocity matrices U (B, N, l) on lanes (B,) -> (B,) with inf."""
         B, n = len(U), self.n
@@ -124,7 +118,7 @@ class _WindowObjective:
             norms = np.linalg.norm(U, axis=2)
             lvals = np.where(norms > self.bounds[lanes] + 1e-12, np.inf, lvals)
         if self.rate is not None:
-            mvals = self._rate_batch(t_flat, X_flat, U_flat).reshape(B, n)
+            mvals = eval_rate_batch(self.rate, t_flat, X_flat, U_flat).reshape(B, n)
             # tail integral of m from each step midpoint to T (midpoint rule)
             tails = mvals[:, ::-1].cumsum(axis=1)[:, ::-1] * dt
             integ = tails - (0.5 * dt) * mvals

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .costs import CostField, eval_cost, eval_cost_batch
+from .costs import CostField, eval_cost_batch
 from .errors import DegenerateWindowError, MisuseError
 from .extreal import INF, ExtReal
 
@@ -125,14 +125,11 @@ class AdmissibleSpec:
         return float(b(t)) if callable(b) else float(b)
 
     def is_admissible(self, traj: Trajectory) -> bool:
-        for t, x, u in zip(traj.mid_times, traj.mid_states, traj.velocities):
-            if np.linalg.norm(u) > self.bound_at(float(t)) + 1e-12:
-                return False
-            if self.domain_cost is not None and not eval_cost(
-                self.domain_cost, float(t), x, u
-            ).is_finite:
-                return False
-        return True
+        bounds = np.array([self.bound_at(float(t)) for t in traj.mid_times])
+        if np.any(np.linalg.norm(traj.velocities, axis=1) > bounds + 1e-12):
+            return False
+        return self.domain_cost is None or bool(np.isfinite(eval_cost_batch(
+            self.domain_cost, traj.mid_times, traj.mid_states, traj.velocities)).all())
 
 
 def average_transaction(traj: Trajectory) -> np.ndarray:

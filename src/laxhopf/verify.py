@@ -114,9 +114,15 @@ class ValueSurface:
         return ExtReal(v) if math.isfinite(v) else INF
 
     def nearest_node(self, t: float, x) -> tuple:
-        j = int(round((t - self.grids.t0) / self.grids.dt))
+        """Indices of the node nearest to (t, x); more than half a step off the grid is misuse."""
+        g = self.grids
         x = np.atleast_1d(np.asarray(x, float))
-        idx = tuple(int(np.argmin(np.abs(ax - xi))) for ax, xi in zip(self.grids.state_axes, x))
+        spans = [(t, g.t0, g.T, g.dt)] + [(xi, ax[0], ax[-1], ax[1] - ax[0])
+                                          for ax, xi in zip(g.state_axes, x)]
+        if len(x) != g.dim or not all(lo - h / 2 <= v <= hi + h / 2 for v, lo, hi, h in spans):
+            raise MisuseError(f"(t, x) = ({t}, {x}) lies more than half a step off the grid")
+        j = min(max(int(round((t - g.t0) / g.dt)), 0), g.n_t)
+        idx = tuple(int(np.argmin(np.abs(ax - xi))) for ax, xi in zip(g.state_axes, x))
         return j, idx
 
     def value_near(self, t: float, x) -> ExtReal:

@@ -52,6 +52,20 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "outer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"outer": dict(BASE["outer"], omega_max="abc")}, "outer.omega_max"),
+        ({"outer": dict(BASE["outer"], n_upsilon=0)}, "outer.n_upsilon"),
+        ({"outer": dict(BASE["outer"], upsilon_box=[[1]])}, "outer.upsilon_box"),
+        ({"x": []}, "x"),
+        ({"T": float("nan")}, "T"),
+    ])
+    def test_malformed_field_exit_2(self, tmp_path, capsys, overrides, field):
+        cfg = write_cfg(tmp_path, overrides)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}:")
+        assert "Traceback" not in err
+
     def test_bad_kind_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {"kind": "mystery"})
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2

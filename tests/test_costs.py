@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from laxhopf import (
     CostField,
+    RateField,
     build_conjugate_table,
     check_marchaud,
     eval_cost,
@@ -15,7 +16,7 @@ from laxhopf import (
     make_terminal,
     subdifferential_check,
 )
-from laxhopf.costs import eval_terminal
+from laxhopf.costs import eval_cost_batch, eval_rate_batch, eval_terminal, make_rate
 from laxhopf.errors import EmptyDomainError, EvaluationFault, MisuseError
 
 QUAD = make_cost("quadratic")                 # |u|^2 / 2
@@ -162,3 +163,66 @@ class TestCatalogs:
         term = make_terminal("indicator_origin")
         assert term.in_departure_tube(0.0, 0.0)
         assert not term.in_departure_tube(1.0, 0.0)
+
+
+def _bits(v) -> str:
+    return float(v).hex()
+
+
+CATALOG_COSTS = [("quadratic", {}), ("quadratic", {"a": 2.0}), ("abs", {}),
+                 ("weighted_quadratic", {"a0": 0.5, "a1": 1.5}), ("indicator_zero", {})]
+CATALOG_RATES = [("zero", {}), ("constant", {"r": 0.6}), ("velocity", {})]
+
+
+@st.composite
+def rows(draw):
+    ell = draw(st.sampled_from([1, 2]))
+    m = draw(st.integers(1, 6))
+    coord = st.one_of(st.just(0.0), st.floats(-2, 2))
+    t = [draw(st.floats(0, 1)) for _ in range(m)]
+    X = [[draw(st.floats(-2, 2)) for _ in range(ell)] for _ in range(m)]
+    U = [[draw(coord) for _ in range(ell)] for _ in range(m)]
+    return np.array(t), np.array(X).reshape(m, ell), np.array(U).reshape(m, ell)
+
+
+class TestOneEvaluationPath:
+    @settings(max_examples=60, deadline=None)
+    @given(data=rows(), boxed=st.booleans())
+    def test_scalar_cost_is_a_batch_row(self, data, boxed):
+        t, X, U = data
+        domain = [[-1.0, 1.0]] * X.shape[1] if boxed else None
+        for name, params in CATALOG_COSTS:
+            cost = make_cost(name, domain=domain, **params)
+            batch = eval_cost_batch(cost, t, X, U)
+            for i in range(len(U)):
+                assert _bits(eval_cost(cost, t[i], X[i], U[i]).to_float()) == _bits(batch[i])
+                if boxed and np.any(np.abs(U[i]) > 1.0):
+                    assert batch[i] == math.inf
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=rows())
+    def test_rate_row_is_a_batch_row(self, data):
+        t, X, U = data
+        for name, params in CATALOG_RATES:
+            rate = make_rate(name, **params)
+            batch = eval_rate_batch(rate, t, X, U)
+            for i in range(len(U)):
+                one = eval_rate_batch(rate, t[i:i + 1], X[i:i + 1], U[i:i + 1])
+                assert _bits(one[0]) == _bits(batch[i])
+
+    def test_field_without_evaluator_is_misuse(self):
+        with pytest.raises(MisuseError):
+            CostField()
+        with pytest.raises(MisuseError):
+            RateField()
+
+    def test_scalar_only_field_loops_rows(self):
+        cost = CostField(evaluator=lambda t, x, u: t + float(u[0]) ** 2,
+                         domain_box=np.array([[-1.0, 1.0]]))
+        vals = eval_cost_batch(cost, [0.5, 0.5], [[0.0], [0.0]], [[0.5], [2.0]])
+        assert vals.tolist() == [0.75, math.inf]
+
+    def test_nan_rate_is_a_fault(self):
+        rate = RateField(batch_evaluator=lambda t, X, U: np.full(len(U), math.nan))
+        with pytest.raises(EvaluationFault, match="rate evaluator returned NaN at t="):
+            eval_rate_batch(rate, [0.5], [[0.0]], [[1.0]])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from laxhopf import (
+    RateField,
     SolverConfig,
     Window,
     accumulate_rate,
@@ -31,6 +32,14 @@ class TestAccumulateRate:
         traj = build_trajectory(Window(T=1.0, omega=1.0), 1.0, [1.0] * 4)
         prof = accumulate_rate(traj, ZERO_RATE)
         np.testing.assert_array_equal(prof.factors, 1.0)
+
+    def test_scalar_only_rate_matches_batch_twin(self):
+        traj = build_trajectory(Window(T=1.0, omega=0.8), 0.3,
+                                np.linspace(-1.0, 1.5, 12))
+        scalar = RateField(evaluator=lambda t, x, u: 0.2 * t - float(u[0]) + float(x[0]))
+        batch = RateField(batch_evaluator=lambda t, X, U: 0.2 * t - U[:, 0] + X[:, 0])
+        np.testing.assert_array_equal(accumulate_rate(traj, scalar).factors,
+                                      accumulate_rate(traj, batch).factors)
 
     def test_constant_rate_exponential(self):
         traj = build_trajectory(Window(T=1.0, omega=1.0), 1.0, [1.0] * 50)

@@ -97,6 +97,11 @@ class TestImpetusCost:
         v = impetus_cost(spec_with(gp=0.1), 0.0, s, [[0.0]], [[1.0]])
         assert not v.is_finite
 
+    def test_one_bound_per_agent(self):
+        s = EconomyState([[0.0]], [[1.0]])
+        with pytest.raises(MisuseError):
+            impetus_cost(spec_with(ga=(1.0, 1.0)), 0.0, s, [[1.0]], [[0.0]])
+
     def test_zero_velocities_zero_cost(self):
         s = EconomyState([[1.0]], [[1.0]])
         assert impetus_cost(spec_with(), 0.0, s, [[0.0]], [[0.0]]).value == 0.0

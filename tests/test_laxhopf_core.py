@@ -27,6 +27,30 @@ QTERM = make_terminal("quadratic_state")        # y^2, time-independent
 REF_WQ = 1.0 / (2.0 * math.log(2.0))
 
 
+class TestZeroApertureGridOptimum:
+    """Near x = 0 every grid cell ties with or exceeds c(T, x); the search must still refine."""
+
+    GRID = OuterGrid.build(1.0, 10, [[-2, 2]], 21)
+
+    def test_classic(self):
+        res = classic_lax_hopf(QTERM, QUAD, 1.0, 0.05, self.GRID)
+        assert res.value.value == pytest.approx(0.05 ** 2 / 3.0, abs=1e-5)
+        assert res.omega_star > 0
+
+    def test_generalized(self):
+        k = REF_WQ
+        res = generalized_lax_hopf(QTERM, WQ, 1.0, 0.05, self.GRID,
+                                   SolverConfig(n_steps=16, multi_starts=1))
+        assert res.value.value == pytest.approx(0.05 ** 2 * k / (1.0 + k), abs=1e-5)
+        assert res.omega_star > 0
+
+    def test_zero_cell_kept_when_it_is_optimal(self):
+        # at x = 0 the fresh start c(T, 0) = 0 cannot be beaten
+        res = classic_lax_hopf(QTERM, QUAD, 1.0, 0.0, self.GRID)
+        assert res.value.value == 0.0
+        assert res.omega_star == 0.0
+
+
 class TestClassic:
     def test_indicator_quadratic(self, scalar_grid):
         res = classic_lax_hopf(IND, QUAD, 1.0, 1.0, scalar_grid)

@@ -105,6 +105,21 @@ class TestHjResidual:
         assert hj_residual(surface, QUAD, (j, idx), DUAL_GRID) is None
 
 
+class TestValueSurfaceLookup:
+    @pytest.mark.parametrize("t, x", [(-0.5, 0.0), (1.5, 0.0), (0.5, 5.0), (0.5, -1.2)])
+    def test_lookup_off_the_grid_is_misuse(self, t, x):
+        surface = dp_oracle(QTERM, QUAD, grids(n_t=10, state_step=0.01, box=1.0))
+        with pytest.raises(MisuseError):
+            surface.value_near(t, x)
+        with pytest.raises(MisuseError):
+            surface.nearest_node(t, x)
+
+    def test_lookup_within_half_a_step(self):
+        surface = dp_oracle(QTERM, QUAD, grids(n_t=10, state_step=0.01, box=1.0))
+        assert surface.nearest_node(1.04, 1.004) == (10, (200,))
+        assert surface.nearest_node(-0.04, -1.004) == (0, (0,))
+
+
 class TestJensenSuite:
     def test_quadratic(self, fast_cfg):
         report = jensen_suite(QUAD, 20, (0.2, 2.0), [[-2, 2]], fast_cfg)
