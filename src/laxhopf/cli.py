@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -42,28 +43,33 @@ def _fail(path: str, msg: str):
 
 
 def _get(cfg: dict, path: str, default=KeyError, kind=None):
+    """The value at a dotted ``path``; a numeric part indexes a list."""
     node = cfg
     for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
+        if isinstance(node, list) and part.isdigit() and int(part) < len(node):
+            node = node[int(part)]
+        elif isinstance(node, dict) and part in node:
+            node = node[part]
+        else:
             if default is KeyError:
                 _fail(path, "missing required field")
             return default
-        node = node[part]
     if kind is not None and not isinstance(node, kind):
         _fail(path, f"expected {getattr(kind, '__name__', kind)}, got {type(node).__name__}")
     return node
 
 
-def _num(cfg: dict, path: str, default=KeyError, cast=float, low=None):
-    """The finite number at ``path``, at least ``low`` when given."""
+def _num(cfg: dict, path: str, default=KeyError, cast=float, low=None, positive=False):
+    """The finite number at ``path``, at least ``low`` and above 0 when asked."""
     raw = _get(cfg, path, default)
     try:
         value = cast(raw)
-        ok = math.isfinite(value) and (low is None or value >= low)
+        ok = math.isfinite(value) and (low is None or value >= low) and (not positive or value > 0)
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        _fail(path, f"expected a finite number{'' if low is None else f' >= {low}'}, got {raw!r}")
+        bound = " > 0" if positive else "" if low is None else f" >= {low}"
+        _fail(path, f"expected a finite number{bound}, got {raw!r}")
     return value
 
 
@@ -99,13 +105,15 @@ def load_config(path) -> dict:
 
 
 def _solver_cfg(cfg: dict) -> SolverConfig:
-    raw = dict(_get(cfg, "solver", {}, dict))
-    raw.setdefault("seed", _num(cfg, "seed", 0, int))
-    known = {f.name for f in dc_fields(SolverConfig)}
-    for key in raw:
-        if key not in known:
+    """Each ``solver.<field>`` read as the type of its default; the top-level seed unless set."""
+    defaults = {f.name: f.default for f in dc_fields(SolverConfig)}
+    values = {}
+    for key in _get(cfg, "solver", {}, dict):
+        if key not in defaults:
             _fail(f"solver.{key}", "unknown solver option")
-    return SolverConfig(**raw)
+        values[key] = _num(cfg, f"solver.{key}", cast=type(defaults[key]))
+    values.setdefault("seed", _num(cfg, "seed", 0, int))
+    return SolverConfig(**values)
 
 
 def _named(cfg, path, factory):
@@ -137,17 +145,19 @@ def _outer_grid(cfg: dict, dim=None) -> OuterGrid:
         _fail("outer", str(exc))
 
 
-def _dp_grids(cfg: dict, path="dp") -> DPGrids:
-    d = _get(cfg, path, kind=dict)
+def _dp_grids(cfg: dict, path: str) -> DPGrids:
+    """One DP level, e.g. ``verify.levels.0``."""
+    _get(cfg, path, kind=dict)
+    fields = dict(
+        t0=_num(cfg, f"{path}.t0", 0.0), T=_num(cfg, "T"),
+        n_t=_num(cfg, f"{path}.n_t", cast=int, low=1),
+        state_box=_array(cfg, f"{path}.state_box", pairs=True),
+        state_step=_num(cfg, f"{path}.state_step", positive=True),
+        velocity_box=_array(cfg, f"{path}.velocity_box", pairs=True),
+        velocity_step=_num(cfg, f"{path}.velocity_step", positive=True),
+    )
     try:
-        return DPGrids.build(
-            t0=float(d.get("t0", 0.0)), T=_num(cfg, "T"),
-            n_t=int(d["n_t"]), state_box=d["state_box"],
-            state_step=float(d["state_step"]), velocity_box=d["velocity_box"],
-            velocity_step=float(d["velocity_step"]),
-        )
-    except KeyError as exc:
-        _fail(f"{path}.{exc.args[0]}", "missing required field")
+        return DPGrids.build(**fields)
     except (MisuseError, ConfigError) as exc:
         _fail(path, str(exc))
 
@@ -163,9 +173,13 @@ def _economy_spec(cfg: dict) -> ImpetusCostSpec:
     name = _get(cfg, "economy.scalar_cost", kind=str)
     if name not in _IMPETUS_SCALARS:
         _fail("economy.scalar_cost", f"unknown impetus cost {name!r}")
-    params = _get(cfg, "economy.scalar_params", {}, dict)
+    make, params = _IMPETUS_SCALARS[name], {}
+    for key in _get(cfg, "economy.scalar_params", {}, dict):
+        if key not in inspect.signature(make).parameters:
+            _fail(f"economy.scalar_params.{key}", f"unknown parameter for impetus cost {name!r}")
+        params[key] = _num(cfg, f"economy.scalar_params.{key}")
     return ImpetusCostSpec(
-        scalar_cost=_IMPETUS_SCALARS[name](**params),
+        scalar_cost=make(**params),
         gamma_price=_num(cfg, "economy.gamma_price"),
         gamma_agents=tuple(float(g) for g in _get(cfg, "economy.gamma_agents", kind=list)),
         shared_prices=bool(_get(cfg, "economy.shared_prices", False)),
@@ -203,7 +217,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         terminal = _named(cfg, "terminal", make_terminal)
         cost = _named(cfg, "cost", make_cost)
         levels_raw = _get(cfg, "verify.levels", kind=list)
-        levels = [_dp_grids({"T": T, "dp": lv}, "dp") for lv in levels_raw]
+        levels = [_dp_grids(cfg, f"verify.levels.{i}") for i in range(len(levels_raw))]
         x = _array(cfg, "x")
         scenario = Scenario(terminal=terminal, cost=cost, T=T, x=x,
                             outer_grid=_outer_grid(cfg, len(x)), solver_cfg=solver)

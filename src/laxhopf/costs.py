@@ -7,7 +7,9 @@ per-coordinate velocity box outside of which the cost is +infinity; a
 the catalog fields carry only a batch evaluator over rows ``(t, X, U)``, and
 every evaluation, the scalar :func:`eval_cost` included, goes through one
 helper that also owns the box and the NaN fault.  A scalar ``evaluator`` is
-kept for user fields without a batch form and is looped row by row.
+kept for user fields without a batch form and is looped row by row.  Catalog
+fields also carry batch ``partials``, which the inner moderation solver uses
+for its exact gradient.
 Conjugates are computed by exhaustive maximization over a velocity lattice; at
 desk-scale dimensions this is cheap and unconditionally correct.
 """
@@ -60,6 +62,15 @@ class CostField:
     returns a float array where +infinity is IEEE inf; ``evaluator`` is the
     scalar form ``(t, x, u) -> float or ExtReal`` for fields without a batch
     form.  At least one of the two is required.
+
+    ``partials`` is optional: ``(t (m,), X (m, l), U (m, l)) -> (dX, dU)``,
+    the partial derivatives in x and in u of the same function the evaluators
+    compute, each an (m, l) array or None where it is identically zero.  It is
+    only asked for at rows of finite cost inside the domain box.  A field
+    without it is differentiated by finite differences.  Whoever swaps the
+    evaluator for a different function (``dataclasses.replace``) must swap or
+    clear ``partials`` with it; a wrapper that only counts or times calls may
+    keep it.
     """
 
     evaluator: Optional[Callable] = None
@@ -67,6 +78,7 @@ class CostField:
     declared_convex_in_u: bool = False
     domain_box: Optional[np.ndarray] = None  # shape (l, 2) velocity bounds
     batch_evaluator: Optional[Callable] = None
+    partials: Optional[Callable] = None
 
     def __post_init__(self):
         _require_evaluator(self)
@@ -80,10 +92,15 @@ class CostField:
 
 @dataclass(frozen=True)
 class RateField:
-    """Per-time-unit interest rate m(t, x, u), no sign restriction; evaluators as in CostField."""
+    """Per-time-unit interest rate m(t, x, u), no sign restriction.
+
+    ``evaluator``, ``batch_evaluator`` and ``partials`` follow the contract of
+    :class:`CostField`, ``partials`` returning (dm/dx, dm/du).
+    """
 
     evaluator: Optional[Callable] = None
     batch_evaluator: Optional[Callable] = None
+    partials: Optional[Callable] = None
 
     def __post_init__(self):
         _require_evaluator(self)
@@ -350,6 +367,7 @@ def make_cost(name: str, **params) -> CostField:
             declared_convex_in_u=a >= 0,
             domain_box=domain,
             batch_evaluator=lambda t, X, U: a * np.sum(U * U, axis=1),
+            partials=lambda t, X, U: (None, 2.0 * a * U),
         )
     if name == "abs":
         _reject_extras(name, params)
@@ -358,6 +376,7 @@ def make_cost(name: str, **params) -> CostField:
             declared_convex_in_u=True,
             domain_box=domain,
             batch_evaluator=lambda t, X, U: np.sum(np.abs(U), axis=1),
+            partials=lambda t, X, U: (None, np.sign(U)),
         )
     if name == "weighted_quadratic":
         a0 = float(params.pop("a0", 1.0))
@@ -368,6 +387,7 @@ def make_cost(name: str, **params) -> CostField:
             declared_convex_in_u=True,
             domain_box=domain,
             batch_evaluator=lambda t, X, U: (a0 + a1 * t) * np.sum(U * U, axis=1) / 2.0,
+            partials=lambda t, X, U: (None, (a0 + a1 * t)[:, None] * U),
         )
     if name == "indicator_zero":
         tol = float(params.pop("tol", 1e-12))
@@ -379,6 +399,7 @@ def make_cost(name: str, **params) -> CostField:
             batch_evaluator=lambda t, X, U: np.where(
                 np.all(np.abs(U) <= tol, axis=1), 0.0, np.inf
             ),
+            partials=lambda t, X, U: (None, None),
         )
     raise MisuseError(f"unknown cost {name!r}")
 
@@ -387,14 +408,17 @@ def make_rate(name: str, **params) -> RateField:
     """Catalog: "zero", "constant" (r), "velocity" (m = sum of velocity components)."""
     if name == "zero":
         _reject_extras(name, params)
-        return RateField(batch_evaluator=lambda t, X, U: np.zeros(len(U)))
+        return RateField(batch_evaluator=lambda t, X, U: np.zeros(len(U)),
+                         partials=lambda t, X, U: (None, None))
     if name == "constant":
         r = float(params.pop("r", 0.0))
         _reject_extras(name, params)
-        return RateField(batch_evaluator=lambda t, X, U: np.full(len(U), r))
+        return RateField(batch_evaluator=lambda t, X, U: np.full(len(U), r),
+                         partials=lambda t, X, U: (None, None))
     if name == "velocity":
         _reject_extras(name, params)
-        return RateField(batch_evaluator=lambda t, X, U: np.sum(U, axis=1))
+        return RateField(batch_evaluator=lambda t, X, U: np.sum(U, axis=1),
+                         partials=lambda t, X, U: (None, np.ones_like(U)))
     raise MisuseError(f"unknown rate {name!r}")
 
 

@@ -86,8 +86,12 @@ def impact_of_price_fluctuation(p_prime, x) -> float:
     return float(p_prime @ x)
 
 
-def _bound_at(bound: Union[float, Callable], t: float) -> float:
-    return float(bound(t)) if callable(bound) else float(bound)
+def _bounds_at(bound: Union[float, Callable], t: np.ndarray) -> np.ndarray:
+    """The bound at every time of t (m,); a callable is called once per distinct time."""
+    if not callable(bound):
+        return np.full(len(t), float(bound))
+    times, back = np.unique(t, return_inverse=True)
+    return np.array([float(bound(float(tv))) for tv in times])[back]
 
 
 @dataclass(frozen=True)
@@ -135,7 +139,8 @@ def impetus_cost_field(spec: ImpetusCostSpec, n_agents: int, dim: int) -> CostFi
     """Impetus cost as a CostField over the packed (allocations, prices) state.
 
     ``spec.scalar_cost`` is applied once per row; the speed bounds are checked
-    here and nowhere else.
+    here and nowhere else, as array operations.  The field has no ``partials``,
+    so the inner solver differentiates it by finite differences.
     """
     if len(spec.gamma_agents) != n_agents:
         raise MisuseError("one transaction bound per agent is required")
@@ -150,11 +155,9 @@ def impetus_cost_field(spec: ImpetusCostSpec, n_agents: int, dim: int) -> CostFi
         e = np.sum(P * Xd, axis=(1, 2)) + np.sum(Pd * X, axis=(1, 2))
         vals = np.array([float(spec.scalar_cost(v)) for v in e])
         t = np.broadcast_to(np.asarray(t, dtype=float), (m,))
-        xa_bounds = np.stack(
-            [[_bound_at(spec.gamma_agents[i], float(tv)) for i in range(n_agents)] for tv in t]
-        )
+        xa_bounds = np.stack([_bounds_at(g, t) for g in spec.gamma_agents], axis=1)
         bad = np.any(np.linalg.norm(Xd, axis=2) > xa_bounds + 1e-12, axis=1)
-        g0 = np.array([_bound_at(spec.gamma_price, float(tv)) for tv in t])
+        g0 = _bounds_at(spec.gamma_price, t)
         p_rows = Pd[:, :1] if spec.shared_prices else Pd
         bad |= np.any(np.linalg.norm(p_rows, axis=2) > g0[:, None] + 1e-12, axis=1)
         return np.where(bad, np.inf, vals)

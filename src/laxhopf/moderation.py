@@ -3,9 +3,14 @@
 The moderation of a cost field at (T, x, omega, upsilon) is the smallest
 normalized cumulated cost among trajectories anchored at x(T) = x whose average
 transaction over the window equals upsilon.  The inner solver is a direct
-transcription into N velocity variables: projected gradient descent with an
-exact closed-form projection onto the affine constraint set, finite-difference
-gradients and a small multi-start sweep.  Each trial step is the two-point
+transcription into N velocity variables: projected gradient descent with the
+exact Euclidean projection onto the constraint set (the mean constraint, inside
+the cost's velocity box), exact gradients and a small multi-start sweep.  The
+gradient is the discrete adjoint of the window sum (Griewank & Walther,
+*Evaluating Derivatives*, 2008): the states are a reverse cumulative sum of the
+velocities, so one pass over the rows and the fields' ``partials`` gives it.
+A cost or rate without ``partials`` falls back to central finite differences,
+2*N*l perturbed trajectories per gradient.  Each trial step is the two-point
 (Barzilai-Borwein) step s's/s'y from the last displacement and gradient change,
 capped at step_growth times the last accepted step, then Armijo backtracking.
 A start stops at a small projected gradient, at an accepted decrease of at
@@ -14,11 +19,11 @@ Infeasibility is a value (+infinity), not an exception, so the outer
 minimization can fold over infeasible cells.
 
 Many cells are solved at once: every (cell, start) pair is a lane of one
-(L, N, l) array, and each objective or finite-difference batch covers all
-lanes still descending.  Every lane keeps its own step, line search,
-projection and stop rule, and a lane that stops leaves the batch.  A lane's
-arithmetic does not depend on the other lanes, so a cell solved in any batch
-gives the same bits as the cell solved alone.
+(L, N, l) array, and each objective or gradient batch covers all lanes still
+descending.  Every lane keeps its own step, line search, projection and stop
+rule, and a lane that stops leaves the batch.  A lane's arithmetic does not
+depend on the other lanes, so a cell solved in any batch gives the same bits
+as the cell solved alone.
 
 The same machinery serves the interest-rate variant: an optional rate field
 weights each quadrature node by the accumulation factor of its own trajectory.
@@ -66,7 +71,6 @@ class SolverConfig:
     step_growth: float = 2.0       # cap on a trial step, as a multiple of the last accepted one
     max_backtracks: int = 40
     fd_step: float = 1e-6          # relative central-difference step
-    max_alternations: int = 50     # clip-then-project rounds for boxed domains
     seed: int = 0
     quadrature_tol: float = 1e-6
     solver_tol: float = 1e-6
@@ -104,33 +108,77 @@ class _WindowObjective:
             [[admissible.bound_at(float(t)) for t in row] for row in self.mid_times]
         )
 
-    def values(self, U: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        """Objective of velocity matrices U (B, N, l) on lanes (B,) -> (B,) with inf."""
-        B, n = len(U), self.n
+    def _rows(self, U: np.ndarray, lanes: np.ndarray):
+        """Midpoint rows (t, X, U) of velocities U (B, N, l), flattened to B*N rows; and dt (B, 1)."""
         dt = self.dt[lanes][:, None]
         # x at node k is terminal - dt * sum_{j >= k} u_j; cost and rate see the step midpoint
         tail = U[:, ::-1, :].cumsum(axis=1)[:, ::-1, :] * dt[:, :, None]
         mids = (self.terminal - tail) + (0.5 * dt)[:, :, None] * U
-        t_flat = self.mid_times[lanes].ravel()
-        X_flat, U_flat = mids.reshape(B * n, self.ell), U.reshape(B * n, self.ell)
-        lvals = eval_cost_batch(self.cost, t_flat, X_flat, U_flat).reshape(B, n)
+        flat = (-1, self.ell)
+        return self.mid_times[lanes].ravel(), mids.reshape(flat), U.reshape(flat), dt
+
+    def _weights(self, rows, lanes: np.ndarray) -> np.ndarray:
+        """Accumulation weights e^{I_k} (B, N); I_k integrates the rate from step k's midpoint to T."""
+        t_flat, X_flat, U_flat, dt = rows
+        mvals = eval_rate_batch(self.rate, t_flat, X_flat, U_flat).reshape(len(dt), self.n)
+        tails = mvals[:, ::-1].cumsum(axis=1)[:, ::-1] * dt
+        integ = tails - (0.5 * dt) * mvals
+        if np.any(integ > _EXP_CAP):
+            b, k = np.unravel_index(int(np.argmax(integ)), integ.shape)
+            raise RateOverflowError(
+                f"accumulated rate overflows exp at node {k} (t={self.mid_times[lanes[b], k]})"
+            )
+        return np.exp(integ)
+
+    def values(self, U: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        """Objective of velocity matrices U (B, N, l) on lanes (B,) -> (B,) with inf."""
+        rows = self._rows(U, lanes)
+        lvals = eval_cost_batch(self.cost, *rows[:3]).reshape(len(U), self.n)
         if self.bounds is not None:
             norms = np.linalg.norm(U, axis=2)
             lvals = np.where(norms > self.bounds[lanes] + 1e-12, np.inf, lvals)
         if self.rate is not None:
-            mvals = eval_rate_batch(self.rate, t_flat, X_flat, U_flat).reshape(B, n)
-            # tail integral of m from each step midpoint to T (midpoint rule)
-            tails = mvals[:, ::-1].cumsum(axis=1)[:, ::-1] * dt
-            integ = tails - (0.5 * dt) * mvals
-            if np.any(integ > _EXP_CAP):
-                b, k = np.unravel_index(int(np.argmax(integ)), integ.shape)
-                raise RateOverflowError(
-                    f"accumulated rate overflows exp at node {k} (t={self.mid_times[lanes[b], k]})"
-                )
-            lvals = lvals * np.exp(integ)
+            lvals = lvals * self._weights(rows, lanes)
         return self.scale[lanes] * lvals.sum(axis=1)
 
     def gradient(self, U: np.ndarray, lanes: np.ndarray, base: np.ndarray, fd_rel: float):
+        """Gradients at velocity matrices U (B, N, l) of finite objective ``base`` (B,).
+
+        The exact discrete adjoint when the cost and the rate have partials:
+        with w_k = e^{I_k}, a_k = w_k l_k, c_k = dt sum_{i<k} a_i + (dt/2) a_k
+        and q_k = w_k l_x(k) + c_k m_x(k),
+        df/du_j = scale [w_j l_u(j) + c_j m_u(j) - (dt/2) q_j - dt sum_{k<j} q_k].
+        Otherwise central finite differences (:meth:`_fd_gradient`).
+        """
+        if self.cost.partials is None or (self.rate is not None and self.rate.partials is None):
+            return self._fd_gradient(U, lanes, base, fd_rel)
+        rows = self._rows(U, lanes)
+        dt = rows[3][:, :, None]
+
+        def partials(fld):
+            return [None if d is None else np.asarray(d, dtype=float).reshape(U.shape)
+                    for d in fld.partials(*rows[:3])]
+
+        lx, lu = partials(self.cost)
+        G = np.zeros(U.shape) if lu is None else lu
+        q = lx
+        if self.rate is not None:
+            w = self._weights(rows, lanes)
+            a = w * eval_cost_batch(self.cost, *rows[:3]).reshape(w.shape)
+            c = dt * (_before(a) + 0.5 * a)[:, :, None]
+            mx, mu = partials(self.rate)
+            G = w[:, :, None] * G
+            if mu is not None:
+                G = G + c * mu
+            if lx is not None:
+                q = w[:, :, None] * lx
+            if mx is not None:
+                q = c * mx if q is None else q + c * mx
+        if q is not None:
+            G = G - dt * (_before(q) + 0.5 * q)
+        return self.scale[lanes][:, None, None] * G
+
+    def _fd_gradient(self, U: np.ndarray, lanes: np.ndarray, base: np.ndarray, fd_rel: float):
         """Central finite-difference gradients; one-sided near the infinite region.
 
         ``base`` holds each lane's objective at U.  The perturbed rows are
@@ -162,33 +210,55 @@ class _WindowObjective:
         return g.reshape(U.shape)
 
 
-def _project(U: np.ndarray, upsilon: np.ndarray, box, max_alternations: int) -> np.ndarray:
-    """Project each lane of U (B, N, l) onto {mean_k u_k = upsilon_b} (inside the box).
+def _before(a: np.ndarray) -> np.ndarray:
+    """Exclusive prefix sums along the step axis: out[:, k] = sum_{i<k} a[:, i]."""
+    out = np.zeros_like(a)
+    np.cumsum(a[:, :-1], axis=1, out=out[:, 1:])
+    return out
 
-    Without a box the projection is exact (subtract the residual mean).  With a
-    box each lane alternates clipping and the affine projection until it is
-    inside, then a repair pass spreads any residual mean drift over strictly
-    interior steps.
+
+def _project(U: np.ndarray, upsilon: np.ndarray, box) -> np.ndarray:
+    """Euclidean projection of each lane of U (B, N, l) onto {mean_k u_k = upsilon_b} in the box.
+
+    Without a box this subtracts the residual mean.  With a box every (lane,
+    coordinate) is clip(U - tau, lo, hi), where tau restores the mean: a
+    continuous quadratic knapsack (Helgason, Kennington & Lall 1980; Kiwiel
+    2008).  phi(tau) = sum_k clip(U_k - tau, lo, hi) is piecewise linear and
+    nonincreasing with breakpoints U - hi and U - lo; it is priced exactly at
+    all 2N sorted breakpoints, and tau solves the linear piece that crosses
+    N * upsilon.  upsilon must lie inside the box.
     """
     upsilon, n = upsilon[:, None, :], U.shape[1]
     if box is None:
         return U - (U.sum(axis=1, keepdims=True) / n - upsilon)
-    lo, hi = box[:, 0], box[:, 1]
-    V = U.copy()
-    live = np.arange(len(V))
-    for _ in range(max_alternations):
-        W = np.clip(V[live], lo, hi)
-        W = W - (W.sum(axis=1, keepdims=True) / n - upsilon[live])
-        V[live] = W
-        live = live[~np.all((W >= lo - 1e-12) & (W <= hi + 1e-12), axis=(1, 2))]
-        if not live.size:
-            break
-    V = np.clip(V, lo, hi)
-    resid = V.sum(axis=1, keepdims=True) / n - upsilon
-    interior = (V > lo + 1e-12) & (V < hi - 1e-12)
-    m = interior.sum(axis=1, keepdims=True)
-    shift = resid * n / np.maximum(m, 1)
-    return np.where(interior, V - shift, V)
+
+    def at(a, i):
+        return np.take_along_axis(a, i, axis=1)
+
+    srt = np.sort(U, axis=1)
+    # a bound further than the spread of U from upsilon cannot bind; pulling it in keeps tau finite
+    reach = srt[:, -1:] - srt[:, :1] + 1.0
+    lo = np.maximum(box[:, 0], upsilon - reach)
+    hi = np.minimum(box[:, 1], upsilon + reach)
+    points = np.concatenate([srt - hi, srt - lo], axis=1)            # (B, 2N, l)
+    order = np.argsort(points, axis=1, kind="stable")
+    points = at(points, order)
+    # past a breakpoint the n_below smallest entries are below hi and the n_low smallest at lo
+    n_below = np.cumsum(order < n, axis=1)
+    n_low = np.cumsum(order >= n, axis=1)
+    prefix = np.concatenate([np.zeros_like(srt[:, :1]), srt.cumsum(axis=1)], axis=1)
+    inner = at(prefix, n_below) - at(prefix, n_low)
+    clamped = lo * n_low + hi * (n - n_below)
+    n_inner = n_below - n_low
+    phi = clamped + inner - points * n_inner
+    target = n * upsilon
+    j = np.argmax(phi <= target, axis=1)[:, None, :]                 # phi ends at n * lo <= target
+    k = np.maximum(j - 1, 0)
+    width = at(n_inner, k)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        tau = (at(clamped, k) + at(inner, k) - target) / width
+    tau = np.where((j > 0) & (width > 0), tau, at(points, j))
+    return np.clip(U - tau, lo, hi)
 
 
 def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs,
@@ -228,7 +298,7 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs,
     obj = _WindowObjective(cost, rate, T, np.asarray(omegas)[cell_of], x, n_steps, admissible)
 
     def project(V, lanes):
-        return _project(V, ups[lanes], box, cfg.max_alternations)
+        return _project(V, ups[lanes], box)
 
     def dots(V, W):  # per-lane <V, W>; matmul takes the same dot kernel as np.vdot
         return np.matmul(V.reshape(len(V), 1, -1), W.reshape(len(W), -1, 1))[:, 0, 0]

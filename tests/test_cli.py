@@ -119,6 +119,63 @@ class TestVerify:
         assert (out / "value_surface.csv").exists()
 
 
+VERIFY = {
+    "kind": "verify",
+    "solver": {"n_steps": 8, "multi_starts": 0},
+    "verify": {"levels": [
+        {"n_t": 10, "state_box": [[-2, 2]], "state_step": 0.01,
+         "velocity_box": [[-2, 2]], "velocity_step": 0.1},
+    ]},
+}
+ECONOMY = {
+    "kind": "economy",
+    "terminal": {"name": "quadratic_state"},
+    "cost": None,
+    "x": None,
+    "economy": {"scalar_cost": "quadratic", "gamma_price": 1.0, "gamma_agents": [1.0],
+                "allocations": [[1.0]], "prices": [[1.0]]},
+    "outer": {"omega_max": 1.0, "n_omega": 2, "upsilon_box": [[-1, 1], [-1, 1]],
+              "n_upsilon": 3},
+}
+
+
+def with_level(**fields):
+    level = dict(VERIFY["verify"]["levels"][0], **fields)
+    return dict(VERIFY, verify={"levels": [VERIFY["verify"]["levels"][0], level]})
+
+
+class TestTypedFields:
+    @pytest.mark.parametrize("overrides, field", [
+        (with_level(n_t="abc"), "verify.levels.1.n_t"),
+        (with_level(n_t=0), "verify.levels.1.n_t"),
+        (with_level(t0="zero"), "verify.levels.1.t0"),
+        (with_level(state_step=0), "verify.levels.1.state_step"),
+        (with_level(velocity_step=-0.1), "verify.levels.1.velocity_step"),
+        (with_level(state_box=[[1]]), "verify.levels.1.state_box"),
+        (with_level(velocity_box="wide"), "verify.levels.1.velocity_box"),
+        (with_level(state_step=0.3), "verify.levels.1"),
+        (dict(ECONOMY, economy=dict(ECONOMY["economy"], scalar_params={"b": 1})),
+         "economy.scalar_params.b"),
+        (dict(ECONOMY, economy=dict(ECONOMY["economy"], scalar_params={"a": "big"})),
+         "economy.scalar_params.a"),
+        ({"solver": {"n_steps": "abc"}}, "solver.n_steps"),
+        ({"solver": {"grad_tol": [1e-8]}}, "solver.grad_tol"),
+        ({"solver": {"max_alternations": 50}}, "solver.max_alternations"),
+    ])
+    def test_exit_2_names_field(self, tmp_path, capsys, overrides, field):
+        cfg = write_cfg(tmp_path, overrides)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}:")
+        assert "Traceback" not in err
+
+    def test_typed_fields_accept_valid_values(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, dict(
+            ECONOMY, economy=dict(ECONOMY["economy"], scalar_params={"a": 2}),
+            solver={"n_steps": 4.0, "multi_starts": 0, "max_iter": 5}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 class TestSweep:
     def test_closed_form_column(self, tmp_path):
         cfg = write_cfg(tmp_path)

@@ -18,8 +18,9 @@ from laxhopf import (
     moderate,
     moderation_table_to_csv,
 )
+from laxhopf.costs import CostField, RateField
 from laxhopf.errors import MisuseError
-from laxhopf.moderation import _solve_cells
+from laxhopf.moderation import _solve_cells, _WindowObjective
 
 QUAD = make_cost("quadratic")
 WQ = make_cost("weighted_quadratic", a0=1.0, a1=1.0)
@@ -88,6 +89,88 @@ class TestStopRule:
         cfg = SolverConfig(max_iter=0, seed=0)
         moderate(prob(cost, upsilon=1.0), cfg)
         assert sum(calls) == (cfg.multi_starts + 1) * cfg.n_steps
+
+
+# state-dependent user fields with partials, so the adjoint's l_x and m_x terms are exercised
+STATE_COST = CostField(
+    batch_evaluator=lambda t, X, U: np.sum((1.0 + X * X) * U * U, axis=1) / 2.0,
+    partials=lambda t, X, U: (X * U * U, (1.0 + X * X) * U),
+)
+STATE_RATE = RateField(
+    batch_evaluator=lambda t, X, U: 0.3 * np.sum(np.sin(X), axis=1) + 0.2 * np.sum(U, axis=1) + t,
+    partials=lambda t, X, U: (0.3 * np.cos(X), np.full(U.shape, 0.2)),
+)
+GRADIENT_COSTS = {
+    "quadratic": lambda ell: make_cost("quadratic", a=0.7),
+    "boxed": lambda ell: make_cost("quadratic", domain=[[-3, 3]] * ell),
+    "abs": lambda ell: make_cost("abs"),
+    "weighted_quadratic": lambda ell: make_cost("weighted_quadratic", a0=0.5, a1=2.0),
+    "indicator_zero": lambda ell: make_cost("indicator_zero"),
+    "state": lambda ell: STATE_COST,
+}
+GRADIENT_RATES = {
+    "none": None,
+    "zero": make_rate("zero"),
+    "constant": make_rate("constant", r=0.6),
+    "velocity": make_rate("velocity"),
+    "state": STATE_RATE,
+}
+
+
+@st.composite
+def gradient_lanes(draw):
+    """(ell, T, omegas, x, U): lanes of velocities at least 0.05 from the kink of abs."""
+    ell = draw(st.sampled_from([1, 2]))
+    n_lanes, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    omegas = draw(st.lists(st.floats(0.1, 2.0), min_size=n_lanes, max_size=n_lanes))
+    x = draw(st.lists(st.floats(-2.0, 2.0), min_size=ell, max_size=ell))
+    mags = draw(st.lists(st.floats(0.05, 2.0), min_size=n_lanes * n * ell,
+                         max_size=n_lanes * n * ell))
+    signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=len(mags), max_size=len(mags)))
+    U = (np.array(mags) * np.array(signs)).reshape(n_lanes, n, ell)
+    return ell, draw(st.floats(0.0, 2.0)), np.array(omegas), np.array(x), U
+
+
+class TestGradient:
+    @pytest.mark.parametrize("cost", sorted(GRADIENT_COSTS))
+    @pytest.mark.parametrize("rate", sorted(GRADIENT_RATES))
+    @settings(max_examples=10, deadline=None)
+    @given(drawn=gradient_lanes())
+    def test_adjoint_equals_finite_differences(self, cost, rate, drawn):
+        ell, T, omegas, x, U = drawn
+        if cost == "indicator_zero":
+            U = np.zeros_like(U)   # its only finite point
+        obj = _WindowObjective(GRADIENT_COSTS[cost](ell), GRADIENT_RATES[rate], T, omegas, x,
+                               U.shape[1])
+        lanes = np.arange(len(U))
+        base = obj.values(U, lanes)
+        assert np.isfinite(base).all()
+        fd = obj._fd_gradient(U, lanes, base, 1e-6)
+        adjoint = obj.gradient(U, lanes, base, 1e-6)
+        np.testing.assert_allclose(adjoint, fd, rtol=1e-6, atol=1e-6 * max(1.0, np.abs(fd).max()))
+
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_field_without_partials_takes_finite_differences(self, ell):
+        cost, calls = counted(dataclasses.replace(WQ, partials=None))
+        n, lanes = 5, np.arange(3)
+        obj = _WindowObjective(cost, None, 1.0, [0.5, 1.0, 0.8], [1.0] * ell, n)
+        U = np.random.default_rng(0).uniform(-1, 1, (3, n, ell))
+        base = obj.values(U, lanes)
+        calls.clear()
+        obj.gradient(U, lanes, base, 1e-6)
+        assert sum(calls) == len(lanes) * 2 * n * ell * n
+
+    def test_catalog_gradient_prices_no_perturbed_rows(self):
+        cost, calls = counted(WQ)
+        n, lanes = 8, np.arange(2)
+        obj = _WindowObjective(cost, make_rate("velocity"), 1.0, [0.5, 1.0], [1.0], n)
+        U = np.random.default_rng(0).uniform(-1, 1, (2, n, 1))
+        obj.gradient(U, lanes, obj.values(U, lanes), 1e-6)
+        assert sum(calls) == 2 * (len(lanes) * n)   # the objective once, the adjoint once
+
+    def test_replace_keeps_partials(self):
+        wrapped, _ = counted(WQ)
+        assert wrapped.partials is WQ.partials
 
 
 class TestInvariants:
