@@ -73,15 +73,20 @@ def _num(cfg: dict, path: str, default=KeyError, cast=float, low=None, positive=
     return value
 
 
-def _array(cfg: dict, path: str, pairs: bool = False) -> np.ndarray:
-    """A non-empty list of finite numbers at ``path``, or of [lo, hi] pairs."""
-    raw = _get(cfg, path, kind=list)
+def _array(cfg: dict, path: str, pairs: bool = False, default=KeyError, width=None) -> np.ndarray:
+    """A non-empty list of finite numbers at ``path``; with ``pairs``, of [lo, hi]
+    pairs; with ``width``, of rows of ``width`` numbers (or of numbers when it is 1)."""
+    raw = _get(cfg, path, default, kind=list)
+    shape = (-1, 2) if pairs else (-1,) if width is None else (-1, width)
     try:
-        arr = np.asarray(raw, dtype=float).reshape((-1, 2) if pairs else -1)
+        arr = np.asarray(raw, dtype=float)
+        ok = pairs or arr.shape[1:] == shape[1:] or (width == 1 and arr.ndim == 1)
+        arr = arr.reshape(shape)
     except (TypeError, ValueError):
-        arr = np.empty(0)
-    if not arr.size or not np.isfinite(arr).all() or (not pairs and np.ndim(raw) != 1):
-        what = "[lo, hi] pairs" if pairs else "numbers"
+        ok, arr = False, np.empty(0)
+    if not (ok and arr.size and np.isfinite(arr).all()):
+        what = ("[lo, hi] pairs" if pairs else "numbers" if width is None
+                else f"rows of {width} numbers")
         _fail(path, f"expected a non-empty list of finite {what}, got {raw!r}")
     return arr
 
@@ -168,6 +173,13 @@ _IMPETUS_SCALARS = {
 }
 
 
+def _moderation_grids(cfg: dict, path: str, dim: int):
+    """The ``omega_grid`` and ``upsilon_grid`` (rows of ``dim`` numbers) of a moderation table."""
+    _get(cfg, path, kind=dict)
+    return (_array(cfg, f"{path}.omega_grid"),
+            _array(cfg, f"{path}.upsilon_grid", width=dim))
+
+
 def _economy_spec(cfg: dict) -> ImpetusCostSpec:
     e = _get(cfg, "economy", kind=dict)
     name = _get(cfg, "economy.scalar_cost", kind=str)
@@ -233,6 +245,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
             print(f"dt={r.dt:.6g} error={r.error:.6g}")
         return 0
 
+    table_grids = None
     if kind == "economy":
         terminal = _named(cfg, "terminal", make_terminal)
         spec = _economy_spec(cfg)
@@ -245,6 +258,8 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         cost = _named(cfg, "cost", make_cost)
         x = _array(cfg, "x")
         grid = _outer_grid(cfg, len(x))
+        if kind != "classic" and _get(cfg, "outputs.moderation_table", None) is not None:
+            table_grids = _moderation_grids(cfg, "outputs.moderation_table", len(x))
         if kind == "classic":
             result = classic_lax_hopf(terminal, cost, T, x, grid,
                                       n_steps=solver.n_steps)
@@ -257,13 +272,8 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     (out_dir / "result.json").write_text(value_result_to_json(result))
     if result.trajectory is not None:
         trajectory_to_csv(result.trajectory, out_dir / "trajectory.csv")
-    table_spec = _get(cfg, "outputs.moderation_table", None)
-    if table_spec is not None and kind in ("generalized", "discounted"):
-        cost = _named(cfg, "cost", make_cost)
-        table = build_moderation_table(
-            cost, T, x,
-            table_spec["omega_grid"], table_spec["upsilon_grid"], solver,
-        )
+    if table_grids is not None:
+        table = build_moderation_table(cost, T, x, *table_grids, solver)
         moderation_table_to_csv(table, out_dir / "moderation_table.csv")
     if not result.value.is_finite:
         print("V=inf")
@@ -336,17 +346,16 @@ def conjugate_config(cfg: dict, out_dir: Path) -> int:
     """Dump a ConjugateTable CSV for the configured cost."""
     out_dir.mkdir(parents=True, exist_ok=True)
     cost = _named(cfg, "cost", make_cost)
-    c = _get(cfg, "conjugate", kind=dict)
-    t = float(c.get("t", 0.0))
-    x = np.atleast_1d(np.asarray(c.get("x", [0.0]), float))
-    dual = np.asarray(_get(cfg, "conjugate.dual_grid", kind=list), float)
+    _get(cfg, "conjugate", kind=dict)
+    t = _num(cfg, "conjugate.t", 0.0)
+    x = _array(cfg, "conjugate.x", default=[0.0])
     vbox = _array(cfg, "conjugate.velocity_box", pairs=True)
-    n = int(c.get("n_velocity", 2001))
+    duals = _array(cfg, "conjugate.dual_grid", width=len(vbox))
+    n = _num(cfg, "conjugate.n_velocity", 2001, int, low=2)
     axes = [np.linspace(lo, hi, n) for lo, hi in vbox]
     mesh = np.meshgrid(*axes, indexing="ij")
     vgrid = np.stack([m.ravel() for m in mesh], axis=1)
-    table = build_conjugate_table(cost, t, x, dual, vgrid)
-    duals = dual if dual.ndim > 1 else dual[:, None]
+    table = build_conjugate_table(cost, t, x, duals, vgrid)
     with open(out_dir / "conjugate.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"p_{h + 1}" for h in range(duals.shape[1])] + ["conjugate"])
@@ -359,13 +368,9 @@ def moderate_config(cfg: dict, out_dir: Path) -> int:
     """Dump a ModerationTable CSV for the configured cost."""
     out_dir.mkdir(parents=True, exist_ok=True)
     cost = _named(cfg, "cost", make_cost)
-    m = _get(cfg, "moderation", kind=dict)
-    table = build_moderation_table(
-        cost, _num(cfg, "T"), _array(cfg, "x"),
-        _get(cfg, "moderation.omega_grid", kind=list),
-        _get(cfg, "moderation.upsilon_grid", kind=list),
-        _solver_cfg(cfg),
-    )
+    x = _array(cfg, "x")
+    table = build_moderation_table(cost, _num(cfg, "T"), x,
+                                   *_moderation_grids(cfg, "moderation", len(x)), _solver_cfg(cfg))
     moderation_table_to_csv(table, out_dir / "moderation_table.csv")
     return 0
 

@@ -1,8 +1,8 @@
 """Transaction-cost and rate fields, terminal costs, conjugation and growth checks.
 
 A :class:`CostField` wraps a running cost ``l(t, x, u)`` together with the
-flags the solvers rely on (velocity-only, declared convexity) and an optional
-per-coordinate velocity box outside of which the cost is +infinity; a
+flags the solvers rely on (velocity-only, state-free, declared convexity) and
+an optional per-coordinate velocity box outside of which the cost is +infinity; a
 :class:`RateField` wraps an interest rate ``m(t, x, u)``.  Both are batch-first:
 the catalog fields carry only a batch evaluator over rows ``(t, X, U)``, and
 every evaluation, the scalar :func:`eval_cost` included, goes through one
@@ -71,10 +71,19 @@ class CostField:
     evaluator for a different function (``dataclasses.replace``) must swap or
     clear ``partials`` with it; a wrapper that only counts or times calls may
     keep it.
+
+    ``state_free`` declares that l does not depend on x: l(t, x, u) = l(t, x', u)
+    for all x, x'.  It neither implies nor follows from ``velocity_only`` (which
+    also drops t).  The DP oracle then prices one row per (time step, velocity)
+    instead of one per lattice node, so a field that declares it falsely makes
+    the oracle price a different function, as a wrong ``partials`` makes the
+    inner solver follow a different gradient; ``dataclasses.replace`` that
+    brings in an x-dependent evaluator must clear it.
     """
 
     evaluator: Optional[Callable] = None
     velocity_only: bool = False
+    state_free: bool = False
     declared_convex_in_u: bool = False
     domain_box: Optional[np.ndarray] = None  # shape (l, 2) velocity bounds
     batch_evaluator: Optional[Callable] = None
@@ -356,7 +365,8 @@ def make_cost(name: str, **params) -> CostField:
 
     Catalog: "quadratic" (a*|u|^2, a defaults to 1/2), "abs" (sum |u_h|),
     "weighted_quadratic" ((a0 + a1*t)*|u|^2/2), "indicator_zero".
-    Every entry accepts an optional ``domain`` velocity box.
+    Every entry accepts an optional ``domain`` velocity box.  None of them
+    depends on x, so every entry is ``state_free``.
     """
     domain = _boxify(params.pop("domain", None))
     if name == "quadratic":
@@ -364,6 +374,7 @@ def make_cost(name: str, **params) -> CostField:
         _reject_extras(name, params)
         return CostField(
             velocity_only=True,
+            state_free=True,
             declared_convex_in_u=a >= 0,
             domain_box=domain,
             batch_evaluator=lambda t, X, U: a * np.sum(U * U, axis=1),
@@ -373,6 +384,7 @@ def make_cost(name: str, **params) -> CostField:
         _reject_extras(name, params)
         return CostField(
             velocity_only=True,
+            state_free=True,
             declared_convex_in_u=True,
             domain_box=domain,
             batch_evaluator=lambda t, X, U: np.sum(np.abs(U), axis=1),
@@ -384,6 +396,7 @@ def make_cost(name: str, **params) -> CostField:
         _reject_extras(name, params)
         return CostField(
             velocity_only=False,
+            state_free=True,
             declared_convex_in_u=True,
             domain_box=domain,
             batch_evaluator=lambda t, X, U: (a0 + a1 * t) * np.sum(U * U, axis=1) / 2.0,
@@ -394,6 +407,7 @@ def make_cost(name: str, **params) -> CostField:
         _reject_extras(name, params)
         return CostField(
             velocity_only=True,
+            state_free=True,
             declared_convex_in_u=True,
             domain_box=domain,
             batch_evaluator=lambda t, X, U: np.where(

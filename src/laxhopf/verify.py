@@ -4,8 +4,11 @@ The DP oracle runs one forward sweep over commensurable time/state/velocity
 grids with a fresh-start minimum at every node, which realizes the infimum
 over apertures without enumerating windows.  Out-of-lattice transitions are
 excluded, never clamped, so every value is certified by an actual lattice
-trajectory.  The surface kernel works on IEEE floats with inf internally (only
-sums and mins, so NaN cannot arise); the accessor API speaks ExtReal.
+trajectory.  A cost declared ``state_free`` is priced once per (time step,
+velocity) into a stage table before the sweep; any other cost is priced at
+every in-lattice (node, velocity) pair of every step.  The surface kernel works
+on IEEE floats with inf internally (only sums and mins, so NaN cannot arise);
+the accessor API speaks ExtReal.
 """
 
 from __future__ import annotations
@@ -150,6 +153,11 @@ def dp_oracle(terminal: TerminalCost, cost: CostField, grids: DPGrids) -> ValueS
     W(t, y) = min(c(t, y), min_u W(t - dt, y - u dt) + dt * l(t - dt/2, y - u dt/2, u)),
     starting from W(t0, y) = c(t0, y).  Boundary states whose predecessor would
     leave the lattice take only the fresh-start branch.
+
+    When ``cost.state_free`` is set, l is priced once per (step, velocity) in
+    one batch, at the midpoint of that velocity's first in-lattice destination,
+    and every node of the step shares the row; the sweep runs the same float
+    operations on the same operands as the per-node pricing of other fields.
     """
     dt = grids.dt
     mesh = grids.state_mesh()                       # (*dims, l)
@@ -157,41 +165,40 @@ def dp_oracle(terminal: TerminalCost, cost: CostField, grids: DPGrids) -> ValueS
     flat_states = mesh.reshape(-1, grids.dim)
     steps = np.array([ax[1] - ax[0] for ax in grids.state_axes])
 
-    combos = []
+    moves = []   # (u, destination slices, source slices) of each velocity that stays in the lattice
     for u in itertools.product(*grids.velocity_axes):
         u = np.asarray(u, float)
         k = np.round(u * dt / steps).astype(int)
-        combos.append((u, k))
+        lo, hi = np.maximum(k, 0), np.array(dims) + np.minimum(k, 0)
+        if np.all(lo < hi):
+            moves.append((u, tuple(map(slice, lo, hi)), tuple(map(slice, lo - k, hi - k))))
+
+    t_mids = grids.times[1:] - dt / 2.0
+    table = None   # (step, velocity) stage costs of a state-free field
+    if cost.state_free and moves:
+        U = np.array([u for u, _, _ in moves])
+        X = np.array([mesh[tuple(s.start for s in dest)] for _, dest, _ in moves]) - U * (dt / 2.0)
+        n = len(moves)
+        table = eval_cost_batch(
+            cost, np.repeat(t_mids, n), np.tile(X, (grids.n_t, 1)), np.tile(U, (grids.n_t, 1))
+        ).reshape(grids.n_t, n)
 
     values = np.empty((grids.n_t + 1, *dims))
     values[0] = eval_terminal_batch(terminal, float(grids.times[0]), flat_states).reshape(dims)
     for j in range(1, grids.n_t + 1):
-        t = float(grids.times[j])
-        best = eval_terminal_batch(terminal, t, flat_states).reshape(dims)
+        best = eval_terminal_batch(terminal, float(grids.times[j]), flat_states).reshape(dims)
         prev = values[j - 1]
-        t_mid = t - dt / 2.0
-        for u, k in combos:
-            dest, src = [], []
-            empty = False
-            for d in range(grids.dim):
-                n = dims[d]
-                lo, hi = max(k[d], 0), n + min(k[d], 0)
-                if lo >= hi:
-                    empty = True
-                    break
-                dest.append(slice(lo, hi))
-                src.append(slice(lo - k[d], hi - k[d]))
-            if empty:
-                continue
-            dest, src = tuple(dest), tuple(src)
-            mid = mesh[dest] - u * (dt / 2.0)
-            m = mid.reshape(-1, grids.dim)
-            stage = eval_cost_batch(
-                cost, np.full(len(m), t_mid), m, np.broadcast_to(u, m.shape)
-            ).reshape(mid.shape[:-1])
-            with np.errstate(invalid="ignore"):
-                cand = prev[src] + dt * stage
-            np.minimum(best[dest], cand, out=best[dest])
+        with np.errstate(invalid="ignore"):
+            for v, (u, dest, src) in enumerate(moves):
+                if table is not None:
+                    stage = table[j - 1, v]
+                else:
+                    mid = mesh[dest] - u * (dt / 2.0)
+                    m = mid.reshape(-1, grids.dim)
+                    stage = eval_cost_batch(
+                        cost, np.full(len(m), t_mids[j - 1]), m, np.broadcast_to(u, m.shape)
+                    ).reshape(mid.shape[:-1])
+                np.minimum(best[dest], prev[src] + dt * stage, out=best[dest])
         values[j] = best
     return ValueSurface(grids=grids, values=values)
 
@@ -341,14 +348,11 @@ def convergence_study(scenario: Scenario, levels: Sequence[DPGrids]):
 def surface_to_csv(surface: ValueSurface, path) -> None:
     """Columns t, x_1..x_l, W; +infinity as the literal "inf"."""
     g = surface.grids
-    mesh = g.state_mesh().reshape(-1, g.dim)
+    states = [[repr(v) for v in row] for row in g.state_mesh().reshape(-1, g.dim).tolist()]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t"] + [f"x_{h + 1}" for h in range(g.dim)] + ["W"])
-        for j, t in enumerate(g.times):
-            flat = surface.values[j].reshape(-1)
-            for row, w in zip(mesh, flat):
-                writer.writerow(
-                    [repr(float(t))] + [repr(float(v)) for v in row]
-                    + ["inf" if np.isinf(w) else repr(float(w))]
-                )
+        for t, slab in zip(g.times.tolist(), surface.values.reshape(g.n_t + 1, -1).tolist()):
+            t = repr(t)
+            writer.writerows([t, *x, "inf" if math.isinf(w) else repr(w)]
+                             for x, w in zip(states, slab))

@@ -176,6 +176,55 @@ class TestTypedFields:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
+CONJUGATE = {"conjugate": {"t": 0.0, "x": [0.0], "dual_grid": [-2, 0, 2],
+                           "velocity_box": [[-5, 5]], "n_velocity": 201}}
+TABLE = {"kind": "generalized", "solver": {"n_steps": 8, "multi_starts": 0}}
+
+
+def with_conjugate(**fields):
+    return {"conjugate": dict(CONJUGATE["conjugate"], **fields)}
+
+
+def with_table(table):
+    return dict(TABLE, outputs={"moderation_table": table})
+
+
+class TestTypedTableFields:
+    @pytest.mark.parametrize("command, overrides, field", [
+        ("conjugate", with_conjugate(t="noon"), "conjugate.t"),
+        ("conjugate", with_conjugate(n_velocity="abc"), "conjugate.n_velocity"),
+        ("conjugate", with_conjugate(n_velocity=1), "conjugate.n_velocity"),
+        ("conjugate", with_conjugate(x="origin"), "conjugate.x"),
+        ("conjugate", with_conjugate(x=[[0.0]]), "conjugate.x"),
+        ("conjugate", with_conjugate(dual_grid=["a"]), "conjugate.dual_grid"),
+        ("run", with_table({"omega_grid": [1.0]}), "outputs.moderation_table.upsilon_grid"),
+        ("run", with_table({"omega_grid": "all", "upsilon_grid": [1.0]}),
+         "outputs.moderation_table.omega_grid"),
+        ("run", with_table({"omega_grid": [1.0], "upsilon_grid": [[1.0, 2.0]]}),
+         "outputs.moderation_table.upsilon_grid"),
+        ("run", with_table([1.0]), "outputs.moderation_table"),
+        ("moderate", {"moderation": {"omega_grid": [1.0], "upsilon_grid": [["a"]]}},
+         "moderation.upsilon_grid"),
+    ])
+    def test_exit_2_names_field(self, tmp_path, capsys, command, overrides, field):
+        cfg = write_cfg(tmp_path, overrides)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}:")
+        assert "Traceback" not in err
+        assert not (out / "result.json").exists()
+
+    def test_valid_table_and_defaults(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, with_table({"omega_grid": [1.0], "upsilon_grid": [1.0, 2.0]}))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        with open(tmp_path / "o" / "moderation_table.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == 2
+        conj = {"conjugate": {"dual_grid": [0.0], "velocity_box": [[-1, 1]]}}
+        cfg = write_cfg(tmp_path, conj, name="conj.json")
+        assert main(["conjugate", "--config", str(cfg), "--out", str(tmp_path / "c")]) == 0
+
+
 class TestSweep:
     def test_closed_form_column(self, tmp_path):
         cfg = write_cfg(tmp_path)

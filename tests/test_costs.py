@@ -226,3 +226,24 @@ class TestOneEvaluationPath:
         rate = RateField(batch_evaluator=lambda t, X, U: np.full(len(U), math.nan))
         with pytest.raises(EvaluationFault, match="rate evaluator returned NaN at t="):
             eval_rate_batch(rate, [0.5], [[0.0]], [[1.0]])
+
+
+class TestStateFree:
+    def test_catalog_declares_state_free_only(self):
+        for name, params in CATALOG_COSTS:
+            assert make_cost(name, **params).state_free
+        assert not CostField(batch_evaluator=lambda t, X, U: np.sum(U * U, axis=1)).state_free
+        # state_free and velocity_only are independent declarations
+        assert not WQ.velocity_only and WQ.state_free
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=rows(), boxed=st.booleans(), seed=st.integers(0, 2**16))
+    def test_state_free_rows_ignore_x(self, data, boxed, seed):
+        t, X, U = data
+        other = np.random.default_rng(seed).uniform(-10, 10, X.shape)
+        domain = [[-1.0, 1.0]] * X.shape[1] if boxed else None
+        for name, params in CATALOG_COSTS:
+            cost = make_cost(name, domain=domain, **params)
+            if cost.state_free:
+                assert eval_cost_batch(cost, t, X, U).tobytes() == \
+                    eval_cost_batch(cost, t, other, U).tobytes()

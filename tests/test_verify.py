@@ -1,7 +1,12 @@
+import csv
+import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laxhopf import (
     DPGrids,
@@ -17,7 +22,8 @@ from laxhopf import (
     surface_to_csv,
 )
 from laxhopf.costs import CostField
-from laxhopf.errors import CommensurabilityError, MisuseError
+from laxhopf.errors import CommensurabilityError, EvaluationFault, MisuseError
+from laxhopf.verify import ValueSurface
 
 QUAD = make_cost("quadratic")          # u^2/2
 QUAD1 = make_cost("quadratic", a=1.0)  # u^2
@@ -166,6 +172,117 @@ class TestConvergenceStudy:
     def test_needs_two_levels(self):
         with pytest.raises(MisuseError):
             convergence_study(self.scenario(), [grids(n_t=10, state_step=0.01)])
+
+
+@st.composite
+def small_grids(draw):
+    """Small commensurable grids; some velocities may leave the lattice entirely."""
+    dim = draw(st.sampled_from([1, 2]))
+    n_t = draw(st.integers(1, 4))
+    h = draw(st.sampled_from([0.125, 0.25, 0.5]))
+    v_step = draw(st.integers(1, 2)) * h * n_t       # moves 1 or 2 nodes per step (T = 1)
+    n_lo, n_hi = draw(st.integers(-3, 0)), draw(st.integers(1, 3))
+    v_lo, v_hi = draw(st.integers(-4, 0)), draw(st.integers(0, 4))
+    return DPGrids.build(0.0, 1.0, n_t, [[n_lo * h, n_hi * h]] * dim, h,
+                         [[v_lo * v_step, v_hi * v_step]] * dim, v_step)
+
+
+CATALOG = [("quadratic", {}), ("quadratic", {"a": 2.0}), ("abs", {}),
+           ("weighted_quadratic", {"a0": 0.5, "a1": 1.5}), ("indicator_zero", {})]
+
+
+def counting(cost):
+    """The same cost, counting batch calls and rows."""
+    seen = {"calls": 0, "rows": 0}
+    inner = cost.batch_evaluator
+
+    def batch(t, X, U):
+        seen["calls"] += 1
+        seen["rows"] += len(U)
+        return inner(t, X, U)
+
+    return dataclasses.replace(cost, batch_evaluator=batch), seen
+
+
+def in_lattice_moves(g):
+    """Per velocity, the number of nodes whose predecessor stays in the lattice."""
+    counts = []
+    for u in itertools.product(*g.velocity_axes):
+        n = 1
+        for ax, ud in zip(g.state_axes, u):
+            k = abs(round(ud * g.dt / (ax[1] - ax[0])))
+            n *= max(len(ax) - k, 0)
+        counts.append(n)
+    return counts
+
+
+class TestStateFreeStageTable:
+    @settings(max_examples=60, deadline=None)
+    @given(g=small_grids(), which=st.integers(0, len(CATALOG) - 1), boxed=st.booleans(),
+           indicator=st.booleans(), node=st.integers(0, 6))
+    def test_table_equals_per_node_pricing(self, g, which, boxed, indicator, node):
+        name, params = CATALOG[which]
+        cost = make_cost(name, domain=[[-1.0, 0.5]] * g.dim if boxed else None, **params)
+        axis = g.state_axes[0]
+        origin = np.full(g.dim, axis[node % len(axis)])
+        term = make_terminal("indicator_origin" if indicator else "quadratic_state", x0=origin)
+        fast = dp_oracle(term, cost, g).values
+        slow = dp_oracle(term, dataclasses.replace(cost, state_free=False), g).values
+        assert fast.tobytes() == slow.tobytes()
+        assert np.array_equal(np.isinf(fast), np.isinf(slow))
+
+    def test_row_counts(self):
+        g = DPGrids.build(0.0, 1.0, 2, [[-0.25, 0.25], [-0.125, 0.25]], 0.125,
+                          [[-1.5, 1.5], [-0.5, 0.5]], 0.25)
+        counts = in_lattice_moves(g)
+        assert len(counts) == 65 and counts.count(0) == 20   # |k_1| >= 5 leaves the lattice
+        flagged, seen = counting(QUAD)
+        dp_oracle(QTERM, flagged, g)
+        assert seen == {"calls": 1, "rows": g.n_t * sum(c > 0 for c in counts)}
+
+        user = CostField(batch_evaluator=lambda t, X, U: np.sum(U * U + X * X, axis=1))
+        counted, seen = counting(user)
+        dp_oracle(QTERM, counted, g)
+        assert seen["rows"] == g.n_t * sum(counts)
+
+    def test_row_counts_full_lattice(self):
+        g = grids(n_t=8, state_step=0.0125)
+        flagged, seen = counting(WQ)
+        dp_oracle(IND, flagged, g)
+        assert seen == {"calls": 1, "rows": g.n_t * len(g.velocity_axes[0])}
+
+    def test_nan_names_a_lattice_row(self):
+        nan = CostField(batch_evaluator=lambda t, X, U: np.where(U[:, 0] > 0, np.nan, 0.0),
+                        state_free=True)
+        with pytest.raises(EvaluationFault, match=r"x=\[-1\.995\], u=\[0\.1\]"):
+            dp_oracle(QTERM, nan, grids(n_t=10, state_step=0.01))
+
+
+def _old_surface_csv(surface, path):
+    """Reference writer, one csv row per node; its bytes define the file format."""
+    g = surface.grids
+    mesh = g.state_mesh().reshape(-1, g.dim)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t"] + [f"x_{h + 1}" for h in range(g.dim)] + ["W"])
+        for j, t in enumerate(g.times):
+            flat = surface.values[j].reshape(-1)
+            for row, w in zip(mesh, flat):
+                writer.writerow(
+                    [repr(float(t))] + [repr(float(v)) for v in row]
+                    + ["inf" if np.isinf(w) else repr(float(w))]
+                )
+
+
+def test_surface_csv_golden_bytes(tmp_path):
+    g = DPGrids.build(0.0, 1.0, 4, [[-0.375, 0.375], [-0.25, 0.25]], 0.125, [[-0.5, 0.5]] * 2, 0.5)
+    values = dp_oracle(IND, QUAD, g).values.copy()
+    values[1, 0, 0], values[2, 1, 1], values[3, 2, 2] = -math.inf, 1.0 / 3.0, 1e-300
+    surface = ValueSurface(grids=g, values=values)
+    assert np.isinf(values).sum() > 2
+    surface_to_csv(surface, tmp_path / "new.csv")
+    _old_surface_csv(surface, tmp_path / "old.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 def test_surface_csv(tmp_path):
