@@ -180,8 +180,18 @@ def _moderation_grids(cfg: dict, path: str, dim: int):
             _array(cfg, f"{path}.upsilon_grid", width=dim))
 
 
-def _economy_spec(cfg: dict) -> ImpetusCostSpec:
-    e = _get(cfg, "economy", kind=dict)
+def _agent_rows(cfg: dict, path: str) -> np.ndarray:
+    """Rows of finite numbers at ``path``, one per agent, all as wide as the first."""
+    raw = _get(cfg, path, kind=list)
+    width = len(raw[0]) if raw and isinstance(raw[0], list) else 0
+    if not width:
+        _fail(path, f"expected a non-empty list of rows of numbers, one per agent, got {raw!r}")
+    return _array(cfg, path, width=width)
+
+
+def _economy(cfg: dict):
+    """The impetus cost spec, the allocations and the prices of ``economy``."""
+    _get(cfg, "economy", kind=dict)
     name = _get(cfg, "economy.scalar_cost", kind=str)
     if name not in _IMPETUS_SCALARS:
         _fail("economy.scalar_cost", f"unknown impetus cost {name!r}")
@@ -190,12 +200,22 @@ def _economy_spec(cfg: dict) -> ImpetusCostSpec:
         if key not in inspect.signature(make).parameters:
             _fail(f"economy.scalar_params.{key}", f"unknown parameter for impetus cost {name!r}")
         params[key] = _num(cfg, f"economy.scalar_params.{key}")
-    return ImpetusCostSpec(
-        scalar_cost=make(**params),
-        gamma_price=_num(cfg, "economy.gamma_price"),
-        gamma_agents=tuple(float(g) for g in _get(cfg, "economy.gamma_agents", kind=list)),
+    gamma_price = _num(cfg, "economy.gamma_price")
+    gamma_agents = _array(cfg, "economy.gamma_agents")
+    allocations = _agent_rows(cfg, "economy.allocations")
+    prices = _agent_rows(cfg, "economy.prices")
+    if prices.shape != allocations.shape:
+        _fail("economy.prices", f"needs the shape {allocations.shape} of economy.allocations, "
+                                f"got {prices.shape}")
+    if len(gamma_agents) != len(allocations):
+        _fail("economy.gamma_agents", f"needs one bound per agent ({len(allocations)}), "
+                                      f"got {len(gamma_agents)}")
+    spec = ImpetusCostSpec(
+        scalar_cost=make(**params), gamma_price=gamma_price,
+        gamma_agents=tuple(gamma_agents.tolist()),
         shared_prices=bool(_get(cfg, "economy.shared_prices", False)),
     )
+    return spec, allocations, prices
 
 
 def run_config(cfg: dict, out_dir: Path) -> int:
@@ -248,9 +268,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     table_grids = None
     if kind == "economy":
         terminal = _named(cfg, "terminal", make_terminal)
-        spec = _economy_spec(cfg)
-        allocations = np.asarray(_get(cfg, "economy.allocations", kind=list), float)
-        prices = np.asarray(_get(cfg, "economy.prices", kind=list), float)
+        spec, allocations, prices = _economy(cfg)
         result = economic_value(terminal, spec, T, allocations, prices,
                                 _outer_grid(cfg, 2 * allocations.size), solver)
     else:

@@ -5,7 +5,9 @@ doubled state (allocations, prices) with the impetus cost as running cost: a
 convex scalar cost of the impetus, finite only while every agent's transaction
 speed and every price fluctuation stay within their bounds.  The impetus cost
 has one form, the batch field of :func:`impetus_cost_field`; the scalar
-:func:`impetus_cost` is one row of it.
+:func:`impetus_cost` is one row of it.  The field carries closed-form
+``partials`` (the impetus is bilinear in state and velocity), so economy
+solves take the inner solver's exact adjoint gradient.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ __all__ = [
     "economic_value",
     "economy_enrichment_certificate",
 ]
+
+_SLOPE_STEP = 1e-6  # relative central-difference step for the scalar cost's slope
 
 
 @dataclass(frozen=True)
@@ -139,30 +143,61 @@ def impetus_cost_field(spec: ImpetusCostSpec, n_agents: int, dim: int) -> CostFi
     """Impetus cost as a CostField over the packed (allocations, prices) state.
 
     ``spec.scalar_cost`` is applied once per row; the speed bounds are checked
-    here and nowhere else, as array operations.  The field has no ``partials``,
-    so the inner solver differentiates it by finite differences.
+    here and nowhere else, as array operations (a constant bound becomes an
+    array once, here).  The field's ``partials`` are closed-form in the
+    impetus e: with l = s(e), dl/d(x, p) = s'(e) (p', x') and
+    dl/d(x', p') = s'(e) (p, x), where s' is the central difference of
+    ``spec.scalar_cost`` at e (two scalar calls per row), so the inner solver
+    takes its exact adjoint gradient.
     """
     if len(spec.gamma_agents) != n_agents:
         raise MisuseError("one transaction bound per agent is required")
     half = n_agents * dim
+    # a constant bound plus its 1e-12 slack becomes an array once; a callable one is
+    # priced per batch at the distinct times of its rows
+    agent_slack = None if any(callable(g) for g in spec.gamma_agents) else \
+        np.array([float(g) for g in spec.gamma_agents]) + 1e-12
+    price_slack = None if callable(spec.gamma_price) else float(spec.gamma_price) + 1e-12
+
+    def split(Z, Zd):
+        """Velocity blocks Xd, Pd (m, n_agents, dim) of the rows and their impetus e (m,)."""
+        m = len(Z)
+        X, P, Xd, Pd = (A.reshape(m, n_agents, dim)
+                        for A in (Z[:, :half], Z[:, half:], Zd[:, :half], Zd[:, half:]))
+        return Xd, Pd, np.sum(P * Xd, axis=(1, 2)) + np.sum(Pd * X, axis=(1, 2))
+
+    def scalar_rows(e):
+        return np.array([float(spec.scalar_cost(v)) for v in e])
+
+    def norms(V):  # np.linalg.norm(V, axis=2) without its Python overhead
+        return np.sqrt(np.add.reduce(V * V, axis=2))
 
     def batch(t, Z, Zd):
-        m = len(Z)
-        X = Z[:, :half].reshape(m, n_agents, dim)
-        P = Z[:, half:].reshape(m, n_agents, dim)
-        Xd = Zd[:, :half].reshape(m, n_agents, dim)
-        Pd = Zd[:, half:].reshape(m, n_agents, dim)
-        e = np.sum(P * Xd, axis=(1, 2)) + np.sum(Pd * X, axis=(1, 2))
-        vals = np.array([float(spec.scalar_cost(v)) for v in e])
-        t = np.broadcast_to(np.asarray(t, dtype=float), (m,))
-        xa_bounds = np.stack([_bounds_at(g, t) for g in spec.gamma_agents], axis=1)
-        bad = np.any(np.linalg.norm(Xd, axis=2) > xa_bounds + 1e-12, axis=1)
-        g0 = _bounds_at(spec.gamma_price, t)
-        p_rows = Pd[:, :1] if spec.shared_prices else Pd
-        bad |= np.any(np.linalg.norm(p_rows, axis=2) > g0[:, None] + 1e-12, axis=1)
+        Xd, Pd, e = split(Z, Zd)
+        vals = scalar_rows(e)
+        xa_slack, p_slack = agent_slack, price_slack
+        if xa_slack is None or p_slack is None:
+            t = np.broadcast_to(np.asarray(t, dtype=float), (len(Z),))
+            if xa_slack is None:
+                xa_slack = np.stack([_bounds_at(g, t) for g in spec.gamma_agents], axis=1) + 1e-12
+            if p_slack is None:
+                p_slack = (_bounds_at(spec.gamma_price, t) + 1e-12)[:, None]
+        bad = np.any(norms(Xd) > xa_slack, axis=1)
+        bad |= np.any(norms(Pd[:, :1] if spec.shared_prices else Pd) > p_slack, axis=1)
         return np.where(bad, np.inf, vals)
 
-    return CostField(velocity_only=False, declared_convex_in_u=False, batch_evaluator=batch)
+    def partials(t, Z, Zd):
+        e = split(Z, Zd)[2]
+        h = _SLOPE_STEP * np.maximum(1.0, np.abs(e))
+        slope = ((scalar_rows(e + h) - scalar_rows(e - h)) / (2.0 * h))[:, None]
+
+        def swap(A):  # (a, b) -> (b, a) in packed order
+            return np.concatenate([A[:, half:], A[:, :half]], axis=1)
+
+        return slope * swap(Zd), slope * swap(Z)
+
+    return CostField(velocity_only=False, declared_convex_in_u=False, batch_evaluator=batch,
+                     partials=partials)
 
 
 def economic_value(terminal: TerminalCost, spec: ImpetusCostSpec, T: float,

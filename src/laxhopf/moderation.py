@@ -9,8 +9,9 @@ the cost's velocity box), exact gradients and a small multi-start sweep.  The
 gradient is the discrete adjoint of the window sum (Griewank & Walther,
 *Evaluating Derivatives*, 2008): the states are a reverse cumulative sum of the
 velocities, so one pass over the rows and the fields' ``partials`` gives it.
-A cost or rate without ``partials`` falls back to central finite differences,
-2*N*l perturbed trajectories per gradient.  Each trial step is the two-point
+Every catalog cost and rate and the economy impetus cost carry ``partials``; a
+user field without them falls back to central finite differences, 2*N*l
+perturbed trajectories per gradient.  Each trial step is the two-point
 (Barzilai-Borwein) step s's/s'y from the last displacement and gradient change,
 capped at step_growth times the last accepted step, then Armijo backtracking.
 A start stops at a small projected gradient, at an accepted decrease of at

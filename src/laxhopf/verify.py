@@ -13,7 +13,6 @@ the accessor API speaks ExtReal.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -346,13 +345,15 @@ def convergence_study(scenario: Scenario, levels: Sequence[DPGrids]):
 
 
 def surface_to_csv(surface: ValueSurface, path) -> None:
-    """Columns t, x_1..x_l, W; +infinity as the literal "inf"."""
+    """Columns t, x_1..x_l, W; an infinite W as the literal "inf"; \\r\\n line ends.
+
+    Each state prefix is joined once and each time slice is written as one string.
+    """
     g = surface.grids
-    states = [[repr(v) for v in row] for row in g.state_mesh().reshape(-1, g.dim).tolist()]
+    prefixes = [",".join(map(repr, row)) + "," for row in g.state_mesh().reshape(-1, g.dim).tolist()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"x_{h + 1}" for h in range(g.dim)] + ["W"])
+        fh.write(",".join(["t"] + [f"x_{h + 1}" for h in range(g.dim)] + ["W"]) + "\r\n")
         for t, slab in zip(g.times.tolist(), surface.values.reshape(g.n_t + 1, -1).tolist()):
-            t = repr(t)
-            writer.writerows([t, *x, "inf" if math.isinf(w) else repr(w)]
-                             for x, w in zip(states, slab))
+            t = repr(t) + ","
+            fh.write("".join([f"{t}{x}{'inf' if math.isinf(w) else repr(w)}\r\n"
+                              for x, w in zip(prefixes, slab)]))

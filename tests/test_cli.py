@@ -189,6 +189,10 @@ def with_table(table):
     return dict(TABLE, outputs={"moderation_table": table})
 
 
+def with_economy(**fields):
+    return dict(ECONOMY, economy=dict(ECONOMY["economy"], **fields))
+
+
 class TestTypedTableFields:
     @pytest.mark.parametrize("command, overrides, field", [
         ("conjugate", with_conjugate(t="noon"), "conjugate.t"),
@@ -205,6 +209,9 @@ class TestTypedTableFields:
         ("run", with_table([1.0]), "outputs.moderation_table"),
         ("moderate", {"moderation": {"omega_grid": [1.0], "upsilon_grid": [["a"]]}},
          "moderation.upsilon_grid"),
+        ("run", with_economy(allocations=[["a"]]), "economy.allocations"),
+        ("run", with_economy(gamma_agents=["x"]), "economy.gamma_agents"),
+        ("run", with_economy(prices=[[1.0, 2.0]]), "economy.prices"),
     ])
     def test_exit_2_names_field(self, tmp_path, capsys, command, overrides, field):
         cfg = write_cfg(tmp_path, overrides)

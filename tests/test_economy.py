@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from laxhopf import (
     EconomyState,
@@ -16,6 +19,7 @@ from laxhopf import (
     impetus_cost,
     impetus_cost_field,
     make_cost,
+    make_rate,
     make_terminal,
     pack_economy,
     patrimonial_value,
@@ -23,6 +27,7 @@ from laxhopf import (
 )
 from laxhopf.costs import TerminalCost
 from laxhopf.errors import MisuseError
+from laxhopf.moderation import _WindowObjective
 
 
 def spec_with(scalar=lambda e: e * e, gp=10.0, ga=(10.0,), shared=False):
@@ -218,3 +223,142 @@ class TestBoundMonotonicity:
         a = economic_value(term, tight, 1.0, [[1.0]], [[1.0]], CHEAP_GRID, CHEAP_CFG)
         b = economic_value(term, loose, 1.0, [[1.0]], [[1.0]], CHEAP_GRID, CHEAP_CFG)
         assert b.value.to_float() <= a.value.to_float() + 1e-6
+
+
+def reference_impetus_rows(spec, n_agents, dim, t, Z, Zd):
+    """The impetus kernel before constant bounds became arrays at build time."""
+    half = n_agents * dim
+
+    def bounds_at(bound, t):
+        if not callable(bound):
+            return np.full(len(t), float(bound))
+        times, back = np.unique(t, return_inverse=True)
+        return np.array([float(bound(float(tv))) for tv in times])[back]
+
+    m = len(Z)
+    X = Z[:, :half].reshape(m, n_agents, dim)
+    P = Z[:, half:].reshape(m, n_agents, dim)
+    Xd = Zd[:, :half].reshape(m, n_agents, dim)
+    Pd = Zd[:, half:].reshape(m, n_agents, dim)
+    e = np.sum(P * Xd, axis=(1, 2)) + np.sum(Pd * X, axis=(1, 2))
+    vals = np.array([float(spec.scalar_cost(v)) for v in e])
+    t = np.broadcast_to(np.asarray(t, dtype=float), (m,))
+    xa_bounds = np.stack([bounds_at(g, t) for g in spec.gamma_agents], axis=1)
+    bad = np.any(np.linalg.norm(Xd, axis=2) > xa_bounds + 1e-12, axis=1)
+    g0 = bounds_at(spec.gamma_price, t)
+    p_rows = Pd[:, :1] if spec.shared_prices else Pd
+    bad |= np.any(np.linalg.norm(p_rows, axis=2) > g0[:, None] + 1e-12, axis=1)
+    return np.where(bad, np.inf, vals)
+
+
+def bound_strategy():
+    """A constant speed bound or one that grows with t."""
+    level = st.floats(0.2, 2.0)
+    return st.one_of(level, level.map(lambda g: (lambda t: g + 0.25 * t)))
+
+
+# offsets of a velocity norm from its bound: inside, on it, inside the 1e-12 slack, past it
+NORM_OFFSETS = [-1e-3, -1e-13, 0.0, 5e-13, 1e-12, 2e-12, 1e-3]
+
+
+@st.composite
+def impetus_rows(draw):
+    n_agents, dim = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    spec = ImpetusCostSpec(scalar_cost=lambda e: 0.5 * e * e,
+                           gamma_price=draw(bound_strategy()),
+                           gamma_agents=tuple(draw(bound_strategy()) for _ in range(n_agents)),
+                           shared_prices=draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = 40
+    t = rng.choice([0.0, 0.25, 0.5, 1.0], size=m)
+    Z = rng.uniform(-2, 2, (m, 2 * n_agents * dim))
+    V = rng.normal(size=(m, 2 * n_agents, dim))
+    V /= np.linalg.norm(V, axis=2, keepdims=True)
+    gammas = list(spec.gamma_agents) + [spec.gamma_price] * n_agents
+    for i in range(m):
+        for k, g in enumerate(gammas):
+            bound = g(t[i]) if callable(g) else g
+            V[i, k] *= bound + NORM_OFFSETS[rng.integers(len(NORM_OFFSETS))]
+    return spec, n_agents, dim, t, Z, V.reshape(m, -1)
+
+
+class TestLeanKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=impetus_rows())
+    def test_rows_bitwise_equal_reference(self, drawn):
+        spec, n_agents, dim, t, Z, Zd = drawn
+        got = impetus_cost_field(spec, n_agents, dim).batch_evaluator(t, Z, Zd)
+        want = reference_impetus_rows(spec, n_agents, dim, t, Z, Zd)
+        assert np.isinf(want).any() and np.isfinite(want).any()   # both sides of the bounds
+        assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def impetus_lanes(draw):
+    """An impetus objective and velocities whose every row lies strictly inside the bounds."""
+    n_agents, dim = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        a = draw(st.floats(0.1, 3.0))
+        scalar = lambda e: a * e * e  # noqa: E731
+    else:
+        scalar = abs
+    spec = ImpetusCostSpec(scalar_cost=scalar, gamma_price=draw(st.floats(2.0, 5.0)),
+                           gamma_agents=tuple(draw(st.floats(2.0, 5.0)) for _ in range(n_agents)),
+                           shared_prices=draw(st.booleans()))
+    rate = draw(st.sampled_from([None, make_rate("constant", r=0.6)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    B, n, ell = draw(st.integers(1, 3)), draw(st.integers(2, 5)), 2 * n_agents * dim
+    obj = _WindowObjective(impetus_cost_field(spec, n_agents, dim), rate, 1.0,
+                           rng.uniform(0.3, 1.0, B), rng.uniform(-2, 2, ell), n)
+    U = rng.uniform(-1, 1, (B, n, ell))
+    if scalar is abs:
+        lanes = np.arange(B)
+        _, Z, Zd, _ = obj._rows(U, lanes)
+        half = ell // 2
+        e = np.sum(Z[:, half:] * Zd[:, :half] + Zd[:, half:] * Z[:, :half], axis=1)
+        assume(np.abs(e).min() >= 0.05)   # away from the kink of abs
+    return obj, U
+
+
+def counted_impetus(spec, n_agents, dim):
+    """The impetus field with its batch evaluator and scalar cost counting their calls."""
+    batches, scalars = [], []
+
+    def scalar(e):
+        scalars.append(e)
+        return spec.scalar_cost(e)
+
+    field = impetus_cost_field(dataclasses.replace(spec, scalar_cost=scalar), n_agents, dim)
+
+    def batch(t, X, U):
+        batches.append(len(U))
+        return field.batch_evaluator(t, X, U)
+
+    return dataclasses.replace(field, batch_evaluator=batch), batches, scalars
+
+
+class TestImpetusGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=impetus_lanes())
+    def test_adjoint_equals_finite_differences(self, drawn):
+        obj, U = drawn
+        lanes = np.arange(len(U))
+        base = obj.values(U, lanes)
+        assert np.isfinite(base).all()
+        fd = obj._fd_gradient(U, lanes, base, 1e-6)
+        adjoint = obj.gradient(U, lanes, base, 1e-6)
+        np.testing.assert_allclose(adjoint, fd, rtol=1e-6, atol=1e-6 * max(1.0, np.abs(fd).max()))
+
+    def test_gradient_prices_no_perturbed_trajectories(self):
+        spec = ImpetusCostSpec(scalar_cost=lambda e: e * e, gamma_price=5.0,
+                               gamma_agents=(5.0, 5.0))
+        cost, batches, scalars = counted_impetus(spec, 2, 1)
+        n, lanes = 6, np.arange(3)
+        obj = _WindowObjective(cost, None, 1.0, [0.5, 1.0, 0.8], [1.0, -0.5, 0.8, 1.2], n)
+        U = np.random.default_rng(0).uniform(-1, 1, (3, n, 4))
+        base = obj.values(U, lanes)
+        batches.clear()
+        scalars.clear()
+        obj.gradient(U, lanes, base, 1e-6)
+        assert batches == []
+        assert len(scalars) == 2 * (len(lanes) * n)
