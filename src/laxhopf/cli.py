@@ -306,35 +306,27 @@ def run_config(cfg: dict, out_dir: Path) -> int:
 
 
 def _set_path(cfg: dict, axis: str, value: float):
+    """Set the numeric field at the dotted ``axis``; a numeric part indexes a list."""
     parts = axis.split(".")
     node = cfg
-    for part in parts[:-1]:
-        if isinstance(node, list):
-            node = node[int(part)]
-        elif isinstance(node, dict):
-            if part not in node:
-                _fail(axis, "path does not resolve in the config")
+    for depth, part in enumerate(parts):
+        if isinstance(node, list) and part.isdecimal() and int(part) < len(node):
+            part = int(part)
+        elif not (isinstance(node, dict) and part in node):
+            _fail("--axis", f"{axis!r} does not resolve in the config")
+        if depth < len(parts) - 1:
             node = node[part]
+        elif isinstance(node[part], (int, float)):
+            node[part] = value
         else:
-            _fail(axis, "path does not resolve in the config")
-    leaf = parts[-1]
-    if isinstance(node, list):
-        i = int(leaf)
-        if not isinstance(node[i], (int, float)):
-            _fail(axis, "axis must address a numeric field")
-        node[i] = value
-    elif isinstance(node, dict) and isinstance(node.get(leaf), (int, float)):
-        node[leaf] = value
-    else:
-        _fail(axis, "axis must address a numeric field")
+            _fail("--axis", f"{axis!r} must address a numeric field")
 
 
 def sweep_config(cfg: dict, axis: str, values, out_dir: Path) -> int:
     """One run per swept value; failed rows keep their exit code, the sweep continues."""
+    # validate the axis against the base config before any row runs
+    _set_path(json.loads(json.dumps(cfg)), axis, 0.0)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if values:
-        # validate the axis against the base config before any row runs
-        _set_path(json.loads(json.dumps(cfg)), axis, float(values[0]))
 
     def one(i, value):
         sub = json.loads(json.dumps(cfg))
@@ -417,7 +409,10 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             if args.axis is None or args.values is None:
                 _fail("sweep", "--axis and --values are required")
-            values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+            try:
+                values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+            except ValueError:
+                _fail("--values", f"{args.values!r} is not a comma-separated list of numbers")
             return sweep_config(cfg, args.axis, values, out_dir)
         if args.command == "conjugate":
             return conjugate_config(cfg, out_dir)

@@ -6,13 +6,15 @@ moderated cost of the inner trajectory problem.  The zero-aperture cell always
 contributes c(T, x), so the value never exceeds the instantaneous cost where
 that is finite.  Grid optima are sharpened by a coordinate pattern search with
 step halving around the incumbent.  Cells are priced in batches: the grid pass
-is one batch, and the probes the search asks for next are prefetched as one
-batch and then replayed in order, so the search path is that of pricing one
-cell at a time.
+is one batch.  The search is a resumable state that reads one cell at a time;
+at an unpriced cell, a copy of it runs ahead, reading every unpriced cell as
+no improvement, and the cells that path asks for are priced in one batch with
+the missing one.  The search path is that of pricing one cell at a time.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 from dataclasses import dataclass, replace
@@ -98,16 +100,24 @@ def _cell_seed(base_seed: int, omega: float, upsilon: np.ndarray):
     return np.random.SeedSequence([int(base_seed)] + quant)
 
 
+# Unpriced cells one look-ahead batch holds at most, the missing cell included.
+_LOOKAHEAD_CELLS = 16
+
+
 class _CellCache:
     """Priced cells by rounded (omega, upsilon); ``fill`` prices every unseen cell in one batch."""
 
     def __init__(self, cells_fn):
         self.cells_fn = cells_fn
         self.store = {}
+        self.keys = {}  # exact (omega, *upsilon) -> rounded key
 
-    @staticmethod
-    def key(omega, ups):
-        return (round(float(omega), 12), tuple(np.round(np.atleast_1d(ups), 12)))
+    def key(self, omega, ups):
+        exact = (float(omega), *ups.tolist())
+        key = self.keys.get(exact)
+        if key is None:
+            key = self.keys[exact] = (round(exact[0], 12), tuple(np.round(ups, 12).tolist()))
+        return key
 
     def fill(self, cells, keys) -> None:
         """Price the unseen cells of [(omega, upsilon)], whose keys are given, in one call."""
@@ -118,21 +128,90 @@ class _CellCache:
         if todo:
             self.store.update(zip(todo, self.cells_fn(list(todo.values()))))
 
-    def prefetch(self, cells) -> list:
-        """Speculative fill; returns the keys.  A batch that raises stores
-        nothing, so each cell asked for later is priced alone and raises as
-        it would have."""
-        keys = [self.key(omega, ups) for omega, ups in cells]
+    def fill_ahead(self, cells, keys) -> None:
+        """Price the asked cell ``cells[0]`` with the speculative rest.  A batch
+        that raises stores nothing; the asked cell is then priced alone, and
+        raises as it would have."""
         try:
             self.fill(cells, keys)
         except (RateOverflowError, EvaluationFault):
-            pass
-        return keys
+            self.fill(cells[:1], keys[:1])
 
-    def get(self, key, omega, ups):
-        if key not in self.store:
-            self.fill([(omega, ups)], [key])
-        return self.store[key]
+
+class _PatternSearch:
+    """Resumable greedy coordinate pattern search over y = (omega, *upsilon).
+
+    Each sweep probes y +- step along every coordinate in turn and moves to a
+    probe that beats the incumbent (``strict``: on a lower value only); a
+    round repeats sweeps until one moves nowhere (at most 50), then scales the
+    steps by ``shrink``.  ``probe`` names the next cell and ``feed`` takes its
+    value, so a ``copy.copy`` of the state can be run ahead of the real walk.
+    """
+
+    __slots__ = ("cells", "grid", "omega_max", "moves", "y", "steps", "round", "sweep",
+                 "move", "moved", "strict", "best", "cell")
+
+    def __init__(self, cells, grid, omega_max, steps, best, strict):
+        self.cells, self.grid, self.omega_max = cells, grid, omega_max
+        self.moves = [(d, sgn) for d in range(len(steps)) for sgn in (+1.0, -1.0)]
+        self.y, self.steps = np.array([best[1], *best[2]]), np.asarray(steps)
+        self.round = self.sweep = self.move = 0
+        self.moved, self.strict, self.best, self.cell = False, strict, best, None
+
+    def probe(self):
+        """(key, omega, upsilon) of the next cell the search reads; None once it has ended."""
+        if self.round == self.grid.max_rounds:
+            return None
+        d, sgn = self.moves[self.move]
+        p = self.y.copy()
+        p[d] += sgn * self.steps[d]
+        om = min(max(p[0], 0.0), self.omega_max)
+        om, ups = (om, p[1:]) if om > 0 else (0.0, np.zeros(len(p) - 1))
+        self.cell = (om, ups)
+        return self.cells.key(om, ups), om, ups
+
+    def feed(self, value) -> None:
+        """The value of the cell ``probe`` named last; advances the search."""
+        om, ups = self.cell
+        cand = (value, om, tuple(ups))
+        if (cand[0] < self.best[0]) if self.strict else (cand < self.best):
+            self.best, self.y, self.moved = cand, np.array([om, *ups]), True
+        self.move += 1
+        if self.move < len(self.moves):
+            return
+        self.move, self.sweep = 0, self.sweep + 1
+        if not self.moved or self.sweep == 50:
+            self.round, self.sweep, self.steps = self.round + 1, 0, self.steps * self.grid.shrink
+        self.moved = False
+
+
+def _walk(search: _PatternSearch):
+    """Run ``search`` to its end; returns its best (value, omega, upsilon).
+
+    When the next cell is unpriced, a copy runs ahead and reads every unpriced
+    cell as no improvement; the cells it asks for, up to ``_LOOKAHEAD_CELLS``,
+    are priced in one batch with the missing one.
+    """
+    cells = search.cells
+    store = cells.store
+    while (probe := search.probe()) is not None:
+        key, om, ups = probe
+        if key not in store:
+            ahead, keys = [(om, ups)], [key]
+            spec = copy.copy(search)
+            spec.feed(math.inf)
+            while len(keys) < _LOOKAHEAD_CELLS and (probe := spec.probe()) is not None:
+                k, o, u = probe
+                if k in store:
+                    spec.feed(store[k][0])
+                    continue
+                if k not in keys:
+                    ahead.append((o, u))
+                    keys.append(k)
+                spec.feed(math.inf)
+            cells.fill_ahead(ahead, keys)
+        search.feed(store[key][0])
+    return search.best
 
 
 def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
@@ -143,25 +222,27 @@ def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
     its end point replaces the zero cell only if it is strictly cheaper.
 
     ``cells_fn`` prices a list of (omega, upsilon) cells.  The grid pass is one
-    batch.  Before each greedy sweep, and again after each move, the probes
-    the sweep asks for next are prefetched as one batch; the sweep then
-    replays them in order, so the search path is that of pricing one cell at
-    a time.
+    batch.  The search (``_PatternSearch``) reads one cell at a time; each
+    time it reaches an unpriced cell, that cell and the unpriced cells a
+    look-ahead copy of the search reads next are priced as one batch, so the
+    search path is that of pricing one cell at a time.
     """
     grid = grid.normalized()
     cells = _CellCache(cells_fn)
     ell = grid.upsilon_lattice.shape[1]
     zero_ups = np.zeros(ell)
 
-    def key_of(omega, ups, value):
-        return (value, float(omega), tuple(np.atleast_1d(ups)))
-
-    grid_cells = [(0.0, zero_ups) if omega == 0.0 else (float(omega), ups)
-                  for omega in grid.omega_values
-                  for ups in (grid.upsilon_lattice[:1] if omega == 0.0 else grid.upsilon_lattice)]
-    keys = [cells.key(omega, ups) for omega, ups in grid_cells]
+    grid_cells, keys = [], []
+    lattice_keys = [tuple(k) for k in np.round(grid.upsilon_lattice, 12).tolist()]
+    for omega in grid.omega_values:
+        if omega == 0.0:
+            grid_cells.append((0.0, zero_ups))
+            keys.append(cells.key(0.0, zero_ups))
+        else:
+            grid_cells += [(float(omega), ups) for ups in grid.upsilon_lattice]
+            keys += [(round(float(omega), 12), k) for k in lattice_keys]
     cells.fill(grid_cells, keys)
-    priced = [key_of(om, ups, cells.store[key][0]) for key, (om, ups) in zip(keys, grid_cells)]
+    priced = [(cells.store[key][0], om, tuple(ups)) for key, (om, ups) in zip(keys, grid_cells)]
     best = min(priced)
 
     if grid.refine and math.isfinite(best[0]):
@@ -171,49 +252,19 @@ def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
         for h in range(ell):
             col = np.unique(grid.upsilon_lattice[:, h])
             first_steps.append(float(np.min(np.diff(col))) if len(col) > 1 else 0.25)
-        moves = [(d, sgn) for d in range(1 + ell) for sgn in (+1.0, -1.0)]
-
-        def probes(y, todo, steps):
-            out = []
-            for d, sgn in todo:
-                p = y.copy()
-                p[d] += sgn * steps[d]
-                om = min(max(p[0], 0.0), omega_max)
-                out.append((om, p[1:]) if om > 0 else (0.0, zero_ups))
-            return out
-
-        def search(best, strict):
-            """Greedy pattern search from ``best``; ``strict`` moves on a lower value only."""
-            steps, y = np.asarray(first_steps), np.array([best[1], *best[2]])
-            for _ in range(grid.max_rounds):
-                for _ in range(50):  # greedy moves at the current step size
-                    ahead = probes(y, moves, steps)
-                    keys = cells.prefetch(ahead)
-                    moved = False
-                    for k in range(len(moves)):
-                        om, ups = ahead[k]
-                        cand = (cells.get(keys[k], om, ups)[0], om, tuple(ups))
-                        if (cand[0] < best[0]) if strict else (cand < best):
-                            best, y, moved = cand, np.array([om, *ups]), True
-                            ahead[k + 1:] = probes(y, moves[k + 1:], steps)
-                            keys[k + 1:] = cells.prefetch(ahead[k + 1:])
-                    if not moved:
-                        break
-                steps = steps * grid.shrink
-            return best
 
         if best[1] > 0:
-            best = search(best, strict=False)
+            best = _walk(_PatternSearch(cells, grid, omega_max, first_steps, best, strict=False))
         else:
             # every probe from the zero cell ties with it or maps back to it, so
             # walk from the best positive-aperture cell instead; the upsilon = 0
             # column ties with c(T, x) at every omega, so only strict gains move
             start = min((c for c in priced if c[1] > 0), default=(math.inf,))
             if math.isfinite(start[0]):
-                best = min(best, search(start, strict=True))
+                best = min(best, _walk(_PatternSearch(cells, grid, omega_max, first_steps,
+                                                      start, strict=True)))
     value, omega_star, ups_star = best[0], best[1], np.asarray(best[2])
-    at = ups_star if omega_star > 0 else zero_ups
-    _, payload = cells.get(cells.key(omega_star, at), omega_star, at)
+    _, payload = cells.store[cells.key(omega_star, ups_star if omega_star > 0 else zero_ups)]
     return value, omega_star, ups_star, payload
 
 

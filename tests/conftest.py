@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from laxhopf import OuterGrid, SolverConfig
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
+# failure seen in CI reproduces locally with the same setting.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -267,6 +267,21 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--axis", "nope.path", "--values", "1"]) == 2
 
+    @pytest.mark.parametrize("axis, values, field", [
+        ("x.5", "1", "--axis"),       # index past the end of x
+        ("x.a", "1", "--axis"),       # non-numeric list index
+        ("x.-1", "1", "--axis"),      # no negative indices: x.-1 is not the last element
+        ("x.0", "1,abc", "--values"),
+    ])
+    def test_malformed_sweep_exit_2(self, tmp_path, capsys, axis, values, field):
+        cfg = write_cfg(tmp_path)
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--axis", axis, "--values", values]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}") and "Traceback" not in err
+        assert not (out / "sweep.csv").exists()
+
 
 class TestConjugateAndModerate:
     def test_conjugate_csv(self, tmp_path):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laxhopf import (
     OuterGrid,
@@ -205,8 +207,91 @@ def test_json_export(scalar_grid):
     assert doc["certificate_residual"] <= 1e-9
 
 
-class TestCellCache:
-    def test_failed_prefetch_stores_nothing(self):
+def _sequential_outer_minimize(grid, cells_fn, omega_max, reads):
+    """Reference outer search with no look-ahead: one cell priced per read,
+    each read of the pattern search appended to ``reads``."""
+    grid = grid.normalized()
+    store = {}
+    ell = grid.upsilon_lattice.shape[1]
+    zero_ups = np.zeros(ell)
+
+    def key(omega, ups):
+        return (round(float(omega), 12), tuple(np.round(np.atleast_1d(ups), 12)))
+
+    def get(omega, ups):
+        k = key(omega, ups)
+        if k not in store:
+            store[k] = cells_fn([(float(omega), np.atleast_1d(ups))])[0]
+        return store[k]
+
+    grid_cells = [(0.0, zero_ups) if omega == 0.0 else (float(omega), ups)
+                  for omega in grid.omega_values
+                  for ups in (grid.upsilon_lattice[:1] if omega == 0.0 else grid.upsilon_lattice)]
+    priced = [(get(om, ups)[0], float(om), tuple(np.atleast_1d(ups))) for om, ups in grid_cells]
+    best = min(priced)
+    if grid.refine and math.isfinite(best[0]):
+        pos = np.asarray(grid.omega_values)[np.asarray(grid.omega_values) > 0]
+        d_omega = float(np.min(np.diff(pos))) if len(pos) > 1 else omega_max / 4.0
+        first_steps = [d_omega]
+        for h in range(ell):
+            col = np.unique(grid.upsilon_lattice[:, h])
+            first_steps.append(float(np.min(np.diff(col))) if len(col) > 1 else 0.25)
+        moves = [(d, sgn) for d in range(1 + ell) for sgn in (+1.0, -1.0)]
+
+        def search(best, strict):
+            steps, y = np.asarray(first_steps), np.array([best[1], *best[2]])
+            for _ in range(grid.max_rounds):
+                for _ in range(50):
+                    moved = False
+                    for d, sgn in moves:
+                        p = y.copy()
+                        p[d] += sgn * steps[d]
+                        om = min(max(p[0], 0.0), omega_max)
+                        om, ups = (om, p[1:]) if om > 0 else (0.0, zero_ups)
+                        reads.append((float(om), tuple(ups.tolist())))
+                        cand = (get(om, ups)[0], om, tuple(ups))
+                        if (cand[0] < best[0]) if strict else (cand < best):
+                            best, y, moved = cand, np.array([om, *ups]), True
+                    if not moved:
+                        break
+                steps = steps * grid.shrink
+            return best
+
+        if best[1] > 0:
+            best = search(best, strict=False)
+        else:
+            start = min((c for c in priced if c[1] > 0), default=(math.inf,))
+            if math.isfinite(start[0]):
+                best = min(best, search(start, strict=True))
+    value, omega_star, ups_star = best[0], best[1], np.asarray(best[2])
+    _, payload = get(omega_star, ups_star if omega_star > 0 else zero_ups)
+    return value, omega_star, ups_star, payload
+
+
+@st.composite
+def bowl_searches(draw):
+    """A grid, a bowl-shaped cell pricer with an infeasible band, and a
+    zero-aperture value that beats every grid cell about half the time."""
+    ell = draw(st.sampled_from([1, 2]))
+    unit = st.floats(-1.5, 1.5, allow_nan=False)
+    grid = OuterGrid.build(draw(st.floats(0.5, 2.0)), draw(st.integers(1, 4)),
+                           [[-1, 1]] * ell, draw(st.integers(2, 5)),
+                           shrink=draw(st.floats(0.3, 0.7)), max_rounds=draw(st.integers(1, 12)))
+    center = np.array([draw(st.floats(-0.5, 2.5))] + [draw(unit) for _ in range(ell)])
+    weights = np.array([draw(st.floats(0.1, 3.0)) for _ in range(1 + ell)])
+    wall = draw(st.floats(0.5, 3.0))
+
+    def bowl(om, ups):
+        y = np.array([om, *ups])
+        return math.inf if abs(y[1]) > wall else 0.01 + float(weights @ (y - center) ** 2)
+
+    grid_min = min(bowl(om, ups) for om in grid.omega_values[1:] for ups in grid.upsilon_lattice)
+    zero_value = grid_min * draw(st.floats(0.5, 1.5))
+    return grid, bowl, zero_value
+
+
+class TestOuterSearch:
+    def test_failed_speculative_batch_stores_nothing(self):
         from laxhopf.errors import RateOverflowError
         from laxhopf.laxhopf_core import _CellCache
 
@@ -220,29 +305,63 @@ class TestCellCache:
 
         cache = _CellCache(cells_fn)
         good, bad = (0.5, np.array([1.0])), (2.0, np.array([1.0]))
-        keys = cache.prefetch([good, bad])
-        assert cache.store == {}
-        assert cache.get(keys[0], *good) == (0.5, None)
+        keys = [cache.key(*good), cache.key(*bad)]
+        cache.fill_ahead([good, bad], keys)
+        assert cache.store == {keys[0]: (0.5, None)}
         with pytest.raises(RateOverflowError):
-            cache.get(keys[1], *bad)
-        assert batches == [2, 1, 1]
+            cache.fill_ahead([bad, good], keys[::-1])
+        assert cache.store == {keys[0]: (0.5, None)}
+        assert batches == [2, 1, 1, 1]
 
-    def test_prefetch_leaves_the_search_path(self, scalar_grid, monkeypatch):
-        from laxhopf.laxhopf_core import _CellCache, _outer_minimize
+    @settings(max_examples=60, deadline=None)
+    @given(bowl_searches())
+    def test_search_path_is_the_sequential_one(self, case):
+        from laxhopf import laxhopf_core
 
-        def run():
-            asked = []
+        grid, bowl, zero_value = case
 
-            def cells_fn(cells):
-                asked.append(len(cells))
-                return [((om - 0.37) ** 2 + (ups[0] - 0.61) ** 2 if om > 0 else 1.0, None)
-                        for om, ups in cells]
+        def cells_fn(cells):
+            return [(bowl(om, ups) if om > 0 else zero_value, (om, tuple(ups)))
+                    for om, ups in cells]
 
-            return _outer_minimize(scalar_grid, cells_fn, 1.0), asked
+        reads, want_reads = [], []
+        want = _sequential_outer_minimize(grid, cells_fn, grid.omega_values[-1], want_reads)
+        search = laxhopf_core._PatternSearch
+        walks, feed, init = [], search.feed, search.__init__
 
-        (value, om, ups, _), asked = run()
-        monkeypatch.setattr(_CellCache, "prefetch",
-                            lambda self, cells: [self.key(*c) for c in cells])
-        (value_1, om_1, ups_1, _), asked_1 = run()
-        assert (value, om) == (value_1, om_1) and np.array_equal(ups, ups_1)
-        assert max(asked[1:]) > 1 and max(asked_1[1:]) == 1
+        def record_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            walks.append(self)
+
+        def record_feed(self, value):
+            if any(self is w for w in walks):  # the real walk, not a look-ahead copy
+                om, ups = self.cell
+                reads.append((float(om), tuple(ups.tolist())))
+            feed(self, value)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "__init__", record_init)
+            mp.setattr(search, "feed", record_feed)
+            got = laxhopf_core._outer_minimize(grid, cells_fn, grid.omega_values[-1])
+        assert got[:2] == want[:2] and np.array_equal(got[2], want[2]) and got[3] == want[3]
+        assert reads == want_reads
+
+    def test_gen1d_batches(self, monkeypatch):
+        from laxhopf import laxhopf_core
+
+        calls = []
+        inner = laxhopf_core._outer_minimize
+
+        def counted(grid, cells_fn, omega_max):
+            def count(cells):
+                calls.append(len(cells))
+                return cells_fn(cells)
+            return inner(grid, count, omega_max)
+
+        monkeypatch.setattr(laxhopf_core, "_outer_minimize", counted)
+        # the gen1d query of bench/workloads.py at x = 0.9: the grid pass plus
+        # look-ahead batches of up to 16 cells
+        grid = OuterGrid.build(1.0, 2, [[-1, 1]], 5)
+        cfg = SolverConfig(n_steps=8, multi_starts=0, max_iter=30, seed=0)
+        res = generalized_lax_hopf(QTERM, WQ, 1.0, 0.9, grid, cfg)
+        assert res.value.is_finite and len(calls) <= 6
