@@ -31,7 +31,8 @@ from .laxhopf_core import (
     value_result_to_json,
     wtp_value,
 )
-from .moderation import SolverConfig, build_moderation_table, moderation_table_to_csv
+from .moderation import (_SOLVER_AT_LEAST, _SOLVER_POSITIVE, SolverConfig, build_moderation_table,
+                         moderation_table_to_csv)
 from .trajectories import trajectory_to_csv
 from .verify import DPGrids, Scenario, convergence_study, surface_to_csv
 
@@ -116,8 +117,9 @@ def _solver_cfg(cfg: dict) -> SolverConfig:
     for key in _get(cfg, "solver", {}, dict):
         if key not in defaults:
             _fail(f"solver.{key}", "unknown solver option")
-        values[key] = _num(cfg, f"solver.{key}", cast=type(defaults[key]))
-    values.setdefault("seed", _num(cfg, "seed", 0, int))
+        values[key] = _num(cfg, f"solver.{key}", cast=type(defaults[key]),
+                           low=_SOLVER_AT_LEAST.get(key), positive=key in _SOLVER_POSITIVE)
+    values.setdefault("seed", _num(cfg, "seed", 0, int, low=0))
     return SolverConfig(**values)
 
 
@@ -144,7 +146,7 @@ def _outer_grid(cfg: dict, dim=None) -> OuterGrid:
             n_upsilon=_num(cfg, "outer.n_upsilon", 21, int, low=1),
             refine=bool(_get(cfg, "outer.refine", True)),
             shrink=_num(cfg, "outer.shrink", 0.5),
-            max_rounds=_num(cfg, "outer.max_rounds", 10, int),
+            max_rounds=_num(cfg, "outer.max_rounds", 10, int, low=0),
         )
     except MisuseError as exc:
         _fail("outer", str(exc))

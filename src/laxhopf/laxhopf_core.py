@@ -50,6 +50,10 @@ class OuterGrid:
     shrink: float = 0.5
     max_rounds: int = 10
 
+    def __post_init__(self):
+        if not self.max_rounds >= 0:   # the pattern search stops when its round count reaches it
+            raise MisuseError(f"OuterGrid needs max_rounds >= 0, got {self.max_rounds}")
+
     @staticmethod
     def build(omega_max: float, n_omega: int, upsilon_box, n_upsilon: int,
               refine: bool = True, shrink: float = 0.5, max_rounds: int = 10) -> "OuterGrid":
@@ -105,11 +109,18 @@ _LOOKAHEAD_CELLS = 16
 
 
 class _CellCache:
-    """Priced cells by rounded (omega, upsilon); ``fill`` prices every unseen cell in one batch."""
+    """Priced cells by rounded (omega, upsilon); ``fill`` prices every unseen cell in one batch.
+
+    ``store`` holds the cells the search has read.  ``ahead`` holds the cells a
+    look-ahead priced before the search read them, each with the exact point it
+    priced: a read takes the entry only at that point, so a key's value is that
+    of the first point the search reads under it.
+    """
 
     def __init__(self, cells_fn):
         self.cells_fn = cells_fn
         self.store = {}
+        self.ahead = {}  # rounded key -> (exact (omega, *upsilon), priced cell)
         self.keys = {}  # exact (omega, *upsilon) -> rounded key
 
     def key(self, omega, ups):
@@ -119,21 +130,26 @@ class _CellCache:
             key = self.keys[exact] = (round(exact[0], 12), tuple(np.round(ups, 12).tolist()))
         return key
 
-    def fill(self, cells, keys) -> None:
-        """Price the unseen cells of [(omega, upsilon)], whose keys are given, in one call."""
+    def fill(self, cells, keys, ahead=False) -> None:
+        """Price the unseen cells of [(omega, upsilon)], whose keys are given, in one call;
+        with ``ahead``, every cell but the first goes to ``ahead``."""
         todo = {}
         for key, (omega, ups) in zip(keys, cells):
             if key not in self.store and key not in todo:
                 todo[key] = (float(omega), np.atleast_1d(ups))
         if todo:
-            self.store.update(zip(todo, self.cells_fn(list(todo.values()))))
+            for (key, (omega, ups)), cell in zip(todo.items(), self.cells_fn(list(todo.values()))):
+                if ahead and key != keys[0]:
+                    self.ahead[key] = ((omega, *ups.tolist()), cell)
+                else:
+                    self.store[key] = cell
 
     def fill_ahead(self, cells, keys) -> None:
         """Price the asked cell ``cells[0]`` with the speculative rest.  A batch
         that raises stores nothing; the asked cell is then priced alone, and
         raises as it would have."""
         try:
-            self.fill(cells, keys)
+            self.fill(cells, keys, ahead=True)
         except (RateOverflowError, EvaluationFault):
             self.fill(cells[:1], keys[:1])
 
@@ -193,17 +209,22 @@ def _walk(search: _PatternSearch):
     are priced in one batch with the missing one.
     """
     cells = search.cells
-    store = cells.store
+    store, priced_ahead = cells.store, cells.ahead
     while (probe := search.probe()) is not None:
         key, om, ups = probe
+        if key in priced_ahead and key not in store:
+            exact, cell = priced_ahead.pop(key)
+            if exact == (om, *ups.tolist()):
+                store[key] = cell
         if key not in store:
             ahead, keys = [(om, ups)], [key]
             spec = copy.copy(search)
             spec.feed(math.inf)
             while len(keys) < _LOOKAHEAD_CELLS and (probe := spec.probe()) is not None:
                 k, o, u = probe
-                if k in store:
-                    spec.feed(store[k][0])
+                known = store.get(k) or priced_ahead.get(k, (None, None))[1]
+                if known is not None:
+                    spec.feed(known[0])
                     continue
                 if k not in keys:
                     ahead.append((o, u))
@@ -315,9 +336,11 @@ def _moderated_cells(terminal: TerminalCost, cost: CostField, rate, T: float, x:
                 live.append((len(out), om, ups, c_val.value))
             out.append((math.inf, None))
         if live:
+            # a single start draws nothing, so it needs no seed
+            seeds = ([_cell_seed(cfg.seed, om, ups) for _, om, ups, _ in live] if cfg.multi_starts
+                     else [None] * len(live))
             solved = _solve_cells(cost, rate, T, x, [om for _, om, _, _ in live],
-                                  [ups for _, _, ups, _ in live], cfg,
-                                  [_cell_seed(cfg.seed, om, ups) for _, om, ups, _ in live])
+                                  [ups for _, _, ups, _ in live], cfg, seeds)
             for (i, om, _, c), (lam, traj) in zip(live, solved):
                 if lam.is_finite:
                     d0 = None if discount is None else discount(traj)

@@ -26,6 +26,11 @@ rule, and a lane that stops leaves the batch.  A lane's arithmetic does not
 depend on the other lanes, so a cell solved in any batch gives the same bits
 as the cell solved alone.
 
+A descent step prices the objective once when every lane's first Armijo
+trial passes; the lanes that fail price their next halvings together in one
+more batch (:func:`_line_search`), with the steps and points of halving one
+at a time.  The gradient reuses the rows its accepted trial was priced with.
+
 The same machinery serves the interest-rate variant: an optional rate field
 weights each quadrature node by the accumulation factor of its own trajectory.
 """
@@ -40,7 +45,7 @@ from typing import Optional
 import numpy as np
 
 from .costs import CostField, eval_cost, eval_cost_batch, eval_rate_batch
-from .errors import MisuseError, RateOverflowError
+from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
 from .trajectories import AdmissibleSpec, Trajectory, Window
 
@@ -57,6 +62,11 @@ __all__ = [
 _EXP_CAP = 700.0  # exp overflow guard on accumulated rates
 _REL_DECREASE = 1e-12  # a start stops once an accepted step gains <= this * max(|f|, 1)
 _GRADIENT_ROWS = 1 << 15  # evaluator rows per finite-difference batch (bounds memory, not results)
+# Halvings a failed Armijo trial prices in one batch (bounds wasted rows, not results).
+_LADDER = 8
+# SolverConfig's range rules: the least legal value of each count; the step knobs must be > 0.
+_SOLVER_AT_LEAST = {"n_steps": 1, "multi_starts": 0, "max_iter": 0, "max_backtracks": 0, "seed": 0}
+_SOLVER_POSITIVE = ("step_init", "step_growth")
 
 
 @dataclass(frozen=True)
@@ -76,6 +86,14 @@ class SolverConfig:
     quadrature_tol: float = 1e-6
     solver_tol: float = 1e-6
 
+    def __post_init__(self):
+        for name, low in _SOLVER_AT_LEAST.items():
+            if not getattr(self, name) >= low:
+                raise MisuseError(f"SolverConfig.{name} must be >= {low}, got {getattr(self, name)}")
+        for name in _SOLVER_POSITIVE:
+            if not getattr(self, name) > 0:
+                raise MisuseError(f"SolverConfig.{name} must be > 0, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class ModerationProblem:
@@ -91,8 +109,8 @@ class ModerationProblem:
 class _WindowObjective:
     """Normalized (optionally rate-weighted) cumulated cost as a function of velocities.
 
-    Every lane carries its own aperture, step and quadrature times; ``values``
-    and ``gradient`` take the lane of each velocity matrix they price.
+    Every lane carries its own aperture, step and quadrature times; ``priced``,
+    ``values`` and ``gradient`` take the lane of each velocity matrix they price.
     """
 
     def __init__(self, cost, rate, T, omegas, terminal_state, n_steps, admissible=None):
@@ -109,12 +127,16 @@ class _WindowObjective:
             [[admissible.bound_at(float(t)) for t in row] for row in self.mid_times]
         )
 
-    def _rows(self, U: np.ndarray, lanes: np.ndarray):
-        """Midpoint rows (t, X, U) of velocities U (B, N, l), flattened to B*N rows; and dt (B, 1)."""
+    def _rows(self, U: np.ndarray, lanes: np.ndarray, mids=None):
+        """Midpoint rows (t, X, U) of velocities U (B, N, l), flattened to B*N rows; and dt (B, 1).
+
+        ``mids`` holds the midpoint states (B, N, l) when they are already known.
+        """
         dt = self.dt[lanes][:, None]
-        # x at node k is terminal - dt * sum_{j >= k} u_j; cost and rate see the step midpoint
-        tail = U[:, ::-1, :].cumsum(axis=1)[:, ::-1, :] * dt[:, :, None]
-        mids = (self.terminal - tail) + (0.5 * dt)[:, :, None] * U
+        if mids is None:
+            # x at node k is terminal - dt * sum_{j >= k} u_j; cost and rate see the step midpoint
+            tail = U[:, ::-1, :].cumsum(axis=1)[:, ::-1, :] * dt[:, :, None]
+            mids = (self.terminal - tail) + (0.5 * dt)[:, :, None] * U
         flat = (-1, self.ell)
         return self.mid_times[lanes].ravel(), mids.reshape(flat), U.reshape(flat), dt
 
@@ -131,29 +153,41 @@ class _WindowObjective:
             )
         return np.exp(integ)
 
-    def values(self, U: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        """Objective of velocity matrices U (B, N, l) on lanes (B,) -> (B,) with inf."""
+    def priced(self, U: np.ndarray, lanes: np.ndarray):
+        """Objective of velocity matrices U (B, N, l) on lanes (B,) -> (B,) with inf, and the
+        rows it priced: midpoint states (B, N, l), cost rows (B, N) and weights (B, N) or None.
+        """
         rows = self._rows(U, lanes)
-        lvals = eval_cost_batch(self.cost, *rows[:3]).reshape(len(U), self.n)
+        raw = lvals = eval_cost_batch(self.cost, *rows[:3]).reshape(len(U), self.n)
         if self.bounds is not None:
             norms = np.linalg.norm(U, axis=2)
             lvals = np.where(norms > self.bounds[lanes] + 1e-12, np.inf, lvals)
+        w = None
         if self.rate is not None:
-            lvals = lvals * self._weights(rows, lanes)
-        return self.scale[lanes] * lvals.sum(axis=1)
+            w = self._weights(rows, lanes)
+            lvals = lvals * w
+        return self.scale[lanes] * lvals.sum(axis=1), (rows[1].reshape(U.shape), raw, w)
 
-    def gradient(self, U: np.ndarray, lanes: np.ndarray, base: np.ndarray, fd_rel: float):
+    def values(self, U: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        """Objective of velocity matrices U (B, N, l) on lanes (B,) -> (B,) with inf."""
+        return self.priced(U, lanes)[0]
+
+    def gradient(self, U: np.ndarray, lanes: np.ndarray, base: np.ndarray, fd_rel: float,
+                 rows=None):
         """Gradients at velocity matrices U (B, N, l) of finite objective ``base`` (B,).
 
         The exact discrete adjoint when the cost and the rate have partials:
         with w_k = e^{I_k}, a_k = w_k l_k, c_k = dt sum_{i<k} a_i + (dt/2) a_k
         and q_k = w_k l_x(k) + c_k m_x(k),
         df/du_j = scale [w_j l_u(j) + c_j m_u(j) - (dt/2) q_j - dt sum_{k<j} q_k].
+        ``rows`` are the rows :meth:`priced` returned for U; without them the
+        midpoints, and under a rate the weights and cost rows, are priced again.
         Otherwise central finite differences (:meth:`_fd_gradient`).
         """
         if self.cost.partials is None or (self.rate is not None and self.rate.partials is None):
             return self._fd_gradient(U, lanes, base, fd_rel)
-        rows = self._rows(U, lanes)
+        mids, raw, w = (None, None, None) if rows is None else rows
+        rows = self._rows(U, lanes, mids)
         dt = rows[3][:, :, None]
 
         def partials(fld):
@@ -164,8 +198,10 @@ class _WindowObjective:
         G = np.zeros(U.shape) if lu is None else lu
         q = lx
         if self.rate is not None:
-            w = self._weights(rows, lanes)
-            a = w * eval_cost_batch(self.cost, *rows[:3]).reshape(w.shape)
+            if w is None:
+                w = self._weights(rows, lanes)
+                raw = eval_cost_batch(self.cost, *rows[:3]).reshape(w.shape)
+            a = w * raw
             c = dt * (_before(a) + 0.5 * a)[:, :, None]
             mx, mu = partials(self.rate)
             G = w[:, :, None] * G
@@ -262,17 +298,72 @@ def _project(U: np.ndarray, upsilon: np.ndarray, box) -> np.ndarray:
     return np.clip(U - tau, lo, hi)
 
 
+def _line_search(obj, project, cfg: SolverConfig, ids, u, v, g, step):
+    """Armijo backtracking of lanes ``ids`` from iterates u (values v) along -g.
+
+    Every lane first tries its own step, all lanes in one pass.  The lanes that
+    fail price their next halvings s/2, s/4, ... together, _LADDER rungs a
+    pass, and each takes its first passing rung: the step and point that
+    backtracking one rung a pass accepts.  If a ladder faults, the rest of the
+    search goes one rung a pass, so only a trial the one-rung search prices
+    can raise.  Returns the next iterates, their values and priced rows, the
+    accepted steps and the positions of the lanes where no step passed (those
+    keep u and v).
+    """
+    def trials(at, s):   # trial points of lanes ``at`` at steps s, their values, rows and Armijo test
+        cand = project(u[at] - s[:, None, None] * g[at], ids[at])
+        cval, crows = obj.priced(cand, ids[at])
+        move = np.sum(((u[at] - cand) ** 2).reshape(len(cand), -1), axis=1)
+        ok = np.isfinite(cval) & (cval <= v[at] - cfg.armijo * move / np.maximum(s, 1e-300))
+        return cand, cval, crows, ok
+
+    trial, tval, rows, ok = trials(slice(None), step)
+    fail = np.flatnonzero(~ok)
+    if not fail.size:
+        return trial, tval, rows, step, fail
+    # the ladder writes its winners into the first pass's arrays; an evaluator may own its output
+    rows, step = [None if a is None else a.copy() for a in rows], step.copy()
+    left, width = cfg.max_backtracks - 1, _LADDER
+    while fail.size and left:
+        r = min(width, left)
+        rungs = np.empty((len(fail), r))
+        rungs[:, 0] = step[fail] * 0.5
+        for j in range(1, r):
+            rungs[:, j] = rungs[:, j - 1] * 0.5
+        try:
+            cand, cval, crows, ok = trials(np.repeat(fail, r), rungs.ravel())
+        except (RateOverflowError, EvaluationFault):
+            if r == 1:
+                raise
+            width = 1
+            continue
+        ok = ok.reshape(-1, r)
+        found = ok.any(axis=1)
+        # a lane takes its first passing rung; a lane with none carries its last to the next ladder
+        pick = np.arange(len(fail)) * r + np.where(found, ok.argmax(axis=1), r - 1)
+        trial[fail], tval[fail], step[fail] = cand[pick], cval[pick], rungs.ravel()[pick]
+        for a, b in zip(rows, crows):
+            if a is not None:
+                a[fail] = b[pick]
+        fail, left = fail[~found], left - r
+    trial[fail], tval[fail] = u[fail], v[fail]
+    return trial, tval, rows, step, fail
+
+
 def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs,
                  n_steps=None, admissible=None):
     """Solve many (omega, upsilon) cells in lockstep, one lane per start of each cell.
 
-    ``rngs`` holds one seed or generator per cell; returns one
-    (ExtReal lambda, Trajectory or None) per cell.
+    ``rngs`` holds one seed or generator per cell (None: ``cfg.seed``); returns
+    one (ExtReal lambda, Trajectory or None) per cell.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n_steps = int(n_steps or cfg.n_steps)
     if n_steps < 1:
         raise MisuseError("moderation needs at least one step")
+    if not len(omegas) == len(upsilons) == len(rngs):
+        raise MisuseError(f"moderation needs one upsilon and one seed per aperture, got "
+                          f"{len(omegas)} apertures, {len(upsilons)} upsilons, {len(rngs)} seeds")
     omegas = [float(om) for om in omegas]
     for om in omegas:
         if om <= 0:
@@ -281,22 +372,23 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs,
     box = None if cost.domain_box is None else np.asarray(cost.domain_box, dtype=float)
     out = [(INF, None)] * len(omegas)
 
-    cell_of, starts = [], []
-    for i, (ups, rng) in enumerate(zip(upsilons, rngs)):
-        if box is not None and (np.any(ups < box[:, 0]) or np.any(ups > box[:, 1])):
-            continue  # the mean of box-constrained steps cannot leave the box
-        rng = np.random.default_rng(cfg.seed if rng is None else rng)
-        first = np.tile(ups, (n_steps, 1))
-        scale = 0.5 * float(np.linalg.norm(ups)) + 0.1
-        starts.append(first)
-        for _ in range(cfg.multi_starts):
-            starts.append(first + rng.uniform(-1.0, 1.0, size=(n_steps, len(ups))) * scale)
-        cell_of += [i] * (cfg.multi_starts + 1)
-    if not starts:
+    # the mean of box-constrained steps cannot leave the box
+    cells = [i for i, ups in enumerate(upsilons)
+             if box is None or not (np.any(ups < box[:, 0]) or np.any(ups > box[:, 1]))]
+    if not cells:
         return out
-    cell_of = np.asarray(cell_of)
-    ups = np.asarray(upsilons)[cell_of]
-    obj = _WindowObjective(cost, rate, T, np.asarray(omegas)[cell_of], x, n_steps, admissible)
+    # lane c * n_starts + k is start k of cell c; start 0 is the constant path
+    n_starts = cfg.multi_starts + 1
+    ups = np.repeat(np.asarray(upsilons)[cells], n_starts, axis=0)            # (L, l)
+    starts = np.repeat(ups[:, None, :], n_steps, axis=1)                       # (L, N, l)
+    if n_starts > 1:
+        for c, i in enumerate(cells):
+            rng = np.random.default_rng(cfg.seed if rngs[i] is None else rngs[i])
+            scale = 0.5 * float(np.linalg.norm(upsilons[i])) + 0.1
+            noise = rng.uniform(-1.0, 1.0, size=(n_starts - 1, n_steps, ups.shape[1]))
+            starts[c * n_starts + 1:(c + 1) * n_starts] += noise * scale
+    obj = _WindowObjective(cost, rate, T, np.repeat(np.asarray(omegas)[cells], n_starts), x,
+                           n_steps, admissible)
 
     def project(V, lanes):
         return _project(V, ups[lanes], box)
@@ -304,26 +396,29 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs,
     def dots(V, W):  # per-lane <V, W>; matmul takes the same dot kernel as np.vdot
         return np.matmul(V.reshape(len(V), 1, -1), W.reshape(len(W), -1, 1))[:, 0, 0]
 
-    lanes = np.arange(len(cell_of))
-    U = project(np.asarray(starts), lanes)
-    val = obj.values(U, lanes)
-    # the lanes still descending: ids, iterate u, value v, last accepted step;
-    # a lane that stops leaves its iterate and value in U and val
+    lanes = np.arange(len(ups))
+    U = project(starts, lanes)
+    val, rows = obj.priced(U, lanes)
+    # the lanes still descending: ids, iterate u, value v, the rows priced at u,
+    # last accepted step; a lane that stops leaves its iterate and value in U and val
     ids = np.flatnonzero(np.isfinite(val))
     u, v = U[ids], val[ids]
+    rows = tuple(None if a is None else a[ids] for a in rows)
     step = np.full(len(ids), float(cfg.step_init))
     prev_u = prev_g = None
 
     def keep(go):
-        nonlocal ids, u, v, step, prev_u, prev_g, g
+        nonlocal ids, u, v, rows, step, prev_u, prev_g, g
         U[ids[~go]], val[ids[~go]] = u[~go], v[~go]
         ids, u, v, step, prev_u, prev_g, g = (
             a[go] for a in (ids, u, v, step, prev_u, prev_g, g))
+        rows = tuple(None if a is None else a[go] for a in rows)
 
-    for _ in range(cfg.max_iter):
+    # with no backtracks allowed no trial is priced, so every start is its own result
+    for _ in range(cfg.max_iter if cfg.max_backtracks else 0):
         if not ids.size:
             break
-        g = obj.gradient(u, ids, v, cfg.fd_step)
+        g = obj.gradient(u, ids, v, cfg.fd_step, rows)
         if prev_u is not None:
             # two-point step s's / s'y, capped: near the +inf region of a cost
             # an uncapped step overshoots and backtracks many times
@@ -338,33 +433,24 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs,
         go = ~(np.sqrt(dots(pg, pg)) < cfg.grad_tol)
         if not go.all():
             keep(go)
-        # Armijo backtracking, all searching lanes priced together
-        s, cand, cval = step.copy(), u.copy(), v.copy()
-        todo = np.arange(len(ids))
-        for _ in range(cfg.max_backtracks):
-            if not todo.size:
+            if not ids.size:
                 break
-            trial = project(u[todo] - s[todo][:, None, None] * g[todo], ids[todo])
-            tval = obj.values(trial, ids[todo])
-            move = np.sum(((u[todo] - trial) ** 2).reshape(len(todo), -1), axis=1)
-            ok = np.isfinite(tval) & (tval <= v[todo] - cfg.armijo * move / np.maximum(s[todo], 1e-300))
-            cand[todo[ok]], cval[todo[ok]] = trial[ok], tval[ok]
-            s[todo[~ok]] *= 0.5
-            todo = todo[~ok]
-        go = v - cval > _REL_DECREASE * np.maximum(np.abs(cval), 1.0)
-        go[todo] = False  # no step satisfied the Armijo test
-        prev_u, prev_g, u, v, step = u, g, cand, cval, s
+        trial, tval, rows, step, fail = _line_search(obj, project, cfg, ids, u, v, g, step)
+        go = v - tval > _REL_DECREASE * np.maximum(np.abs(tval), 1.0)
+        go[fail] = False
+        prev_u, prev_g, u, v = u, g, trial, tval
         if not go.all():
             keep(go)
     U[ids], val[ids] = u, v
 
-    for i in set(cell_of.tolist()):
-        own = np.flatnonzero(cell_of == i)
-        best = own[int(np.argmin(val[own]))]   # first start wins ties
-        if math.isfinite(val[best]):
+    # the first start wins ties
+    best = val.reshape(-1, n_starts).argmin(axis=1)
+    for c, i in enumerate(cells):
+        lane = c * n_starts + best[c]
+        if math.isfinite(val[lane]):
             traj = Trajectory(window=Window(T=float(T), omega=omegas[i]),
-                              terminal_state=x, velocities=U[best].copy())
-            out[i] = (ExtReal(float(val[best])), traj)
+                              terminal_state=x, velocities=U[lane].copy())
+            out[i] = (ExtReal(float(val[lane])), traj)
     return out
 
 

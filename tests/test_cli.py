@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from laxhopf import cli
 from laxhopf.cli import main
 
 BASE = {
@@ -161,8 +162,21 @@ class TestTypedFields:
         ({"solver": {"n_steps": "abc"}}, "solver.n_steps"),
         ({"solver": {"grad_tol": [1e-8]}}, "solver.grad_tol"),
         ({"solver": {"max_alternations": 50}}, "solver.max_alternations"),
+        ({"solver": {"multi_starts": -1}}, "solver.multi_starts"),
+        ({"solver": {"seed": -1}}, "solver.seed"),
+        ({"solver": {"n_steps": 0}}, "solver.n_steps"),
+        ({"solver": {"max_iter": -1}}, "solver.max_iter"),
+        ({"solver": {"max_backtracks": -1}}, "solver.max_backtracks"),
+        ({"solver": {"step_init": 0}}, "solver.step_init"),
+        ({"solver": {"step_growth": -1}}, "solver.step_growth"),
+        ({"seed": -1}, "seed"),
+        ({"outer": dict(BASE["outer"], max_rounds=-1)}, "outer.max_rounds"),
     ])
-    def test_exit_2_names_field(self, tmp_path, capsys, overrides, field):
+    def test_exit_2_names_field(self, tmp_path, capsys, monkeypatch, overrides, field):
+        def no_search(*args, **kwargs):   # a negative max_rounds search would never stop
+            raise AssertionError("the config was accepted and the search ran")
+
+        monkeypatch.setattr(cli, "classic_lax_hopf", no_search)
         cfg = write_cfg(tmp_path, overrides)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err

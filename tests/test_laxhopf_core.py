@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laxhopf import (
@@ -268,6 +268,18 @@ def _sequential_outer_minimize(grid, cells_fn, omega_max, reads):
     return value, omega_star, ups_star, payload
 
 
+def make_bowl(center, weights, wall):
+    """Cell pricer 0.01 + weights . (y - center)^2 at y = (omega, *upsilon),
+    infinite where |upsilon_1| > wall."""
+    center, weights = np.asarray(center, dtype=float), np.asarray(weights, dtype=float)
+
+    def bowl(om, ups):
+        y = np.array([om, *ups])
+        return math.inf if abs(y[1]) > wall else 0.01 + float(weights @ (y - center) ** 2)
+
+    return bowl
+
+
 @st.composite
 def bowl_searches(draw):
     """A grid, a bowl-shaped cell pricer with an infeasible band, and a
@@ -277,20 +289,23 @@ def bowl_searches(draw):
     grid = OuterGrid.build(draw(st.floats(0.5, 2.0)), draw(st.integers(1, 4)),
                            [[-1, 1]] * ell, draw(st.integers(2, 5)),
                            shrink=draw(st.floats(0.3, 0.7)), max_rounds=draw(st.integers(1, 12)))
-    center = np.array([draw(st.floats(-0.5, 2.5))] + [draw(unit) for _ in range(ell)])
-    weights = np.array([draw(st.floats(0.1, 3.0)) for _ in range(1 + ell)])
-    wall = draw(st.floats(0.5, 3.0))
-
-    def bowl(om, ups):
-        y = np.array([om, *ups])
-        return math.inf if abs(y[1]) > wall else 0.01 + float(weights @ (y - center) ** 2)
-
+    center = [draw(st.floats(-0.5, 2.5))] + [draw(unit) for _ in range(ell)]
+    weights = [draw(st.floats(0.1, 3.0)) for _ in range(1 + ell)]
+    bowl = make_bowl(center, weights, draw(st.floats(0.5, 3.0)))
     grid_min = min(bowl(om, ups) for om in grid.omega_values[1:] for ups in grid.upsilon_lattice)
     zero_value = grid_min * draw(st.floats(0.5, 1.5))
     return grid, bowl, zero_value
 
 
 class TestOuterSearch:
+    def test_negative_max_rounds_misuse(self):
+        # the search stops when its round count reaches max_rounds, so a negative one never stops
+        with pytest.raises(MisuseError, match="max_rounds"):
+            OuterGrid.build(1.0, 2, [[-1, 1]], 3, max_rounds=-1)
+        grid = OuterGrid.build(1.0, 2, [[-1, 1]], 3, max_rounds=0)
+        with pytest.raises(MisuseError, match="max_rounds"):
+            OuterGrid(grid.omega_values, grid.upsilon_lattice, max_rounds=-1).normalized()
+
     def test_failed_speculative_batch_stores_nothing(self):
         from laxhopf.errors import RateOverflowError
         from laxhopf.laxhopf_core import _CellCache
@@ -315,6 +330,10 @@ class TestOuterSearch:
 
     @settings(max_examples=60, deadline=None)
     @given(bowl_searches())
+    # the look-ahead prices a point one ulp off one the search reads later under
+    # the same key; the search must price its own point, as the sequential one does
+    @example((OuterGrid.build(1.1, 1, [[-1, 1]], 2, max_rounds=4),
+              make_bowl([0.5, 0.0], [1.0, 1.0], 1.0), 1.37))
     def test_search_path_is_the_sequential_one(self, case):
         from laxhopf import laxhopf_core
 

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,20 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxhopf import (
+    ImpetusCostSpec,
     ModerationProblem,
     SolverConfig,
     average_transaction,
     build_moderation_table,
     cumulated_cost,
+    impetus_cost_field,
     jensen_gap,
     make_cost,
     make_rate,
     moderate,
     moderation_table_to_csv,
 )
+from laxhopf import moderation
+from laxhopf.cli import main
 from laxhopf.costs import CostField, RateField
 from laxhopf.errors import MisuseError
-from laxhopf.moderation import _solve_cells, _WindowObjective
+from laxhopf.moderation import _line_search, _project, _solve_cells, _WindowObjective
+
+REL_DECREASE = 1e-12   # the solver's stop rule on an accepted decrease
 
 QUAD = make_cost("quadratic")
 WQ = make_cost("weighted_quadratic", a0=1.0, a1=1.0)
@@ -161,12 +169,17 @@ class TestGradient:
         assert sum(calls) == len(lanes) * 2 * n * ell * n
 
     def test_catalog_gradient_prices_no_perturbed_rows(self):
+        # the adjoint reuses the rows the objective priced: each cost row is priced once
         cost, calls = counted(WQ)
         n, lanes = 8, np.arange(2)
         obj = _WindowObjective(cost, make_rate("velocity"), 1.0, [0.5, 1.0], [1.0], n)
         U = np.random.default_rng(0).uniform(-1, 1, (2, n, 1))
-        obj.gradient(U, lanes, obj.values(U, lanes), 1e-6)
-        assert sum(calls) == 2 * (len(lanes) * n)   # the objective once, the adjoint once
+        base, rows = obj.priced(U, lanes)
+        warm = obj.gradient(U, lanes, base, 1e-6, rows)
+        assert sum(calls) == len(lanes) * n
+        cold = obj.gradient(U, lanes, base, 1e-6)   # without the rows: the cost is priced again
+        assert sum(calls) == 2 * (len(lanes) * n)
+        assert np.array_equal(warm, cold)
 
     def test_replace_keeps_partials(self):
         wrapped, _ = counted(WQ)
@@ -242,6 +255,262 @@ class TestLockstep:
                 assert alone_traj is None
             else:
                 assert np.array_equal(traj.velocities, alone_traj.velocities)
+
+
+def one_rung_solve(cost, rate, T, x, omegas, upsilons, cfg, rngs, log):
+    """The lockstep solver as it was with Armijo backtracking one rung a pass.
+
+    Appends (ids, values, accepted steps, next values, failed positions) per
+    line search to ``log``; returns the (lambda, velocities) of each cell and
+    the stop reason of each lane.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n_steps, omegas = cfg.n_steps, [float(om) for om in omegas]
+    upsilons = [np.atleast_1d(np.asarray(u, dtype=float)) for u in upsilons]
+    box = None if cost.domain_box is None else np.asarray(cost.domain_box, dtype=float)
+    cell_of, starts = [], []
+    for i, (ups, rng) in enumerate(zip(upsilons, rngs)):
+        if box is not None and (np.any(ups < box[:, 0]) or np.any(ups > box[:, 1])):
+            continue
+        rng = np.random.default_rng(cfg.seed if rng is None else rng)
+        first = np.tile(ups, (n_steps, 1))
+        scale = 0.5 * float(np.linalg.norm(ups)) + 0.1
+        starts.append(first)
+        for _ in range(cfg.multi_starts):
+            starts.append(first + rng.uniform(-1.0, 1.0, size=(n_steps, len(ups))) * scale)
+        cell_of += [i] * (cfg.multi_starts + 1)
+    out = [(math.inf, None)] * len(omegas)
+    if not starts:
+        return out, {}
+    cell_of = np.asarray(cell_of)
+    ups = np.asarray(upsilons)[cell_of]
+    obj = _WindowObjective(cost, rate, T, np.asarray(omegas)[cell_of], x, n_steps)
+
+    def project(V, lanes):
+        return _project(V, ups[lanes], box)
+
+    def dots(V, W):
+        return np.matmul(V.reshape(len(V), 1, -1), W.reshape(len(W), -1, 1))[:, 0, 0]
+
+    lanes = np.arange(len(cell_of))
+    U = project(np.asarray(starts), lanes)
+    val = obj.values(U, lanes)
+    reason = {int(i): "infeasible" for i in np.flatnonzero(~np.isfinite(val))}
+    ids = np.flatnonzero(np.isfinite(val))
+    u, v = U[ids], val[ids]
+    step = np.full(len(ids), float(cfg.step_init))
+    prev_u = prev_g = g = None
+
+    def keep(go, why):
+        nonlocal ids, u, v, step, prev_u, prev_g, g
+        U[ids[~go]], val[ids[~go]] = u[~go], v[~go]
+        reason.update({int(i): why(k) for k, i in zip(np.flatnonzero(~go), ids[~go])})
+        ids, u, v, step, prev_u, prev_g, g = (a[go] for a in (ids, u, v, step, prev_u, prev_g, g))
+
+    for _ in range(cfg.max_iter):
+        if not ids.size:
+            break
+        g = obj.gradient(u, ids, v, cfg.fd_step)
+        if prev_u is not None:
+            s_vec, y_vec = u - prev_u, g - prev_g
+            sty = dots(s_vec, y_vec)
+            cap = cfg.step_growth * step
+            curved = sty > 0
+            step = np.where(curved, np.minimum(dots(s_vec, s_vec) / np.where(curved, sty, 1.0), cap), cap)
+        else:
+            prev_u = prev_g = u
+        pg = u - project(u - g, ids)
+        go = ~(np.sqrt(dots(pg, pg)) < cfg.grad_tol)
+        if not go.all():
+            keep(go, lambda k: "grad_tol")
+        s, cand, cval = step.copy(), u.copy(), v.copy()
+        todo = np.arange(len(ids))
+        for _ in range(cfg.max_backtracks):
+            if not todo.size:
+                break
+            trial = project(u[todo] - s[todo][:, None, None] * g[todo], ids[todo])
+            tval = obj.values(trial, ids[todo])
+            move = np.sum(((u[todo] - trial) ** 2).reshape(len(todo), -1), axis=1)
+            ok = np.isfinite(tval) & (tval <= v[todo] - cfg.armijo * move / np.maximum(s[todo], 1e-300))
+            cand[todo[ok]], cval[todo[ok]] = trial[ok], tval[ok]
+            s[todo[~ok]] *= 0.5
+            todo = todo[~ok]
+        if ids.size:
+            log.append((ids.copy(), v.copy(), s.copy(), cval.copy(), todo.copy()))
+        go = v - cval > REL_DECREASE * np.maximum(np.abs(cval), 1.0)
+        go[todo] = False
+        prev_u, prev_g, u, v, step = u, g, cand, cval, s
+        if not go.all():
+            failed = set(todo.tolist())
+            keep(go, lambda k: "no_accept" if k in failed else "rel_decrease")
+    U[ids], val[ids] = u, v
+    reason.update({int(i): "max_iter" for i in ids})
+    for i in set(cell_of.tolist()):
+        own = np.flatnonzero(cell_of == i)
+        best = own[int(np.argmin(val[own]))]
+        if math.isfinite(val[best]):
+            out[i] = (float(val[best]), U[best].copy())
+    return out, reason
+
+
+def stop_reasons(log, finite, max_iter):
+    """The stop reason of each lane, read off the line searches of a solve."""
+    last = {}
+    for k, (ids, v, _, tval, fail) in enumerate(log):
+        for pos, lane in enumerate(ids.tolist()):
+            last[lane] = (k, pos in set(fail.tolist()),
+                          not v[pos] - tval[pos] > REL_DECREASE * max(abs(tval[pos]), 1.0))
+    reason = {}
+    for lane, ok in enumerate(finite):
+        if not ok:
+            reason[lane] = "infeasible"
+        elif lane not in last:
+            reason[lane] = "grad_tol" if max_iter else "max_iter"
+        else:
+            k, failed, flat = last[lane]
+            reason[lane] = ("no_accept" if failed else "rel_decrease" if flat
+                            else "max_iter" if k == max_iter - 1 else "grad_tol")
+    return reason
+
+
+ECONOMY_FIELD = impetus_cost_field(
+    ImpetusCostSpec(scalar_cost=lambda e: e * e, gamma_price=0.5, gamma_agents=(2.0,)), 1, 1)
+
+
+@st.composite
+def search_cases(draw):
+    """(cost, rate, x, cells): boxed abs, the economy near its price-speed bound,
+    and weighted_quadratic under a constant or a velocity rate."""
+    name = draw(st.sampled_from(["boxed_abs", "economy", "constant", "velocity"]))
+    omega = st.sampled_from([0.25, 0.5, 1.0])
+    if name == "economy":   # |p'| <= 0.5: means near 0.5 put most trials past the bound
+        ups = st.tuples(st.floats(-1.0, 1.0), st.floats(0.35, 0.5))
+        cost, rate, x = ECONOMY_FIELD, None, [0.9, 0.85]
+    else:
+        ell = draw(st.sampled_from([1, 2]))
+        ups = st.tuples(*[st.floats(-1.2, 1.2)] * ell)
+        x = [1.0] * ell
+        if name == "boxed_abs":
+            cost, rate = make_cost("abs", domain=[[-1, 1]] * ell), None
+        else:
+            rate = make_rate("constant", r=0.6) if name == "constant" else make_rate("velocity")
+            cost = WQ
+    cells = draw(st.lists(st.tuples(omega, ups), min_size=1, max_size=3))
+    return cost, rate, x, cells
+
+
+class TestLineSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(case=search_cases(), starts=st.integers(0, 2), n_steps=st.integers(2, 6),
+           max_backtracks=st.sampled_from([1, 5, 9, 40]), step_init=st.sampled_from([1.0, 64.0]))
+    def test_ladder_equals_one_rung_search(self, case, starts, n_steps, max_backtracks, step_init):
+        cost, rate, x, cells = case
+        cfg = SolverConfig(n_steps=n_steps, multi_starts=starts, max_iter=25, seed=0,
+                           max_backtracks=max_backtracks, step_init=step_init)
+        seeds = [np.random.SeedSequence([5, k]) for k in range(len(cells))]
+        args = (cost, rate, 1.0, x, [om for om, _ in cells], [ups for _, ups in cells], cfg, seeds)
+        want_log, got_log, finite = [], [], []
+        want, want_reason = one_rung_solve(*args, want_log)
+
+        def logged(obj, project, cfg, ids, u, v, g, step):
+            trial, tval, rows, new_step, fail = _line_search(obj, project, cfg, ids, u, v, g, step)
+            got_log.append((ids.copy(), v.copy(), new_step.copy(), tval.copy(), fail.copy()))
+            return trial, tval, rows, new_step, fail
+
+        def starts_priced(self, U, lanes):
+            out = priced(self, U, lanes)
+            if not finite:
+                finite.extend(np.isfinite(out[0]).tolist())
+            return out
+
+        priced = _WindowObjective.priced
+        with mock.patch.object(moderation, "_line_search", logged), \
+                mock.patch.object(_WindowObjective, "priced", starts_priced):
+            got = _solve_cells(*args)
+        for (lam, traj), (want_lam, want_u) in zip(got, want):
+            assert lam.to_float() == want_lam
+            assert (traj is None) == (want_u is None)
+            if traj is not None:
+                assert np.array_equal(traj.velocities, want_u)
+        assert len(got_log) == len(want_log)
+        for got_search, want_search in zip(got_log, want_log):
+            (ids, v, step, tval, fail), (w_ids, w_v, w_step, w_tval, w_fail) = got_search, want_search
+            assert np.array_equal(ids, w_ids) and np.array_equal(v, w_v)
+            assert np.array_equal(fail, w_fail) and np.array_equal(tval, w_tval)
+            passed = np.setdiff1d(np.arange(len(ids)), fail)
+            assert np.array_equal(step[passed], w_step[passed])   # the accepted steps
+        assert stop_reasons(got_log, finite, cfg.max_iter) == want_reason
+
+    def test_nan_past_the_first_passing_rung(self):
+        # f(u) = (u1^2 + u2^2) / 4 from u = (1, -1) along g = u / 2 with step 64: the
+        # rungs 32, ..., 4 fail and 2 passes; the ladder also prices 1, 0.5 and 0.25,
+        # and the poisoned cost is NaN at step 0.5, where |u| = 0.75
+        def poisoned(t, X, U):
+            u = U[:, 0]
+            return np.where(np.abs(u) == 0.75, np.nan, 0.5 * u * u)
+
+        cfg = SolverConfig(step_init=64.0)
+        u = np.array([[[1.0], [-1.0]]])
+        ids = np.arange(1)
+
+        def search(batch):
+            cost, calls = counted(CostField(batch_evaluator=batch, partials=QUAD.partials))
+            obj = _WindowObjective(cost, None, 1.0, [1.0], [0.0], 2)
+            v, rows = obj.priced(u, ids)
+            g = obj.gradient(u, ids, v, cfg.fd_step, rows)
+            project = lambda V, lanes: _project(V, np.zeros((len(lanes), 1)), None)  # noqa: E731
+            return _line_search(obj, project, cfg, ids, u, v, g, np.array([64.0])), calls
+
+        (trial, tval, _, step, fail), calls = search(poisoned)
+        (c_trial, c_tval, _, c_step, c_fail), _ = search(lambda t, X, U: 0.5 * U[:, 0] ** 2)
+        assert step[0] == c_step[0] == 2.0 and not fail.size and not c_fail.size
+        assert np.array_equal(trial, c_trial) and np.array_equal(tval, c_tval)
+        assert 16 in calls   # the 8-rung ladder ran and faulted; the search went on one rung a pass
+
+    def test_run_moving_batches(self, tmp_path, monkeypatch):
+        # the benchmark's moving-price economy at x = 0.9, p = 0.85: one rung a pass
+        # made 1,004 objective batches and 153 gradient calls
+        counts = {"priced": 0, "gradient": 0}
+        for name in counts:
+            orig = getattr(_WindowObjective, name)
+
+            def wrapped(self, *a, _orig=orig, _name=name):
+                counts[_name] += 1
+                return _orig(self, *a)
+
+            monkeypatch.setattr(_WindowObjective, name, wrapped)
+        cfg = {"schema": 1, "seed": 0, "T": 1.0, "kind": "economy",
+               "terminal": {"name": "quadratic_state"},
+               "economy": {"scalar_cost": "quadratic", "gamma_price": 0.5, "gamma_agents": [2.0],
+                           "allocations": [[0.9]], "prices": [[0.85]]},
+               "outer": {"omega_max": 1.0, "n_omega": 1, "upsilon_box": [[-1, 1], [-0.5, 0.5]],
+                         "n_upsilon": 3},
+               "solver": {"n_steps": 4, "multi_starts": 0, "max_iter": 20}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert counts["priced"] <= 340
+        assert counts["gradient"] == 153
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("field, bad", [
+        ("n_steps", 0), ("multi_starts", -1), ("max_iter", -1), ("max_backtracks", -1),
+        ("seed", -1), ("step_init", 0.0), ("step_init", math.nan), ("step_growth", -1.0),
+    ])
+    def test_out_of_range_misuse(self, field, bad):
+        with pytest.raises(MisuseError, match=field):
+            SolverConfig(**{field: bad})
+
+    def test_least_legal_values(self):
+        cfg = SolverConfig(n_steps=1, multi_starts=0, max_iter=0, max_backtracks=0, seed=0)
+        lam, traj = moderate(prob(QUAD, upsilon=0.5), cfg)
+        assert lam.value == 0.125 and np.array_equal(traj.velocities, [[0.5]])   # l = u^2 / 2
+
+    def test_one_seed_per_cell(self, fast_cfg):
+        with pytest.raises(MisuseError, match="seed"):
+            _solve_cells(QUAD, None, 1.0, [0.0], [1.0, 0.5, 0.25], [[0.1], [0.2], [0.3]],
+                         fast_cfg, [0])
 
 
 class TestModerationTable:
