@@ -13,17 +13,15 @@ import argparse
 import csv
 import inspect
 import json
-import math
 import sys
-from dataclasses import fields as dc_fields
 from pathlib import Path
 
 import numpy as np
 
-from .costs import build_conjugate_table, make_cost, make_rate, make_terminal
+from .costs import _numbers, build_conjugate_table, make_cost, make_rate, make_terminal
 from .discounted import discounted_value
 from .economy import ImpetusCostSpec, economic_value
-from .errors import ConfigError, LaxHopfError, MisuseError
+from .errors import ConfigError, LaxHopfError, MisuseError, ParameterError
 from .laxhopf_core import (
     OuterGrid,
     classic_lax_hopf,
@@ -31,8 +29,7 @@ from .laxhopf_core import (
     value_result_to_json,
     wtp_value,
 )
-from .moderation import (_SOLVER_AT_LEAST, _SOLVER_POSITIVE, SolverConfig, build_moderation_table,
-                         moderation_table_to_csv)
+from .moderation import _SOLVER_AT_LEAST, SolverConfig, build_moderation_table, moderation_table_to_csv
 from .trajectories import trajectory_to_csv
 from .verify import DPGrids, Scenario, convergence_study, surface_to_csv
 
@@ -61,16 +58,16 @@ def _get(cfg: dict, path: str, default=KeyError, kind=None):
 
 
 def _num(cfg: dict, path: str, default=KeyError, cast=float, low=None, positive=False):
-    """The finite number at ``path``, at least ``low`` and above 0 when asked."""
+    """The finite number at ``path``, at least ``low`` and above 0 when asked; integral
+    (4.0 reads as 4) for ``cast=int``.  A boolean or a string is not a number."""
     raw = _get(cfg, path, default)
-    try:
-        value = cast(raw)
-        ok = math.isfinite(value) and (low is None or value >= low) and (not positive or value > 0)
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
+    arr = _numbers(raw, 0)
+    ok = arr is not None and (cast is float or float(arr).is_integer())
+    value = cast(arr) if ok else None
+    if not (ok and (low is None or value >= low) and (not positive or value > 0)):
         bound = " > 0" if positive else "" if low is None else f" >= {low}"
-        _fail(path, f"expected a finite number{bound}, got {raw!r}")
+        what = "an integer" if cast is int else "a finite number"
+        _fail(path, f"expected {what}{bound}, got {raw!r}")
     return value
 
 
@@ -79,17 +76,13 @@ def _array(cfg: dict, path: str, pairs: bool = False, default=KeyError, width=No
     pairs; with ``width``, of rows of ``width`` numbers (or of numbers when it is 1)."""
     raw = _get(cfg, path, default, kind=list)
     shape = (-1, 2) if pairs else (-1,) if width is None else (-1, width)
-    try:
-        arr = np.asarray(raw, dtype=float)
-        ok = pairs or arr.shape[1:] == shape[1:] or (width == 1 and arr.ndim == 1)
-        arr = arr.reshape(shape)
-    except (TypeError, ValueError):
-        ok, arr = False, np.empty(0)
-    if not (ok and arr.size and np.isfinite(arr).all()):
+    arr = _numbers(raw, 2)
+    if arr is None or not (arr.size % 2 == 0 if pairs else
+                           arr.shape[1:] == shape[1:] or (width == 1 and arr.ndim == 1)):
         what = ("[lo, hi] pairs" if pairs else "numbers" if width is None
                 else f"rows of {width} numbers")
         _fail(path, f"expected a non-empty list of finite {what}, got {raw!r}")
-    return arr
+    return arr.reshape(shape)
 
 
 def load_config(path) -> dict:
@@ -111,16 +104,15 @@ def load_config(path) -> dict:
 
 
 def _solver_cfg(cfg: dict) -> SolverConfig:
-    """Each ``solver.<field>`` read as the type of its default; the top-level seed unless set."""
-    defaults = {f.name: f.default for f in dc_fields(SolverConfig)}
+    """Each ``solver.<field>`` as an integer; the seed is only the top-level ``seed``."""
     values = {}
     for key in _get(cfg, "solver", {}, dict):
-        if key not in defaults:
+        if key == "seed":
+            _fail("solver.seed", "the seed is the top-level 'seed' key or --seed")
+        if key not in _SOLVER_AT_LEAST:
             _fail(f"solver.{key}", "unknown solver option")
-        values[key] = _num(cfg, f"solver.{key}", cast=type(defaults[key]),
-                           low=_SOLVER_AT_LEAST.get(key), positive=key in _SOLVER_POSITIVE)
-    values.setdefault("seed", _num(cfg, "seed", 0, int, low=0))
-    return SolverConfig(**values)
+        values[key] = _num(cfg, f"solver.{key}", cast=int, low=_SOLVER_AT_LEAST[key])
+    return SolverConfig(seed=_num(cfg, "seed", 0, int, low=0), **values)
 
 
 def _named(cfg, path, factory):
@@ -129,6 +121,8 @@ def _named(cfg, path, factory):
     params = _get(cfg, f"{path}.params", {}, dict)
     try:
         return factory(name, **params)
+    except ParameterError as exc:
+        _fail(f"{path}.params.{exc.param}", str(exc))
     except MisuseError as exc:
         _fail(f"{path}.name", str(exc))
 
@@ -144,7 +138,7 @@ def _outer_grid(cfg: dict, dim=None) -> OuterGrid:
             n_omega=_num(cfg, "outer.n_omega", 10, int, low=1),
             upsilon_box=box,
             n_upsilon=_num(cfg, "outer.n_upsilon", 21, int, low=1),
-            refine=bool(_get(cfg, "outer.refine", True)),
+            refine=_get(cfg, "outer.refine", True, bool),
             shrink=_num(cfg, "outer.shrink", 0.5),
             max_rounds=_num(cfg, "outer.max_rounds", 10, int, low=0),
         )
@@ -176,10 +170,12 @@ _IMPETUS_SCALARS = {
 
 
 def _moderation_grids(cfg: dict, path: str, dim: int):
-    """The ``omega_grid`` and ``upsilon_grid`` (rows of ``dim`` numbers) of a moderation table."""
+    """The ``omega_grid`` (apertures > 0) and ``upsilon_grid`` (rows of ``dim`` numbers)."""
     _get(cfg, path, kind=dict)
-    return (_array(cfg, f"{path}.omega_grid"),
-            _array(cfg, f"{path}.upsilon_grid", width=dim))
+    omegas = _array(cfg, f"{path}.omega_grid")
+    if not np.all(omegas > 0):
+        _fail(f"{path}.omega_grid", f"expected positive apertures, got {omegas.tolist()}")
+    return omegas, _array(cfg, f"{path}.upsilon_grid", width=dim)
 
 
 def _agent_rows(cfg: dict, path: str) -> np.ndarray:
@@ -215,7 +211,7 @@ def _economy(cfg: dict):
     spec = ImpetusCostSpec(
         scalar_cost=make(**params), gamma_price=gamma_price,
         gamma_agents=tuple(gamma_agents.tolist()),
-        shared_prices=bool(_get(cfg, "economy.shared_prices", False)),
+        shared_prices=_get(cfg, "economy.shared_prices", False, bool),
     )
     return spec, allocations, prices
 
@@ -236,8 +232,8 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         mesh = np.meshgrid(*axes, indexing="ij")
         grid_pts = np.stack([m.ravel() for m in mesh], axis=1)
         value = wtp_value(
-            terminal, _num(cfg, "wtp.velocity_bound"), T,
-            _array(cfg, "x"), _num(cfg, "wtp.omega"), grid_pts,
+            terminal, _num(cfg, "wtp.velocity_bound", low=0), T,
+            _array(cfg, "x"), _num(cfg, "wtp.omega", low=0), grid_pts,
         )
         doc = {"value": "inf" if not value.is_finite else value.value}
         (out_dir / "result.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
@@ -255,7 +251,10 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         x = _array(cfg, "x")
         scenario = Scenario(terminal=terminal, cost=cost, T=T, x=x,
                             outer_grid=_outer_grid(cfg, len(x)), solver_cfg=solver)
-        rows = convergence_study(scenario, levels)
+        try:   # fewer than two levels, or a level whose grid misses (T, x)
+            rows = convergence_study(scenario, levels)
+        except MisuseError as exc:
+            _fail("verify", str(exc))
         with open(out_dir / "error_table.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["dt", "oracle_value", "formula_value", "error"])

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EmptyDomainError, EvaluationFault, MisuseError
+from .errors import EmptyDomainError, EvaluationFault, MisuseError, ParameterError
 from .extreal import ExtReal
 
 __all__ = [
@@ -354,13 +354,38 @@ def check_marchaud(
 # Built-in catalogs (addressable by name in scenario configs)
 # ---------------------------------------------------------------------------
 
-def _boxify(domain) -> Optional[np.ndarray]:
-    if domain is None:
+def _numbers(raw, ndim: int) -> Optional[np.ndarray]:
+    """``raw`` as a non-empty float array of finite numbers with at most ``ndim`` axes,
+    or None.  A boolean, a string or a null is not a number."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError:   # a ragged list
         return None
-    return np.asarray(domain, dtype=float).reshape(-1, 2)
+    if arr.dtype.kind not in "iuf" or arr.ndim > ndim or not arr.size:
+        return None
+    arr = arr.astype(float)
+    return arr if np.isfinite(arr).all() else None
 
 
-def make_cost(name: str, **params) -> CostField:
+def _param(params: dict, key: str, default, ndim: int = 0):
+    """Pop catalog parameter ``key`` (``default`` when absent): for ``ndim`` 0 a finite
+    float, 1 a 1-D array of finite numbers, 2 None or [lo, hi] pairs with lo <= hi.
+    Anything else is a :class:`ParameterError`."""
+    raw = params.pop(key, default)
+    if raw is None and ndim == 2:
+        return None
+    arr = _numbers(raw, ndim)
+    if ndim == 2 and arr is not None:   # [lo, hi] pairs
+        arr = arr.reshape(-1, 2) if arr.size % 2 == 0 else None
+        arr = arr if arr is not None and np.all(arr[:, 0] <= arr[:, 1]) else None
+    if arr is None:
+        what = ("a finite number", "a finite number or a list of them",
+                "[lo, hi] pairs of finite numbers with lo <= hi")[ndim]
+        raise ParameterError(key, f"expected {what}, got {raw!r}")
+    return float(arr) if ndim == 0 else _as_vec(arr) if ndim == 1 else arr
+
+
+def make_cost(name: str, /, **params) -> CostField:
     """Resolve a named transaction-cost function.
 
     Catalog: "quadratic" (a*|u|^2, a defaults to 1/2), "abs" (sum |u_h|),
@@ -368,9 +393,9 @@ def make_cost(name: str, **params) -> CostField:
     Every entry accepts an optional ``domain`` velocity box.  None of them
     depends on x, so every entry is ``state_free``.
     """
-    domain = _boxify(params.pop("domain", None))
+    domain = _param(params, "domain", None, 2)
     if name == "quadratic":
-        a = float(params.pop("a", 0.5))
+        a = _param(params, "a", 0.5)
         _reject_extras(name, params)
         return CostField(
             velocity_only=True,
@@ -391,8 +416,8 @@ def make_cost(name: str, **params) -> CostField:
             partials=lambda t, X, U: (None, np.sign(U)),
         )
     if name == "weighted_quadratic":
-        a0 = float(params.pop("a0", 1.0))
-        a1 = float(params.pop("a1", 1.0))
+        a0 = _param(params, "a0", 1.0)
+        a1 = _param(params, "a1", 1.0)
         _reject_extras(name, params)
         return CostField(
             velocity_only=False,
@@ -403,7 +428,7 @@ def make_cost(name: str, **params) -> CostField:
             partials=lambda t, X, U: (None, (a0 + a1 * t)[:, None] * U),
         )
     if name == "indicator_zero":
-        tol = float(params.pop("tol", 1e-12))
+        tol = _param(params, "tol", 1e-12)
         _reject_extras(name, params)
         return CostField(
             velocity_only=True,
@@ -418,14 +443,14 @@ def make_cost(name: str, **params) -> CostField:
     raise MisuseError(f"unknown cost {name!r}")
 
 
-def make_rate(name: str, **params) -> RateField:
+def make_rate(name: str, /, **params) -> RateField:
     """Catalog: "zero", "constant" (r), "velocity" (m = sum of velocity components)."""
     if name == "zero":
         _reject_extras(name, params)
         return RateField(batch_evaluator=lambda t, X, U: np.zeros(len(U)),
                          partials=lambda t, X, U: (None, None))
     if name == "constant":
-        r = float(params.pop("r", 0.0))
+        r = _param(params, "r", 0.0)
         _reject_extras(name, params)
         return RateField(batch_evaluator=lambda t, X, U: np.full(len(U), r),
                          partials=lambda t, X, U: (None, None))
@@ -436,18 +461,17 @@ def make_rate(name: str, **params) -> RateField:
     raise MisuseError(f"unknown rate {name!r}")
 
 
-def make_terminal(name: str, **params) -> TerminalCost:
+def make_terminal(name: str, /, **params) -> TerminalCost:
     """Resolve a named instantaneous cost condition.
 
     Catalog: "indicator_origin" (0 at (t0, x0), +inf elsewhere),
     "quadratic_state" (a*||x - x0||^2, time-independent), "zero".
     """
     if name == "indicator_origin":
-        t0 = float(params.pop("t0", 0.0))
-        x0 = params.pop("x0", 0.0)
-        tol = float(params.pop("tol", 1e-9))
+        t0 = _param(params, "t0", 0.0)
+        x0v = _param(params, "x0", 0.0, 1)
+        tol = _param(params, "tol", 1e-9)
         _reject_extras(name, params)
-        x0v = _as_vec(x0)
 
         def _ind(t, x):
             return 0.0 if abs(t - t0) <= tol and np.all(np.abs(x - x0v) <= tol) else math.inf
@@ -459,10 +483,9 @@ def make_terminal(name: str, **params) -> TerminalCost:
             ),
         )
     if name == "quadratic_state":
-        a = float(params.pop("a", 1.0))
-        x0 = params.pop("x0", 0.0)
+        a = _param(params, "a", 1.0)
+        x0v = _param(params, "x0", 0.0, 1)
         _reject_extras(name, params)
-        x0v = _as_vec(x0)
         return TerminalCost(
             evaluator=lambda t, x: a * float((x - x0v) @ (x - x0v)),
             batch_evaluator=lambda t, X: a * np.sum((X - x0v) ** 2, axis=1),
@@ -478,4 +501,4 @@ def make_terminal(name: str, **params) -> TerminalCost:
 
 def _reject_extras(name: str, params: dict) -> None:
     if params:
-        raise MisuseError(f"unknown parameters for {name!r}: {sorted(params)}")
+        raise ParameterError(sorted(params)[0], f"unknown parameter for {name!r}")

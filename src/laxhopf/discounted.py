@@ -19,7 +19,7 @@ import numpy as np
 from .costs import CostField, RateField, TerminalCost, eval_rate_batch, eval_terminal, make_rate
 from .errors import MisuseError, RateOverflowError
 from .laxhopf_core import OuterGrid, ValueResult, _moderated_cells, _reduce
-from .moderation import _EXP_CAP, SolverConfig, _solve_window_problem
+from .moderation import _EXP_CAP, SolverConfig, _solve_cells
 from .trajectories import Trajectory, enrichment
 
 __all__ = [
@@ -57,7 +57,7 @@ def accumulate_rate(traj: Trajectory, rate: RateField) -> AccumulationProfile:
 def discounted_moderate(cost: CostField, rate: RateField, T: float, x,
                         omega: float, upsilon, cfg: SolverConfig, rng=None):
     """Moderation with the integrand weighted by the trajectory's own accumulation factor."""
-    return _solve_window_problem(cost, rate, T, x, omega, upsilon, cfg, rng=rng)
+    return _solve_cells(cost, rate, T, x, [omega], [upsilon], cfg, [rng])[0]
 
 
 def discounted_value(terminal: TerminalCost, cost: CostField, rate: RateField,

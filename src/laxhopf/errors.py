@@ -17,6 +17,14 @@ class MisuseError(LaxHopfError, ValueError):
     """A precondition on the caller's side was violated."""
 
 
+class ParameterError(MisuseError):
+    """A catalog entry's parameter ``param`` is malformed or unknown."""
+
+    def __init__(self, param: str, msg: str):
+        super().__init__(f"parameter {param!r}: {msg}")
+        self.param = param
+
+
 class EmptyDomainError(LaxHopfError):
     """Every velocity-grid point mapped to infinite cost (empty effective domain)."""
 

@@ -53,6 +53,8 @@ class OuterGrid:
     def __post_init__(self):
         if not self.max_rounds >= 0:   # the pattern search stops when its round count reaches it
             raise MisuseError(f"OuterGrid needs max_rounds >= 0, got {self.max_rounds}")
+        if not 0 < self.shrink < 1:    # each round scales the probe steps by it
+            raise MisuseError(f"OuterGrid needs 0 < shrink < 1, got {self.shrink}")
 
     @staticmethod
     def build(omega_max: float, n_omega: int, upsilon_box, n_upsilon: int,

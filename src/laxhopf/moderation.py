@@ -10,14 +10,16 @@ gradient is the discrete adjoint of the window sum (Griewank & Walther,
 *Evaluating Derivatives*, 2008): the states are a reverse cumulative sum of the
 velocities, so one pass over the rows and the fields' ``partials`` gives it.
 Every catalog cost and rate and the economy impetus cost carry ``partials``; a
-user field without them falls back to central finite differences, 2*N*l
-perturbed trajectories per gradient.  Each trial step is the two-point
-(Barzilai-Borwein) step s's/s'y from the last displacement and gradient change,
-capped at step_growth times the last accepted step, then Armijo backtracking.
-A start stops at a small projected gradient, at an accepted decrease of at
-most 1e-12 * max(|f|, 1), at a failed line search or after max_iter steps.
-Infeasibility is a value (+infinity), not an exception, so the outer
-minimization can fold over infeasible cells.
+user field without them falls back to central finite differences (step
+_FD_STEP), 2*N*l perturbed trajectories per gradient.  Each trial step is the
+two-point (Barzilai-Borwein) step s's/s'y from the last displacement and
+gradient change, capped at _STEP_GROWTH times the last accepted step (the first
+is _STEP_INIT), then Armijo backtracking (_ARMIJO, _MAX_BACKTRACKS trials).  A
+start stops at a projected gradient below _GRAD_TOL, at an accepted decrease of
+at most _REL_DECREASE * max(|f|, 1), at a failed line search or after max_iter
+steps.  These constants are numerical tuning, not settings of
+:class:`SolverConfig`.  Infeasibility is a value (+infinity), not an exception,
+so the outer minimization can fold over infeasible cells.
 
 Many cells are solved at once: every (cell, start) pair is a lane of one
 (L, N, l) array, and each objective or gradient batch covers all lanes still
@@ -61,38 +63,36 @@ __all__ = [
 
 _EXP_CAP = 700.0  # exp overflow guard on accumulated rates
 _REL_DECREASE = 1e-12  # a start stops once an accepted step gains <= this * max(|f|, 1)
+_GRAD_TOL = 1e-8       # a start stops once its projected gradient norm is below this
+_ARMIJO = 1e-4         # sufficient-decrease factor of the line search
+_STEP_INIT = 1.0       # first trial step of each start
+_STEP_GROWTH = 2.0     # cap on a trial step, as a multiple of the last accepted one
+_MAX_BACKTRACKS = 40   # trials of one line search: the first step and its halvings
+_FD_STEP = 1e-6        # relative central-difference step of a field without partials
 _GRADIENT_ROWS = 1 << 15  # evaluator rows per finite-difference batch (bounds memory, not results)
 # Halvings a failed Armijo trial prices in one batch (bounds wasted rows, not results).
 _LADDER = 8
-# SolverConfig's range rules: the least legal value of each count; the step knobs must be > 0.
-_SOLVER_AT_LEAST = {"n_steps": 1, "multi_starts": 0, "max_iter": 0, "max_backtracks": 0, "seed": 0}
-_SOLVER_POSITIVE = ("step_init", "step_growth")
+# SolverConfig's range rules, also read by the CLI: the least legal value of each field.
+_SOLVER_AT_LEAST = {"n_steps": 1, "multi_starts": 0, "max_iter": 0, "seed": 0}
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Inner-solver knobs; every default is deliberate and reproducible."""
+    """Inner-solver settings; every default is deliberate and reproducible.
 
-    n_steps: int = 32
+    The descent's constants are not settings: see _GRAD_TOL, _ARMIJO, _STEP_INIT,
+    _STEP_GROWTH, _MAX_BACKTRACKS and _FD_STEP in this module.
+    """
+
+    n_steps: int = 32              # velocity steps of a window
     multi_starts: int = 8          # perturbed starts beyond the constant one
     max_iter: int = 200            # descent steps per start; 0 evaluates the starts only
-    grad_tol: float = 1e-8         # a start stops once the projected gradient norm is below this
-    armijo: float = 1e-4
-    step_init: float = 1.0         # first trial step of each start
-    step_growth: float = 2.0       # cap on a trial step, as a multiple of the last accepted one
-    max_backtracks: int = 40
-    fd_step: float = 1e-6          # relative central-difference step
     seed: int = 0
-    quadrature_tol: float = 1e-6
-    solver_tol: float = 1e-6
 
     def __post_init__(self):
         for name, low in _SOLVER_AT_LEAST.items():
             if not getattr(self, name) >= low:
                 raise MisuseError(f"SolverConfig.{name} must be >= {low}, got {getattr(self, name)}")
-        for name in _SOLVER_POSITIVE:
-            if not getattr(self, name) > 0:
-                raise MisuseError(f"SolverConfig.{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,6 @@ class ModerationProblem:
     x: np.ndarray            # terminal state
     omega: float
     upsilon: np.ndarray      # target average transaction
-    n_steps: Optional[int] = None
     admissible: Optional[AdmissibleSpec] = None
 
 
@@ -172,8 +171,7 @@ class _WindowObjective:
         """Objective of velocity matrices U (B, N, l) on lanes (B,) -> (B,) with inf."""
         return self.priced(U, lanes)[0]
 
-    def gradient(self, U: np.ndarray, lanes: np.ndarray, base: np.ndarray, fd_rel: float,
-                 rows=None):
+    def gradient(self, U: np.ndarray, lanes: np.ndarray, base: np.ndarray, rows=None):
         """Gradients at velocity matrices U (B, N, l) of finite objective ``base`` (B,).
 
         The exact discrete adjoint when the cost and the rate have partials:
@@ -185,7 +183,7 @@ class _WindowObjective:
         Otherwise central finite differences (:meth:`_fd_gradient`).
         """
         if self.cost.partials is None or (self.rate is not None and self.rate.partials is None):
-            return self._fd_gradient(U, lanes, base, fd_rel)
+            return self._fd_gradient(U, lanes, base)
         mids, raw, w = (None, None, None) if rows is None else rows
         rows = self._rows(U, lanes, mids)
         dt = rows[3][:, :, None]
@@ -215,7 +213,7 @@ class _WindowObjective:
             G = G - dt * (_before(q) + 0.5 * q)
         return self.scale[lanes][:, None, None] * G
 
-    def _fd_gradient(self, U: np.ndarray, lanes: np.ndarray, base: np.ndarray, fd_rel: float):
+    def _fd_gradient(self, U: np.ndarray, lanes: np.ndarray, base: np.ndarray):
         """Central finite-difference gradients; one-sided near the infinite region.
 
         ``base`` holds each lane's objective at U.  The perturbed rows are
@@ -223,7 +221,7 @@ class _WindowObjective:
         """
         B, n = len(U), U[0].size
         Z = U.reshape(B, n)
-        H = fd_rel * np.maximum(1.0, np.abs(Z))
+        H = _FD_STEP * np.maximum(1.0, np.abs(Z))
         idx = np.arange(n)
         vals = np.empty((B, 2 * n))
         per_call = max(1, _GRADIENT_ROWS // (2 * n * self.n))
@@ -298,7 +296,7 @@ def _project(U: np.ndarray, upsilon: np.ndarray, box) -> np.ndarray:
     return np.clip(U - tau, lo, hi)
 
 
-def _line_search(obj, project, cfg: SolverConfig, ids, u, v, g, step):
+def _line_search(obj, project, ids, u, v, g, step):
     """Armijo backtracking of lanes ``ids`` from iterates u (values v) along -g.
 
     Every lane first tries its own step, all lanes in one pass.  The lanes that
@@ -314,7 +312,7 @@ def _line_search(obj, project, cfg: SolverConfig, ids, u, v, g, step):
         cand = project(u[at] - s[:, None, None] * g[at], ids[at])
         cval, crows = obj.priced(cand, ids[at])
         move = np.sum(((u[at] - cand) ** 2).reshape(len(cand), -1), axis=1)
-        ok = np.isfinite(cval) & (cval <= v[at] - cfg.armijo * move / np.maximum(s, 1e-300))
+        ok = np.isfinite(cval) & (cval <= v[at] - _ARMIJO * move / np.maximum(s, 1e-300))
         return cand, cval, crows, ok
 
     trial, tval, rows, ok = trials(slice(None), step)
@@ -323,7 +321,7 @@ def _line_search(obj, project, cfg: SolverConfig, ids, u, v, g, step):
         return trial, tval, rows, step, fail
     # the ladder writes its winners into the first pass's arrays; an evaluator may own its output
     rows, step = [None if a is None else a.copy() for a in rows], step.copy()
-    left, width = cfg.max_backtracks - 1, _LADDER
+    left, width = _MAX_BACKTRACKS - 1, _LADDER
     while fail.size and left:
         r = min(width, left)
         rungs = np.empty((len(fail), r))
@@ -350,17 +348,14 @@ def _line_search(obj, project, cfg: SolverConfig, ids, u, v, g, step):
     return trial, tval, rows, step, fail
 
 
-def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs,
-                 n_steps=None, admissible=None):
+def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs, admissible=None):
     """Solve many (omega, upsilon) cells in lockstep, one lane per start of each cell.
 
     ``rngs`` holds one seed or generator per cell (None: ``cfg.seed``); returns
     one (ExtReal lambda, Trajectory or None) per cell.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n_steps = int(n_steps or cfg.n_steps)
-    if n_steps < 1:
-        raise MisuseError("moderation needs at least one step")
+    n_steps = int(cfg.n_steps)
     if not len(omegas) == len(upsilons) == len(rngs):
         raise MisuseError(f"moderation needs one upsilon and one seed per aperture, got "
                           f"{len(omegas)} apertures, {len(upsilons)} upsilons, {len(rngs)} seeds")
@@ -404,7 +399,7 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs,
     ids = np.flatnonzero(np.isfinite(val))
     u, v = U[ids], val[ids]
     rows = tuple(None if a is None else a[ids] for a in rows)
-    step = np.full(len(ids), float(cfg.step_init))
+    step = np.full(len(ids), _STEP_INIT)
     prev_u = prev_g = None
 
     def keep(go):
@@ -414,28 +409,27 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs,
             a[go] for a in (ids, u, v, step, prev_u, prev_g, g))
         rows = tuple(None if a is None else a[go] for a in rows)
 
-    # with no backtracks allowed no trial is priced, so every start is its own result
-    for _ in range(cfg.max_iter if cfg.max_backtracks else 0):
+    for _ in range(cfg.max_iter):
         if not ids.size:
             break
-        g = obj.gradient(u, ids, v, cfg.fd_step, rows)
+        g = obj.gradient(u, ids, v, rows)
         if prev_u is not None:
             # two-point step s's / s'y, capped: near the +inf region of a cost
             # an uncapped step overshoots and backtracks many times
             s_vec, y_vec = u - prev_u, g - prev_g
             sty = dots(s_vec, y_vec)
-            cap = cfg.step_growth * step
+            cap = _STEP_GROWTH * step
             curved = sty > 0
             step = np.where(curved, np.minimum(dots(s_vec, s_vec) / np.where(curved, sty, 1.0), cap), cap)
         else:
             prev_u = prev_g = u
         pg = u - project(u - g, ids)
-        go = ~(np.sqrt(dots(pg, pg)) < cfg.grad_tol)
+        go = ~(np.sqrt(dots(pg, pg)) < _GRAD_TOL)
         if not go.all():
             keep(go)
             if not ids.size:
                 break
-        trial, tval, rows, step, fail = _line_search(obj, project, cfg, ids, u, v, g, step)
+        trial, tval, rows, step, fail = _line_search(obj, project, ids, u, v, g, step)
         go = v - tval > _REL_DECREASE * np.maximum(np.abs(tval), 1.0)
         go[fail] = False
         prev_u, prev_g, u, v = u, g, trial, tval
@@ -454,13 +448,6 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs,
     return out
 
 
-def _solve_window_problem(cost, rate, T, x, omega, upsilon, cfg: SolverConfig,
-                          rng=None, n_steps=None, admissible=None):
-    """One cell of :func:`_solve_cells`; returns (ExtReal lambda, Trajectory or None)."""
-    return _solve_cells(cost, rate, T, x, [omega], [upsilon], cfg, [rng],
-                        n_steps=n_steps, admissible=admissible)[0]
-
-
 def moderate(prob: ModerationProblem, cfg: SolverConfig, rng=None):
     """Compute the moderated cost and its argmin trajectory.
 
@@ -468,10 +455,8 @@ def moderate(prob: ModerationProblem, cfg: SolverConfig, rng=None):
     (local multi-start solver); +infinity with no argmin signals an upsilon
     outside the effective domain.
     """
-    return _solve_window_problem(
-        prob.cost, None, prob.T, prob.x, prob.omega, prob.upsilon, cfg,
-        rng=rng, n_steps=prob.n_steps, admissible=prob.admissible,
-    )
+    return _solve_cells(prob.cost, None, prob.T, prob.x, [prob.omega], [prob.upsilon], cfg, [rng],
+                        prob.admissible)[0]
 
 
 def jensen_gap(cost: CostField, T, x, omega, upsilon, cfg: SolverConfig, rng=None) -> float:
@@ -482,7 +467,7 @@ def jensen_gap(cost: CostField, T, x, omega, upsilon, cfg: SolverConfig, rng=Non
     """
     if not (cost.velocity_only and cost.declared_convex_in_u):
         raise MisuseError("jensen_gap requires a velocity-only cost declared convex in u")
-    lam, _ = _solve_window_problem(cost, None, T, x, omega, upsilon, cfg, rng=rng)
+    lam, _ = _solve_cells(cost, None, T, x, [omega], [upsilon], cfg, [rng])[0]
     pointwise = eval_cost(cost, float(T), x, upsilon)
     if not lam.is_finite and not pointwise.is_finite:
         return 0.0

@@ -269,15 +269,13 @@ class JensenReport:
 
 
 def jensen_suite(cost: CostField, n_samples: int, omega_range, upsilon_box,
-                 cfg: SolverConfig, tol: Optional[float] = None, seed: int = 0) -> JensenReport:
+                 cfg: SolverConfig, tol: float = 1e-6, seed: int = 0) -> JensenReport:
     """Run jensen_gap over random samples; flags where the convexity claim breaks.
 
-    Positive gaps beyond tolerance mean the solver missed the constant-velocity
-    optimum; negative gaps beyond quadrature tolerance mean velocity mixing
-    beats the pointwise cost, i.e. the declared convexity is not real.
+    Positive gaps beyond ``tol`` mean the solver missed the constant-velocity
+    optimum; negative gaps beyond the quadrature floor 1e-6 mean velocity
+    mixing beats the pointwise cost, i.e. the declared convexity is not real.
     """
-    if tol is None:
-        tol = cfg.solver_tol
     rng = np.random.default_rng(seed)
     upsilon_box = np.asarray(upsilon_box, float).reshape(-1, 2)
     samples, pos, neg = [], [], []
@@ -292,7 +290,7 @@ def jensen_suite(cost: CostField, n_samples: int, omega_range, upsilon_box,
             worst = max(worst, abs(gap))
             if gap > tol:
                 pos.append((omega, ups, gap))
-            elif gap < -cfg.quadrature_tol:
+            elif gap < -1e-6:   # the quadrature floor, whatever tol is
                 neg.append((omega, ups, gap))
     return JensenReport(samples=samples, max_abs_gap=worst,
                         positive_failures=pos, nonconvex_evidence=neg)

@@ -140,6 +140,17 @@ ECONOMY = {
 }
 
 
+WTP = {
+    "kind": "wtp",
+    "terminal": {"name": "quadratic_state"},
+    "wtp": {"velocity_bound": 1.0, "omega": 0.5, "state_box": [[-2, 2]], "n_state": 21},
+}
+
+
+def with_economy(**fields):
+    return dict(ECONOMY, economy=dict(ECONOMY["economy"], **fields))
+
+
 def with_level(**fields):
     level = dict(VERIFY["verify"]["levels"][0], **fields)
     return dict(VERIFY, verify={"levels": [VERIFY["verify"]["levels"][0], level]})
@@ -171,6 +182,21 @@ class TestTypedFields:
         ({"solver": {"step_growth": -1}}, "solver.step_growth"),
         ({"seed": -1}, "seed"),
         ({"outer": dict(BASE["outer"], max_rounds=-1)}, "outer.max_rounds"),
+        # numbers are read strictly: counts are integral, and no number is a boolean or a string
+        ({"solver": {"n_steps": 1.5}}, "solver.n_steps"),
+        ({"solver": {"n_steps": True}}, "solver.n_steps"),
+        ({"T": "1"}, "T"),
+        ({"seed": 0.5}, "seed"),
+        ({"x": [True]}, "x"),
+        ({"outer": dict(BASE["outer"], n_omega="8")}, "outer.n_omega"),
+        ({"outer": dict(BASE["outer"], refine="no")}, "outer.refine"),
+        ({"outer": dict(BASE["outer"], shrink=0)}, "outer"),
+        ({"outer": dict(BASE["outer"], shrink=-1)}, "outer"),
+        ({"outer": dict(BASE["outer"], shrink=1)}, "outer"),
+        (with_economy(shared_prices=1), "economy.shared_prices"),
+        (dict(WTP, wtp=dict(WTP["wtp"], velocity_bound=-1)), "wtp.velocity_bound"),
+        (dict(WTP, wtp=dict(WTP["wtp"], omega=-0.5)), "wtp.omega"),
+        (VERIFY, "verify"),   # one refinement level
     ])
     def test_exit_2_names_field(self, tmp_path, capsys, monkeypatch, overrides, field):
         def no_search(*args, **kwargs):   # a negative max_rounds search would never stop
@@ -203,8 +229,8 @@ def with_table(table):
     return dict(TABLE, outputs={"moderation_table": table})
 
 
-def with_economy(**fields):
-    return dict(ECONOMY, economy=dict(ECONOMY["economy"], **fields))
+def with_params(part, name, **params):
+    return {part: {"name": name, "params": params}}
 
 
 class TestTypedTableFields:
@@ -226,6 +252,24 @@ class TestTypedTableFields:
         ("run", with_economy(allocations=[["a"]]), "economy.allocations"),
         ("run", with_economy(gamma_agents=["x"]), "economy.gamma_agents"),
         ("run", with_economy(prices=[[1.0, 2.0]]), "economy.prices"),
+        # catalog parameters are checked, not coerced
+        ("run", with_params("cost", "weighted_quadratic", a0="abc"), "cost.params.a0"),
+        ("run", with_params("cost", "weighted_quadratic", a0=None), "cost.params.a0"),
+        ("run", with_params("cost", "weighted_quadratic", a0=[1, 2]), "cost.params.a0"),
+        ("run", with_params("cost", "weighted_quadratic", a1=float("nan")), "cost.params.a1"),
+        ("run", with_params("cost", "quadratic", a=True), "cost.params.a"),
+        ("run", with_params("cost", "quadratic", b=1.0), "cost.params.b"),
+        ("run", with_params("cost", "quadratic", domain=[[1]]), "cost.params.domain"),
+        ("run", with_params("cost", "quadratic", domain="x"), "cost.params.domain"),
+        ("run", with_params("cost", "quadratic", domain=[[1, -1]]), "cost.params.domain"),
+        ("run", with_params("terminal", "indicator_origin", x0="abc"), "terminal.params.x0"),
+        ("run", with_params("terminal", "indicator_origin", x0=[[0.0]]), "terminal.params.x0"),
+        ("run", with_params("terminal", "indicator_origin", tol="q"), "terminal.params.tol"),
+        ("run", with_params("terminal", "quadratic_state", x0=[float("inf")]),
+         "terminal.params.x0"),
+        ("run", dict(with_params("rate", "constant", r="0.6"), kind="discounted"), "rate.params.r"),
+        ("moderate", {"moderation": {"omega_grid": [0.0], "upsilon_grid": [[1.0]]}},
+         "moderation.omega_grid"),
     ])
     def test_exit_2_names_field(self, tmp_path, capsys, command, overrides, field):
         cfg = write_cfg(tmp_path, overrides)
@@ -342,3 +386,32 @@ class TestDeterminism:
         cfg = write_cfg(tmp_path)
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
                      "--seed", "7"]) == 0
+
+    def test_seed_flag_sets_the_solver_seed(self, tmp_path):
+        assert cli._solver_cfg({"seed": 7, "solver": {"n_steps": 4}}).seed == 7
+        generalized = {"kind": "generalized", "cost": {"name": "weighted_quadratic"},
+                       "solver": {"n_steps": 8, "multi_starts": 2}}
+        blobs = {}
+        for tag, seed, flag in (("flag", 0, ["--seed", "7"]), ("config", 7, []), ("zero", 0, [])):
+            cfg = write_cfg(tmp_path, dict(generalized, seed=seed), name=f"{tag}.json")
+            out = tmp_path / tag
+            assert main(["run", "--config", str(cfg), "--out", str(out)] + flag) == 0
+            blobs[tag] = (out / "trajectory.csv").read_bytes()
+        assert blobs["flag"] == blobs["config"] != blobs["zero"]
+
+
+class TestRemovedSolverKeys:
+    @pytest.mark.parametrize("key", [
+        "seed", "armijo", "fd_step", "grad_tol", "step_init", "step_growth", "max_backtracks",
+        "quadrature_tol", "solver_tol",
+    ])
+    def test_exit_2_names_key(self, tmp_path, capsys, key):
+        cfg = write_cfg(tmp_path, {"solver": {"n_steps": 8, key: 1}})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: solver.{key}:")
+        assert "Traceback" not in err
+        assert not (out / "result.json").exists()
+        if key == "seed":
+            assert "--seed" in err

@@ -345,8 +345,8 @@ class TestImpetusGradient:
         lanes = np.arange(len(U))
         base = obj.values(U, lanes)
         assert np.isfinite(base).all()
-        fd = obj._fd_gradient(U, lanes, base, 1e-6)
-        adjoint = obj.gradient(U, lanes, base, 1e-6)
+        fd = obj._fd_gradient(U, lanes, base)
+        adjoint = obj.gradient(U, lanes, base)
         np.testing.assert_allclose(adjoint, fd, rtol=1e-6, atol=1e-6 * max(1.0, np.abs(fd).max()))
 
     def test_gradient_prices_no_perturbed_trajectories(self):
@@ -359,6 +359,6 @@ class TestImpetusGradient:
         base = obj.values(U, lanes)
         batches.clear()
         scalars.clear()
-        obj.gradient(U, lanes, base, 1e-6)
+        obj.gradient(U, lanes, base)
         assert batches == []
         assert len(scalars) == 2 * (len(lanes) * n)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxhopf import (
+    AdmissibleSpec,
     ImpetusCostSpec,
     ModerationProblem,
     SolverConfig,
@@ -153,8 +154,8 @@ class TestGradient:
         lanes = np.arange(len(U))
         base = obj.values(U, lanes)
         assert np.isfinite(base).all()
-        fd = obj._fd_gradient(U, lanes, base, 1e-6)
-        adjoint = obj.gradient(U, lanes, base, 1e-6)
+        fd = obj._fd_gradient(U, lanes, base)
+        adjoint = obj.gradient(U, lanes, base)
         np.testing.assert_allclose(adjoint, fd, rtol=1e-6, atol=1e-6 * max(1.0, np.abs(fd).max()))
 
     @pytest.mark.parametrize("ell", [1, 2])
@@ -165,7 +166,7 @@ class TestGradient:
         U = np.random.default_rng(0).uniform(-1, 1, (3, n, ell))
         base = obj.values(U, lanes)
         calls.clear()
-        obj.gradient(U, lanes, base, 1e-6)
+        obj.gradient(U, lanes, base)
         assert sum(calls) == len(lanes) * 2 * n * ell * n
 
     def test_catalog_gradient_prices_no_perturbed_rows(self):
@@ -175,9 +176,9 @@ class TestGradient:
         obj = _WindowObjective(cost, make_rate("velocity"), 1.0, [0.5, 1.0], [1.0], n)
         U = np.random.default_rng(0).uniform(-1, 1, (2, n, 1))
         base, rows = obj.priced(U, lanes)
-        warm = obj.gradient(U, lanes, base, 1e-6, rows)
+        warm = obj.gradient(U, lanes, base, rows)
         assert sum(calls) == len(lanes) * n
-        cold = obj.gradient(U, lanes, base, 1e-6)   # without the rows: the cost is priced again
+        cold = obj.gradient(U, lanes, base)   # without the rows: the cost is priced again
         assert sum(calls) == 2 * (len(lanes) * n)
         assert np.array_equal(warm, cold)
 
@@ -298,7 +299,7 @@ def one_rung_solve(cost, rate, T, x, omegas, upsilons, cfg, rngs, log):
     reason = {int(i): "infeasible" for i in np.flatnonzero(~np.isfinite(val))}
     ids = np.flatnonzero(np.isfinite(val))
     u, v = U[ids], val[ids]
-    step = np.full(len(ids), float(cfg.step_init))
+    step = np.full(len(ids), moderation._STEP_INIT)
     prev_u = prev_g = g = None
 
     def keep(go, why):
@@ -310,28 +311,28 @@ def one_rung_solve(cost, rate, T, x, omegas, upsilons, cfg, rngs, log):
     for _ in range(cfg.max_iter):
         if not ids.size:
             break
-        g = obj.gradient(u, ids, v, cfg.fd_step)
+        g = obj.gradient(u, ids, v)
         if prev_u is not None:
             s_vec, y_vec = u - prev_u, g - prev_g
             sty = dots(s_vec, y_vec)
-            cap = cfg.step_growth * step
+            cap = moderation._STEP_GROWTH * step
             curved = sty > 0
             step = np.where(curved, np.minimum(dots(s_vec, s_vec) / np.where(curved, sty, 1.0), cap), cap)
         else:
             prev_u = prev_g = u
         pg = u - project(u - g, ids)
-        go = ~(np.sqrt(dots(pg, pg)) < cfg.grad_tol)
+        go = ~(np.sqrt(dots(pg, pg)) < moderation._GRAD_TOL)
         if not go.all():
             keep(go, lambda k: "grad_tol")
         s, cand, cval = step.copy(), u.copy(), v.copy()
         todo = np.arange(len(ids))
-        for _ in range(cfg.max_backtracks):
+        for _ in range(moderation._MAX_BACKTRACKS):
             if not todo.size:
                 break
             trial = project(u[todo] - s[todo][:, None, None] * g[todo], ids[todo])
             tval = obj.values(trial, ids[todo])
             move = np.sum(((u[todo] - trial) ** 2).reshape(len(todo), -1), axis=1)
-            ok = np.isfinite(tval) & (tval <= v[todo] - cfg.armijo * move / np.maximum(s[todo], 1e-300))
+            ok = np.isfinite(tval) & (tval <= v[todo] - moderation._ARMIJO * move / np.maximum(s[todo], 1e-300))
             cand[todo[ok]], cval[todo[ok]] = trial[ok], tval[ok]
             s[todo[~ok]] *= 0.5
             todo = todo[~ok]
@@ -405,15 +406,13 @@ class TestLineSearch:
            max_backtracks=st.sampled_from([1, 5, 9, 40]), step_init=st.sampled_from([1.0, 64.0]))
     def test_ladder_equals_one_rung_search(self, case, starts, n_steps, max_backtracks, step_init):
         cost, rate, x, cells = case
-        cfg = SolverConfig(n_steps=n_steps, multi_starts=starts, max_iter=25, seed=0,
-                           max_backtracks=max_backtracks, step_init=step_init)
+        cfg = SolverConfig(n_steps=n_steps, multi_starts=starts, max_iter=25, seed=0)
         seeds = [np.random.SeedSequence([5, k]) for k in range(len(cells))]
         args = (cost, rate, 1.0, x, [om for om, _ in cells], [ups for _, ups in cells], cfg, seeds)
         want_log, got_log, finite = [], [], []
-        want, want_reason = one_rung_solve(*args, want_log)
 
-        def logged(obj, project, cfg, ids, u, v, g, step):
-            trial, tval, rows, new_step, fail = _line_search(obj, project, cfg, ids, u, v, g, step)
+        def logged(obj, project, ids, u, v, g, step):
+            trial, tval, rows, new_step, fail = _line_search(obj, project, ids, u, v, g, step)
             got_log.append((ids.copy(), v.copy(), new_step.copy(), tval.copy(), fail.copy()))
             return trial, tval, rows, new_step, fail
 
@@ -424,9 +423,12 @@ class TestLineSearch:
             return out
 
         priced = _WindowObjective.priced
-        with mock.patch.object(moderation, "_line_search", logged), \
-                mock.patch.object(_WindowObjective, "priced", starts_priced):
-            got = _solve_cells(*args)
+        with mock.patch.object(moderation, "_MAX_BACKTRACKS", max_backtracks), \
+                mock.patch.object(moderation, "_STEP_INIT", step_init):
+            want, want_reason = one_rung_solve(*args, want_log)
+            with mock.patch.object(moderation, "_line_search", logged), \
+                    mock.patch.object(_WindowObjective, "priced", starts_priced):
+                got = _solve_cells(*args)
         for (lam, traj), (want_lam, want_u) in zip(got, want):
             assert lam.to_float() == want_lam
             assert (traj is None) == (want_u is None)
@@ -449,7 +451,6 @@ class TestLineSearch:
             u = U[:, 0]
             return np.where(np.abs(u) == 0.75, np.nan, 0.5 * u * u)
 
-        cfg = SolverConfig(step_init=64.0)
         u = np.array([[[1.0], [-1.0]]])
         ids = np.arange(1)
 
@@ -457,9 +458,9 @@ class TestLineSearch:
             cost, calls = counted(CostField(batch_evaluator=batch, partials=QUAD.partials))
             obj = _WindowObjective(cost, None, 1.0, [1.0], [0.0], 2)
             v, rows = obj.priced(u, ids)
-            g = obj.gradient(u, ids, v, cfg.fd_step, rows)
+            g = obj.gradient(u, ids, v, rows)
             project = lambda V, lanes: _project(V, np.zeros((len(lanes), 1)), None)  # noqa: E731
-            return _line_search(obj, project, cfg, ids, u, v, g, np.array([64.0])), calls
+            return _line_search(obj, project, ids, u, v, g, np.array([64.0])), calls
 
         (trial, tval, _, step, fail), calls = search(poisoned)
         (c_trial, c_tval, _, c_step, c_fail), _ = search(lambda t, X, U: 0.5 * U[:, 0] ** 2)
@@ -495,15 +496,14 @@ class TestLineSearch:
 
 class TestConfigChecks:
     @pytest.mark.parametrize("field, bad", [
-        ("n_steps", 0), ("multi_starts", -1), ("max_iter", -1), ("max_backtracks", -1),
-        ("seed", -1), ("step_init", 0.0), ("step_init", math.nan), ("step_growth", -1.0),
+        ("n_steps", 0), ("multi_starts", -1), ("max_iter", -1), ("seed", -1),
     ])
     def test_out_of_range_misuse(self, field, bad):
         with pytest.raises(MisuseError, match=field):
             SolverConfig(**{field: bad})
 
     def test_least_legal_values(self):
-        cfg = SolverConfig(n_steps=1, multi_starts=0, max_iter=0, max_backtracks=0, seed=0)
+        cfg = SolverConfig(n_steps=1, multi_starts=0, max_iter=0, seed=0)
         lam, traj = moderate(prob(QUAD, upsilon=0.5), cfg)
         assert lam.value == 0.125 and np.array_equal(traj.velocities, [[0.5]])   # l = u^2 / 2
 
@@ -511,6 +511,35 @@ class TestConfigChecks:
         with pytest.raises(MisuseError, match="seed"):
             _solve_cells(QUAD, None, 1.0, [0.0], [1.0, 0.5, 0.25], [[0.1], [0.2], [0.3]],
                          fast_cfg, [0])
+
+
+class TestAdmissible:
+    """The speed bound of ``ModerationProblem.admissible`` (a +inf wall on |u_k| > b(t_k))."""
+
+    def test_argmin_is_admissible(self, fast_cfg):
+        # the unbounded argmin of weighted_quadratic at upsilon = 1 runs at 1/((1+t) ln 2) > 1.2
+        spec = AdmissibleSpec(1.2)
+        free, free_traj = moderate(prob(WQ, upsilon=1.0), fast_cfg)
+        lam, traj = moderate(dataclasses.replace(prob(WQ, upsilon=1.0), admissible=spec), fast_cfg)
+        assert not spec.is_admissible(free_traj)
+        assert spec.is_admissible(traj) and lam.value >= free.value
+
+    def test_slack_bound_changes_nothing(self, fast_cfg):
+        free, free_traj = moderate(prob(QUAD, upsilon=0.5), fast_cfg)
+        lam, traj = moderate(dataclasses.replace(prob(QUAD, upsilon=0.5),
+                                                 admissible=AdmissibleSpec(10.0)), fast_cfg)
+        assert lam.value == free.value and np.array_equal(traj.velocities, free_traj.velocities)
+
+    def test_mean_past_the_bound_is_infeasible(self, fast_cfg):
+        lam, traj = moderate(dataclasses.replace(prob(QUAD, upsilon=1.5),
+                                                 admissible=AdmissibleSpec(1.0)), fast_cfg)
+        assert not lam.is_finite and traj is None
+
+    def test_callable_bound_equals_constant(self, fast_cfg):
+        solved = [moderate(dataclasses.replace(prob(WQ, upsilon=1.0), admissible=AdmissibleSpec(b)),
+                           fast_cfg) for b in (1.2, lambda t: 1.2)]
+        (lam, traj), (c_lam, c_traj) = solved
+        assert lam.value == c_lam.value and np.array_equal(traj.velocities, c_traj.velocities)
 
 
 class TestModerationTable:
