@@ -75,10 +75,10 @@ def _array(cfg: dict, path: str, pairs: bool = False, default=KeyError, width=No
     """A non-empty list of finite numbers at ``path``; with ``pairs``, of [lo, hi]
     pairs; with ``width``, of rows of ``width`` numbers (or of numbers when it is 1)."""
     raw = _get(cfg, path, default, kind=list)
-    shape = (-1, 2) if pairs else (-1,) if width is None else (-1, width)
+    width = 2 if pairs else width
+    shape = (-1,) if width is None else (-1, width)
     arr = _numbers(raw, 2)
-    if arr is None or not (arr.size % 2 == 0 if pairs else
-                           arr.shape[1:] == shape[1:] or (width == 1 and arr.ndim == 1)):
+    if arr is None or not (arr.shape[1:] == shape[1:] or (width == 1 and arr.ndim == 1)):
         what = ("[lo, hi] pairs" if pairs else "numbers" if width is None
                 else f"rows of {width} numbers")
         _fail(path, f"expected a non-empty list of finite {what}, got {raw!r}")
@@ -95,8 +95,9 @@ def load_config(path) -> dict:
         raise ConfigError(f"config: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         _fail("config", "top level must be an object")
-    if _get(cfg, "schema", 1) != 1:
-        _fail("schema", f"unsupported schema version {cfg['schema']!r}")
+    schema = _get(cfg, "schema", 1)
+    if type(schema) is not int or schema != 1:   # true and 1.0 equal 1 but are no version
+        _fail("schema", f"unsupported schema version {schema!r}")
     kind = _get(cfg, "kind", kind=str)
     if kind not in _KINDS:
         _fail("kind", f"must be one of {_KINDS}, got {kind!r}")
@@ -125,6 +126,15 @@ def _named(cfg, path, factory):
         _fail(f"{path}.params.{exc.param}", str(exc))
     except MisuseError as exc:
         _fail(f"{path}.name", str(exc))
+
+
+def _terminal(cfg: dict, dim: int):
+    """The named terminal cost; an ``x0`` list has one number per state coordinate."""
+    terminal = _named(cfg, "terminal", make_terminal)
+    x0 = _get(cfg, "terminal.params.x0", None)
+    if isinstance(x0, list) and len(x0) != dim:
+        _fail("terminal.params.x0", f"needs {dim} numbers, one per state coordinate, got {x0!r}")
+    return terminal
 
 
 def _outer_grid(cfg: dict, dim=None) -> OuterGrid:
@@ -224,7 +234,8 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     T = _num(cfg, "T")
 
     if kind == "wtp":
-        terminal = _named(cfg, "terminal", make_terminal)
+        x = _array(cfg, "x")
+        terminal = _terminal(cfg, len(x))
         w = _get(cfg, "wtp", kind=dict)
         box = _array(cfg, "wtp.state_box", pairs=True)
         n = _num(cfg, "wtp.n_state", 101, int, low=1)
@@ -233,7 +244,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         grid_pts = np.stack([m.ravel() for m in mesh], axis=1)
         value = wtp_value(
             terminal, _num(cfg, "wtp.velocity_bound", low=0), T,
-            _array(cfg, "x"), _num(cfg, "wtp.omega", low=0), grid_pts,
+            x, _num(cfg, "wtp.omega", low=0), grid_pts,
         )
         doc = {"value": "inf" if not value.is_finite else value.value}
         (out_dir / "result.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
@@ -244,11 +255,11 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         return 0
 
     if kind == "verify":
-        terminal = _named(cfg, "terminal", make_terminal)
+        x = _array(cfg, "x")
+        terminal = _terminal(cfg, len(x))
         cost = _named(cfg, "cost", make_cost)
         levels_raw = _get(cfg, "verify.levels", kind=list)
         levels = [_dp_grids(cfg, f"verify.levels.{i}") for i in range(len(levels_raw))]
-        x = _array(cfg, "x")
         scenario = Scenario(terminal=terminal, cost=cost, T=T, x=x,
                             outer_grid=_outer_grid(cfg, len(x)), solver_cfg=solver)
         try:   # fewer than two levels, or a level whose grid misses (T, x)
@@ -268,14 +279,14 @@ def run_config(cfg: dict, out_dir: Path) -> int:
 
     table_grids = None
     if kind == "economy":
-        terminal = _named(cfg, "terminal", make_terminal)
         spec, allocations, prices = _economy(cfg)
+        terminal = _terminal(cfg, 2 * allocations.size)
         result = economic_value(terminal, spec, T, allocations, prices,
                                 _outer_grid(cfg, 2 * allocations.size), solver)
     else:
-        terminal = _named(cfg, "terminal", make_terminal)
-        cost = _named(cfg, "cost", make_cost)
         x = _array(cfg, "x")
+        terminal = _terminal(cfg, len(x))
+        cost = _named(cfg, "cost", make_cost)
         grid = _outer_grid(cfg, len(x))
         if kind != "classic" and _get(cfg, "outputs.moderation_table", None) is not None:
             table_grids = _moderation_grids(cfg, "outputs.moderation_table", len(x))

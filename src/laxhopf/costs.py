@@ -79,6 +79,16 @@ class CostField:
     the oracle price a different function, as a wrong ``partials`` makes the
     inner solver follow a different gradient; ``dataclasses.replace`` that
     brings in an x-dependent evaluator must clear it.
+
+    ``separable`` is optional: ``(shape, a)`` declares l(t, x, u) = a(t) *
+    sum_h psi(u_h), with psi the square ("square"), the absolute value
+    ("abs") or the indicator of zero ("zero", the evaluator owns its
+    tolerance), and ``a`` mapping times (m,) to factors (m,).  The inner
+    moderation solver then solves a window in closed form instead of by descent
+    (a window where some factor is not positive keeps descent), so a field
+    that declares it falsely is moderated as a different function;
+    ``dataclasses.replace`` that swaps the evaluator for a different function
+    must clear it, while a wrapper that only counts or times calls may keep it.
     """
 
     evaluator: Optional[Callable] = None
@@ -88,6 +98,7 @@ class CostField:
     domain_box: Optional[np.ndarray] = None  # shape (l, 2) velocity bounds
     batch_evaluator: Optional[Callable] = None
     partials: Optional[Callable] = None
+    separable: Optional[tuple] = None
 
     def __post_init__(self):
         _require_evaluator(self)
@@ -105,11 +116,19 @@ class RateField:
 
     ``evaluator``, ``batch_evaluator`` and ``partials`` follow the contract of
     :class:`CostField`, ``partials`` returning (dm/dx, dm/du).
+
+    ``time_only`` declares that m depends on t alone: m(t, x, u) = m(t, x', u')
+    for all x, x', u, u'.  The accumulation weights of a window then do not
+    depend on its path, which the closed-form window solve relies on; a field
+    that declares it falsely is moderated as a different function, and
+    ``dataclasses.replace`` that swaps the evaluator for a different function
+    must clear it.
     """
 
     evaluator: Optional[Callable] = None
     batch_evaluator: Optional[Callable] = None
     partials: Optional[Callable] = None
+    time_only: bool = False
 
     def __post_init__(self):
         _require_evaluator(self)
@@ -375,9 +394,8 @@ def _param(params: dict, key: str, default, ndim: int = 0):
     if raw is None and ndim == 2:
         return None
     arr = _numbers(raw, ndim)
-    if ndim == 2 and arr is not None:   # [lo, hi] pairs
-        arr = arr.reshape(-1, 2) if arr.size % 2 == 0 else None
-        arr = arr if arr is not None and np.all(arr[:, 0] <= arr[:, 1]) else None
+    if ndim == 2 and arr is not None:   # a list of [lo, hi] pairs
+        arr = arr if arr.ndim == 2 and arr.shape[1] == 2 and np.all(arr[:, 0] <= arr[:, 1]) else None
     if arr is None:
         what = ("a finite number", "a finite number or a list of them",
                 "[lo, hi] pairs of finite numbers with lo <= hi")[ndim]
@@ -391,7 +409,8 @@ def make_cost(name: str, /, **params) -> CostField:
     Catalog: "quadratic" (a*|u|^2, a defaults to 1/2), "abs" (sum |u_h|),
     "weighted_quadratic" ((a0 + a1*t)*|u|^2/2), "indicator_zero".
     Every entry accepts an optional ``domain`` velocity box.  None of them
-    depends on x, so every entry is ``state_free``.
+    depends on x, so every entry is ``state_free``; all but a quadratic with
+    a <= 0 are ``separable``.
     """
     domain = _param(params, "domain", None, 2)
     if name == "quadratic":
@@ -404,6 +423,7 @@ def make_cost(name: str, /, **params) -> CostField:
             domain_box=domain,
             batch_evaluator=lambda t, X, U: a * np.sum(U * U, axis=1),
             partials=lambda t, X, U: (None, 2.0 * a * U),
+            separable=("square", lambda t: np.full(len(t), a)) if a > 0 else None,
         )
     if name == "abs":
         _reject_extras(name, params)
@@ -414,6 +434,7 @@ def make_cost(name: str, /, **params) -> CostField:
             domain_box=domain,
             batch_evaluator=lambda t, X, U: np.sum(np.abs(U), axis=1),
             partials=lambda t, X, U: (None, np.sign(U)),
+            separable=("abs", np.ones_like),
         )
     if name == "weighted_quadratic":
         a0 = _param(params, "a0", 1.0)
@@ -426,6 +447,7 @@ def make_cost(name: str, /, **params) -> CostField:
             domain_box=domain,
             batch_evaluator=lambda t, X, U: (a0 + a1 * t) * np.sum(U * U, axis=1) / 2.0,
             partials=lambda t, X, U: (None, (a0 + a1 * t)[:, None] * U),
+            separable=("square", lambda t: (a0 + a1 * t) / 2.0),
         )
     if name == "indicator_zero":
         tol = _param(params, "tol", 1e-12)
@@ -439,6 +461,7 @@ def make_cost(name: str, /, **params) -> CostField:
                 np.all(np.abs(U) <= tol, axis=1), 0.0, np.inf
             ),
             partials=lambda t, X, U: (None, None),
+            separable=("zero", np.ones_like),
         )
     raise MisuseError(f"unknown cost {name!r}")
 
@@ -448,12 +471,12 @@ def make_rate(name: str, /, **params) -> RateField:
     if name == "zero":
         _reject_extras(name, params)
         return RateField(batch_evaluator=lambda t, X, U: np.zeros(len(U)),
-                         partials=lambda t, X, U: (None, None))
+                         partials=lambda t, X, U: (None, None), time_only=True)
     if name == "constant":
         r = _param(params, "r", 0.0)
         _reject_extras(name, params)
         return RateField(batch_evaluator=lambda t, X, U: np.full(len(U), r),
-                         partials=lambda t, X, U: (None, None))
+                         partials=lambda t, X, U: (None, None), time_only=True)
     if name == "velocity":
         _reject_extras(name, params)
         return RateField(batch_evaluator=lambda t, X, U: np.sum(U, axis=1),

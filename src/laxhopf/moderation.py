@@ -2,16 +2,24 @@
 
 The moderation of a cost field at (T, x, omega, upsilon) is the smallest
 normalized cumulated cost among trajectories anchored at x(T) = x whose average
-transaction over the window equals upsilon.  The inner solver is a direct
-transcription into N velocity variables: projected gradient descent with the
-exact Euclidean projection onto the constraint set (the mean constraint, inside
-the cost's velocity box), exact gradients and a small multi-start sweep.  The
-gradient is the discrete adjoint of the window sum (Griewank & Walther,
-*Evaluating Derivatives*, 2008): the states are a reverse cumulative sum of the
-velocities, so one pass over the rows and the fields' ``partials`` gives it.
-Every catalog cost and rate and the economy impetus cost carry ``partials``; a
-user field without them falls back to central finite differences (step
-_FD_STEP), 2*N*l perturbed trajectories per gradient.  Each trial step is the
+transaction over the window equals upsilon, discretized into N velocity steps.
+
+A separable cost (``CostField.separable``: l = a(t) sum_h psi(u_h)) with no rate
+or a rate of t alone and no ``admissible`` bound prices step k at a fixed
+c_k = w_k a(t_k), so the window is solved in closed form, with no starts, seeds
+or iterations (:func:`_separable_argmins`), and the value returned is the
+discretized minimum.  Every other window takes descent.
+
+Descent is a direct transcription into the N velocity variables: projected
+gradient descent with the exact Euclidean projection onto the constraint set
+(the mean constraint, inside the cost's velocity box), exact gradients and a
+small multi-start sweep.  The gradient is the discrete adjoint of the window
+sum (Griewank & Walther, *Evaluating Derivatives*, 2008): the states are a
+reverse cumulative sum of the velocities, so one pass over the rows and the
+fields' ``partials`` gives it.  Every catalog cost and rate and the economy
+impetus cost carry ``partials``; a user field without them falls back to
+central finite differences (step _FD_STEP), 2*N*l perturbed trajectories per
+gradient.  Each trial step is the
 two-point (Barzilai-Borwein) step s's/s'y from the last displacement and
 gradient change, capped at _STEP_GROWTH times the last accepted step (the first
 is _STEP_INIT), then Armijo backtracking (_ARMIJO, _MAX_BACKTRACKS trials).  A
@@ -23,8 +31,9 @@ so the outer minimization can fold over infeasible cells.
 
 Many cells are solved at once: every (cell, start) pair is a lane of one
 (L, N, l) array, and each objective or gradient batch covers all lanes still
-descending.  Every lane keeps its own step, line search, projection and stop
-rule, and a lane that stops leaves the batch.  A lane's arithmetic does not
+descending (a closed-form cell is one lane, priced in one batch).  Every lane
+keeps its own step, line search, projection and stop rule, and a lane that
+stops leaves the batch.  A lane's arithmetic does not
 depend on the other lanes, so a cell solved in any batch gives the same bits
 as the cell solved alone.
 
@@ -252,48 +261,97 @@ def _before(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _project(U: np.ndarray, upsilon: np.ndarray, box) -> np.ndarray:
-    """Euclidean projection of each lane of U (B, N, l) onto {mean_k u_k = upsilon_b} in the box.
+def _project(U: np.ndarray, upsilon: np.ndarray, box, scale=None) -> np.ndarray:
+    """Projection of each lane of U (B, N, l) onto {mean_k u_k = upsilon_b} in the box, in the
+    metric sum_k |u_k - U_k|^2 / s_k of positive step scales s = ``scale`` (B, N, 1)
+    (None: s = 1, the Euclidean projection).
 
-    Without a box this subtracts the residual mean.  With a box every (lane,
-    coordinate) is clip(U - tau, lo, hi), where tau restores the mean: a
-    continuous quadratic knapsack (Helgason, Kennington & Lall 1980; Kiwiel
-    2008).  phi(tau) = sum_k clip(U_k - tau, lo, hi) is piecewise linear and
-    nonincreasing with breakpoints U - hi and U - lo; it is priced exactly at
-    all 2N sorted breakpoints, and tau solves the linear piece that crosses
-    N * upsilon.  upsilon must lie inside the box.
+    Every (lane, coordinate) is clip(U - tau * s, lo, hi), where tau restores
+    the mean.  Without a box tau is the residual mean over the mean scale.
+    With a box this is a continuous quadratic knapsack (Helgason, Kennington &
+    Lall 1980; Kiwiel 2008).  phi(tau) = sum_k clip(U_k - tau s_k, lo, hi) is
+    piecewise linear and nonincreasing with breakpoints (U - hi) / s and
+    (U - lo) / s; it is priced exactly at all 2N sorted breakpoints, and tau
+    solves the linear piece that crosses N * upsilon.  upsilon must lie inside
+    the box.
     """
     upsilon, n = upsilon[:, None, :], U.shape[1]
     if box is None:
-        return U - (U.sum(axis=1, keepdims=True) / n - upsilon)
+        shift = U.sum(axis=1, keepdims=True) / n - upsilon
+        return U - (shift if scale is None else scale * (shift / (scale.sum(axis=1, keepdims=True) / n)))
 
     def at(a, i):
         return np.take_along_axis(a, i, axis=1)
 
-    srt = np.sort(U, axis=1)
-    # a bound further than the spread of U from upsilon cannot bind; pulling it in keeps tau finite
-    reach = srt[:, -1:] - srt[:, :1] + 1.0
+    # a bound further from upsilon than the result can reach cannot bind; pulling it in keeps tau finite
+    if scale is None:
+        srt, s = np.sort(U, axis=1), 1.0   # clip(U - tau) spreads no wider than U; its mean is upsilon
+        reach = srt[:, -1:] - srt[:, :1] + 1.0
+    else:   # in the metric the result is no further from U than the constant path upsilon is
+        srt, s = U, np.broadcast_to(scale, U.shape)
+        d = U - upsilon
+        reach = (np.abs(d).max(axis=1, keepdims=True) + 1.0
+                 + np.sqrt(s.max(axis=1, keepdims=True) * (d * d / s).sum(axis=1, keepdims=True)))
     lo = np.maximum(box[:, 0], upsilon - reach)
     hi = np.minimum(box[:, 1], upsilon + reach)
-    points = np.concatenate([srt - hi, srt - lo], axis=1)            # (B, 2N, l)
+    points = np.concatenate([(srt - hi) / s, (srt - lo) / s], axis=1)   # (B, 2N, l)
     order = np.argsort(points, axis=1, kind="stable")
     points = at(points, order)
-    # past a breakpoint the n_below smallest entries are below hi and the n_low smallest at lo
-    n_below = np.cumsum(order < n, axis=1)
-    n_low = np.cumsum(order >= n, axis=1)
-    prefix = np.concatenate([np.zeros_like(srt[:, :1]), srt.cumsum(axis=1)], axis=1)
-    inner = at(prefix, n_below) - at(prefix, n_low)
-    clamped = lo * n_low + hi * (n - n_below)
+    # past a breakpoint n_below entries have left hi and n_low reached lo
+    leaves = order < n
+    n_below = np.cumsum(leaves, axis=1)
+    n_low = np.cumsum(~leaves, axis=1)
     n_inner = n_below - n_low
-    phi = clamped + inner - points * n_inner
+
+    def inner_sum(a):   # the sum of a over the entries strictly between lo and hi, 0 when none is
+        a = at(np.concatenate([a, a], axis=1), order)
+        sums = np.cumsum(np.where(leaves, a, 0.0), axis=1) - np.cumsum(np.where(leaves, 0.0, a), axis=1)
+        return np.where(n_inner > 0, sums, 0.0)
+
+    inner = inner_sum(srt)
+    clamped = lo * n_low + hi * (n - n_below)
+    width = n_inner if scale is None else inner_sum(s)
+    phi = clamped + inner - points * width
     target = n * upsilon
     j = np.argmax(phi <= target, axis=1)[:, None, :]                 # phi ends at n * lo <= target
     k = np.maximum(j - 1, 0)
-    width = at(n_inner, k)
     with np.errstate(invalid="ignore", divide="ignore"):
-        tau = (at(clamped, k) + at(inner, k) - target) / width
-    tau = np.where((j > 0) & (width > 0), tau, at(points, j))
-    return np.clip(U - tau, lo, hi)
+        tau = (at(clamped, k) + at(inner, k) - target) / at(width, k)
+    tau = np.where((j > 0) & (at(n_inner, k) > 0), tau, at(points, j))
+    return np.clip(U - tau * s, lo, hi)
+
+
+def _cheapest_first(c: np.ndarray, upsilon: np.ndarray, box) -> np.ndarray:
+    """Minimizers U (B, N, l) of sum_k c_k |u_k| per coordinate, for positive step
+    prices c (B, N), under mean_k u_k = upsilon_b (B, l) inside the box.
+
+    Each step starts where the box lets it stand nearest to zero on the side
+    of upsilon, and the rest of the mean fills the cheapest steps first up to
+    the box; steps of equal price share their part evenly, so equal prices
+    give the constant path.
+    """
+    n = c.shape[1]
+    sign = np.where(upsilon < 0, -1.0, 1.0)[:, None, :]
+    m = np.abs(upsilon)[:, None, :]
+    lo = -np.inf if box is None else np.where(sign > 0, box[:, 0], -box[:, 1])
+    hi = np.inf if box is None else np.where(sign > 0, box[:, 1], -box[:, 0])
+    base = np.maximum(lo, 0.0)
+    per = m - base                                   # the mean each step must add to base
+    cap = np.minimum(hi - base, n * per)             # finite: no step takes more than the whole
+    rank = np.argsort(c, axis=1, kind="stable")
+    srt = np.take_along_axis(c, rank, axis=1)
+
+    def run_start(v):   # the position of the first of each entry's run of equal prices
+        tie = np.concatenate([np.zeros((len(v), 1), bool), v[:, 1:] == v[:, :-1]], axis=1)
+        return np.maximum.accumulate(np.where(tie, 0, np.arange(n)), axis=1)[:, :, None]
+
+    first = run_start(srt)
+    size = n - run_start(srt[:, ::-1])[:, ::-1] - first
+    # a run of equal prices shares what the cheaper steps left, each step up to cap
+    fill = np.clip(per * (n / size) - cap * (first / size), 0.0, cap)
+    U = np.empty(fill.shape)
+    np.put_along_axis(U, np.broadcast_to(rank[:, :, None], U.shape), base + fill, axis=1)
+    return sign * np.minimum(U, hi)   # base + fill may round past hi
 
 
 def _line_search(obj, project, ids, u, v, g, step):
@@ -349,7 +407,8 @@ def _line_search(obj, project, ids, u, v, g, step):
 
 
 def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs, admissible=None):
-    """Solve many (omega, upsilon) cells in lockstep, one lane per start of each cell.
+    """Solve many (omega, upsilon) cells: separable windows in closed form, the rest
+    in lockstep descent with one lane per start of each cell.
 
     ``rngs`` holds one seed or generator per cell (None: ``cfg.seed``); returns
     one (ExtReal lambda, Trajectory or None) per cell.
@@ -370,6 +429,12 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs, ad
     # the mean of box-constrained steps cannot leave the box
     cells = [i for i, ups in enumerate(upsilons)
              if box is None or not (np.any(ups < box[:, 0]) or np.any(ups > box[:, 1]))]
+    if cells and cost.separable is not None and admissible is None and (rate is None or rate.time_only):
+        obj = _WindowObjective(cost, rate, T, np.asarray(omegas)[cells], x, n_steps)
+        U, exact = _separable_argmins(obj, cost.separable, np.asarray(upsilons)[cells], box)
+        lanes = np.flatnonzero(exact)
+        _keep_best(out, [cells[c] for c in lanes], U[lanes], obj.values(U[lanes], lanes), 1, T, x, omegas)
+        cells = [cells[c] for c in np.flatnonzero(~exact)]
     if not cells:
         return out
     # lane c * n_starts + k is start k of cell c; start 0 is the constant path
@@ -436,7 +501,39 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs, ad
         if not go.all():
             keep(go)
     U[ids], val[ids] = u, v
+    _keep_best(out, cells, U, val, n_starts, T, x, omegas)
+    return out
 
+
+def _separable_argmins(obj: _WindowObjective, separable, ups: np.ndarray, box):
+    """Closed-form window minimizers U (L, N, l) of a separable cost on the lanes of
+    ``obj``, and the lanes (L,) they solve.
+
+    With l = a(t) sum_h psi(u_h) and a rate of t alone, step k's price
+    c_k = w_k a(t_k) does not depend on the path, so each coordinate is one
+    resource allocation: min sum_k c_k psi(u_k) subject to mean u = upsilon
+    in the box.  The square gives u_k = clip(mu / c_k, lo, hi), the weighted
+    projection of 0 (Kiwiel 2008; Patriksson 2008); abs fills the cheapest
+    steps first; the indicator of zero takes the constant path, feasible iff
+    the cost is finite there.  A lane with a step price that is not positive
+    is not solved.
+    """
+    shape, a = separable
+    lanes = np.arange(len(ups))
+    U = np.repeat(ups[:, None, :], obj.n, axis=1)          # the constant path
+    c = np.asarray(a(obj.mid_times.ravel()), dtype=float).reshape(obj.mid_times.shape)
+    if obj.rate is not None:   # the weights of a rate of t alone, priced on any path
+        c = obj._weights(obj._rows(U, lanes), lanes) * c
+    ok = np.full(len(ups), True) if shape == "zero" else np.all(np.isfinite(c) & (c > 0), axis=1)
+    if shape == "square":
+        U[ok] = _project(np.zeros_like(U[ok]), ups[ok], box, (1.0 / c[ok])[:, :, None])
+    elif shape == "abs":
+        U[ok] = _cheapest_first(c[ok], ups[ok], box)
+    return U, ok
+
+
+def _keep_best(out, cells, U, val, n_starts, T, x, omegas):
+    """Store each cell's best start (values ``val``, lanes of U in cell order) into ``out``."""
     # the first start wins ties
     best = val.reshape(-1, n_starts).argmin(axis=1)
     for c, i in enumerate(cells):
@@ -445,15 +542,14 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs, ad
             traj = Trajectory(window=Window(T=float(T), omega=omegas[i]),
                               terminal_state=x, velocities=U[lane].copy())
             out[i] = (ExtReal(float(val[lane])), traj)
-    return out
 
 
 def moderate(prob: ModerationProblem, cfg: SolverConfig, rng=None):
     """Compute the moderated cost and its argmin trajectory.
 
-    The returned value is a certified upper bound on the discretized infimum
-    (local multi-start solver); +infinity with no argmin signals an upsilon
-    outside the effective domain.
+    The returned value is the discretized minimum for a separable cost (closed
+    form) and otherwise an upper bound on it (local multi-start descent);
+    +infinity with no argmin signals an upsilon outside the effective domain.
     """
     return _solve_cells(prob.cost, None, prob.T, prob.x, [prob.omega], [prob.upsilon], cfg, [rng],
                         prob.admissible)[0]

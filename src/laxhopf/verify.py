@@ -103,6 +103,17 @@ class DPGrids:
             v_axes.append(lo + velocity_step * np.arange(n + 1))
         return DPGrids(float(t0), float(T), int(n_t), tuple(s_axes), tuple(v_axes))
 
+    def nearest_node(self, t: float, x) -> tuple:
+        """Indices of the node nearest to (t, x); more than half a step off the grid is misuse."""
+        x = np.atleast_1d(np.asarray(x, float))
+        spans = [(t, self.t0, self.T, self.dt)] + [(xi, ax[0], ax[-1], ax[1] - ax[0])
+                                                   for ax, xi in zip(self.state_axes, x)]
+        if len(x) != self.dim or not all(lo - h / 2 <= v <= hi + h / 2 for v, lo, hi, h in spans):
+            raise MisuseError(f"(t, x) = ({t}, {x}) lies more than half a step off the grid")
+        j = min(max(int(round((t - self.t0) / self.dt)), 0), self.n_t)
+        idx = tuple(int(np.argmin(np.abs(ax - xi))) for ax, xi in zip(self.state_axes, x))
+        return j, idx
+
 
 @dataclass(frozen=True)
 class ValueSurface:
@@ -116,16 +127,7 @@ class ValueSurface:
         return ExtReal(v) if math.isfinite(v) else INF
 
     def nearest_node(self, t: float, x) -> tuple:
-        """Indices of the node nearest to (t, x); more than half a step off the grid is misuse."""
-        g = self.grids
-        x = np.atleast_1d(np.asarray(x, float))
-        spans = [(t, g.t0, g.T, g.dt)] + [(xi, ax[0], ax[-1], ax[1] - ax[0])
-                                          for ax, xi in zip(g.state_axes, x)]
-        if len(x) != g.dim or not all(lo - h / 2 <= v <= hi + h / 2 for v, lo, hi, h in spans):
-            raise MisuseError(f"(t, x) = ({t}, {x}) lies more than half a step off the grid")
-        j = min(max(int(round((t - g.t0) / g.dt)), 0), g.n_t)
-        idx = tuple(int(np.argmin(np.abs(ax - xi))) for ax, xi in zip(g.state_axes, x))
-        return j, idx
+        return self.grids.nearest_node(t, x)
 
     def value_near(self, t: float, x) -> ExtReal:
         j, idx = self.nearest_node(t, x)
@@ -327,14 +329,15 @@ def convergence_study(scenario: Scenario, levels: Sequence[DPGrids]):
     """
     if len(levels) < 2:
         raise MisuseError("convergence_study needs at least two refinement levels")
+    nodes = [grids.nearest_node(scenario.T, scenario.x) for grids in levels]   # misuse before any run
     formula = generalized_lax_hopf(
         scenario.terminal, scenario.cost, scenario.T, scenario.x,
         scenario.outer_grid, scenario.solver_cfg,
     ).value.to_float()
     rows = []
-    for grids in levels:
+    for grids, node in zip(levels, nodes):
         surface = dp_oracle(scenario.terminal, scenario.cost, grids)
-        oracle = surface.value_near(scenario.T, scenario.x).to_float()
+        oracle = surface.value_at(*node).to_float()
         rows.append(ConvergenceRow(
             dt=grids.dt, oracle_value=oracle, formula_value=formula,
             error=abs(formula - oracle), surface=surface,

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from laxhopf import cli
+from laxhopf import cli, verify
 from laxhopf.cli import main
 
 BASE = {
@@ -119,6 +119,17 @@ class TestVerify:
         assert errs[-1] <= errs[0] + 1e-12
         assert (out / "value_surface.csv").exists()
 
+    def test_off_grid_point_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a run started before (T, x) was checked against the grids")
+
+        monkeypatch.setattr(verify, "generalized_lax_hopf", never)
+        monkeypatch.setattr(verify, "dp_oracle", never)
+        cfg = write_cfg(tmp_path, dict(with_level(), x=[5.0]))   # the levels span [-2, 2]
+        assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: verify:") and "off the grid" in err
+
 
 VERIFY = {
     "kind": "verify",
@@ -197,6 +208,21 @@ class TestTypedFields:
         (dict(WTP, wtp=dict(WTP["wtp"], velocity_bound=-1)), "wtp.velocity_bound"),
         (dict(WTP, wtp=dict(WTP["wtp"], omega=-0.5)), "wtp.omega"),
         (VERIFY, "verify"),   # one refinement level
+        # the version is the integer 1, and a box is a list of [lo, hi] pairs, never a flat list
+        ({"schema": True}, "schema"),
+        ({"schema": 1.0}, "schema"),
+        ({"outer": dict(BASE["outer"], upsilon_box=[-2, 2])}, "outer.upsilon_box"),
+        (with_level(state_box=[-2, 2]), "verify.levels.1.state_box"),
+        # a terminal's x0 has one number per state coordinate; numpy would broadcast it
+        ({"terminal": {"name": "quadratic_state", "params": {"x0": [0, 0]}}, "cost": {"name": "quadratic"}},
+         "terminal.params.x0"),
+        ({"terminal": {"name": "indicator_origin", "params": {"x0": [0, 0]}}}, "terminal.params.x0"),
+        (dict(ECONOMY, terminal={"name": "quadratic_state", "params": {"x0": [0.0]}}),
+         "terminal.params.x0"),
+        (dict(WTP, terminal={"name": "quadratic_state", "params": {"x0": [0.0, 0.0]}}),
+         "terminal.params.x0"),
+        (dict(with_level(), terminal={"name": "indicator_origin", "params": {"x0": [0.0, 0.0]}}),
+         "terminal.params.x0"),
     ])
     def test_exit_2_names_field(self, tmp_path, capsys, monkeypatch, overrides, field):
         def no_search(*args, **kwargs):   # a negative max_rounds search would never stop
@@ -270,6 +296,9 @@ class TestTypedTableFields:
         ("run", dict(with_params("rate", "constant", r="0.6"), kind="discounted"), "rate.params.r"),
         ("moderate", {"moderation": {"omega_grid": [0.0], "upsilon_grid": [[1.0]]}},
          "moderation.omega_grid"),
+        # a box is a list of [lo, hi] pairs, never a flat list
+        ("run", with_params("cost", "quadratic", domain=[-1, 1, -2, 2]), "cost.params.domain"),
+        ("conjugate", with_conjugate(velocity_box=[-5, 5]), "conjugate.velocity_box"),
     ])
     def test_exit_2_names_field(self, tmp_path, capsys, command, overrides, field):
         cfg = write_cfg(tmp_path, overrides)
@@ -389,11 +418,12 @@ class TestDeterminism:
 
     def test_seed_flag_sets_the_solver_seed(self, tmp_path):
         assert cli._solver_cfg({"seed": 7, "solver": {"n_steps": 4}}).seed == 7
-        generalized = {"kind": "generalized", "cost": {"name": "weighted_quadratic"},
-                       "solver": {"n_steps": 8, "multi_starts": 2}}
+        # the velocity rate keeps the windows on the seeded multi-start descent
+        discounted = {"kind": "discounted", "cost": {"name": "weighted_quadratic"},
+                      "rate": {"name": "velocity"}, "solver": {"n_steps": 8, "multi_starts": 2}}
         blobs = {}
         for tag, seed, flag in (("flag", 0, ["--seed", "7"]), ("config", 7, []), ("zero", 0, [])):
-            cfg = write_cfg(tmp_path, dict(generalized, seed=seed), name=f"{tag}.json")
+            cfg = write_cfg(tmp_path, dict(discounted, seed=seed), name=f"{tag}.json")
             out = tmp_path / tag
             assert main(["run", "--config", str(cfg), "--out", str(out)] + flag) == 0
             blobs[tag] = (out / "trajectory.csv").read_bytes()

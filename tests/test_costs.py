@@ -247,3 +247,36 @@ class TestStateFree:
             if cost.state_free:
                 assert eval_cost_batch(cost, t, X, U).tobytes() == \
                     eval_cost_batch(cost, t, other, U).tobytes()
+
+
+PSI = {"square": lambda U: U * U, "abs": np.abs}
+
+
+class TestSeparable:
+    def test_declared_on_convex_catalog_entries(self):
+        assert make_cost("quadratic", a=0.3).separable[0] == "square"
+        assert make_cost("quadratic", a=0.0).separable is None
+        assert make_cost("quadratic", a=-1.0).separable is None
+        assert [make_cost(n).separable[0] for n in ("weighted_quadratic", "abs", "indicator_zero")] \
+            == ["square", "abs", "zero"]
+        assert CostField(batch_evaluator=lambda t, X, U: np.sum(U * U, axis=1)).separable is None
+        assert make_rate("zero").time_only and make_rate("constant", r=0.4).time_only
+        assert not make_rate("velocity").time_only
+        assert not RateField(batch_evaluator=lambda t, X, U: np.zeros(len(U))).time_only
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=rows(), seed=st.integers(0, 2**16))
+    def test_declaration_prices_the_evaluator(self, data, seed):
+        # l = a(t) sum_h psi(u_h); a time-only rate ignores x and u
+        t, X, U = data
+        for name, params in CATALOG_COSTS:
+            cost = make_cost(name, **params)
+            if cost.separable is None or cost.separable[0] == "zero":
+                continue
+            shape, a = cost.separable
+            np.testing.assert_allclose(eval_cost_batch(cost, t, X, U),
+                                       a(t) * np.sum(PSI[shape](U), axis=1), rtol=1e-14)
+        rng = np.random.default_rng(seed)
+        X2, U2 = rng.uniform(-9, 9, X.shape), rng.uniform(-9, 9, U.shape)
+        for rate in (make_rate("zero"), make_rate("constant", r=0.4)):
+            assert eval_rate_batch(rate, t, X, U).tobytes() == eval_rate_batch(rate, t, X2, U2).tobytes()

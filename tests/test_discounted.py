@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -89,10 +90,12 @@ class TestDiscountedModerate:
         assert lam.value <= bound + 1e-6
 
     def test_constant_rate_quadrature_closed_form(self):
-        # force the constant trajectory (single start, zero iterations)
+        # force the constant trajectory (single start, zero iterations of descent, which
+        # the cost takes without its separable declaration)
         cfg = SolverConfig(n_steps=200, multi_starts=0, max_iter=0, seed=0)
         r = 0.5
-        lam, _ = discounted_moderate(QUAD, make_rate("constant", r=r),
+        descent_quad = dataclasses.replace(QUAD, separable=None)
+        lam, _ = discounted_moderate(descent_quad, make_rate("constant", r=r),
                                      1.0, [1.0], 1.0, [1.0], cfg)
         ref = 0.5 * (math.exp(r) - 1.0) / r
         assert lam.value == pytest.approx(ref, abs=1e-4)

@@ -93,8 +93,9 @@ class TestStopRule:
         assert lam.value == pytest.approx(REF_WQ, abs=2e-3)
 
     def test_no_iterations_no_gradient(self):
-        # all starts are priced together: one row per step of each start, no gradient rows
-        cost, calls = counted(WQ)
+        # all starts are priced together: one row per step of each start, no gradient rows;
+        # without its separable declaration the cost takes descent
+        cost, calls = counted(dataclasses.replace(WQ, separable=None))
         cfg = SolverConfig(max_iter=0, seed=0)
         moderate(prob(cost, upsilon=1.0), cfg)
         assert sum(calls) == (cfg.multi_starts + 1) * cfg.n_steps
@@ -397,7 +398,8 @@ def search_cases(draw):
             rate = make_rate("constant", r=0.6) if name == "constant" else make_rate("velocity")
             cost = WQ
     cells = draw(st.lists(st.tuples(omega, ups), min_size=1, max_size=3))
-    return cost, rate, x, cells
+    # without a separable declaration abs and a constant rate take descent, not the closed form
+    return dataclasses.replace(cost, separable=None), rate, x, cells
 
 
 class TestLineSearch:
