@@ -4,7 +4,8 @@ A rate field m(t, x, u) accumulates along each candidate trajectory; every
 quantity is actualized to the terminal time T, i.e. the factor applied at time
 tau is exp of the tail integral of m from tau to T along the trajectory itself.
 Rate fields and their catalog live in :mod:`laxhopf.costs` (re-exported here)
-and are evaluated through the same batch path as the costs.
+and are evaluated through the same batch path as the costs; the discounts of
+all cells one pricing call solves come from one rate batch.
 With m identically zero every operation here reproduces its undiscounted
 counterpart bit for bit under the same solver configuration.
 """
@@ -20,7 +21,7 @@ from .costs import CostField, RateField, TerminalCost, eval_rate_batch, eval_ter
 from .errors import MisuseError, RateOverflowError
 from .laxhopf_core import OuterGrid, ValueResult, _moderated_cells, _reduce
 from .moderation import _EXP_CAP, SolverConfig, _solve_cells
-from .trajectories import Trajectory, enrichment
+from .trajectories import Trajectory, _node_states, enrichment
 
 __all__ = [
     "RateField",
@@ -41,17 +42,26 @@ class AccumulationProfile:
     factors: np.ndarray
 
 
+def _accumulation_factors(trajs, rate: RateField) -> np.ndarray:
+    """Node factors (B, N+1) of trajectories of one step count and dimension from one
+    rate batch; every operation runs along a row in order, so row b is
+    :func:`accumulate_rate` of ``trajs[b]`` bit for bit."""
+    V = np.stack([tr.velocities for tr in trajs])                                  # (B, N, l)
+    dt, flat = np.array([[tr.dt] for tr in trajs]), (-1, V.shape[2])              # (B, 1)
+    s = _node_states(np.stack([tr.terminal_state for tr in trajs]), V, dt[:, :, None])
+    t = np.array([[tr.window.start] for tr in trajs]) + dt * (np.arange(V.shape[1]) + 0.5)
+    m = eval_rate_batch(rate, t.ravel(), (0.5 * (s[:, :-1] + s[:, 1:])).reshape(flat), V.reshape(flat))
+    tails = np.zeros(s.shape[:2])
+    tails[:, :-1] = np.cumsum((dt * m.reshape(t.shape))[:, ::-1], axis=1)[:, ::-1]
+    if np.any(tails > _EXP_CAP):
+        b, k = np.argwhere(tails > _EXP_CAP)[0]
+        raise RateOverflowError(f"accumulated rate overflows exp at node {k} (t={trajs[b].times[k]})")
+    return np.exp(tails)
+
+
 def accumulate_rate(traj: Trajectory, rate: RateField) -> AccumulationProfile:
     """Node factors D_k = exp(integral of m from t_k to T), midpoint quadrature."""
-    mvals = eval_rate_batch(rate, traj.mid_times, traj.mid_states, traj.velocities)
-    tails = np.zeros(traj.n_steps + 1)
-    tails[:-1] = np.cumsum((traj.dt * mvals)[::-1])[::-1]
-    if np.any(tails > _EXP_CAP):
-        k = int(np.flatnonzero(tails > _EXP_CAP)[0])
-        raise RateOverflowError(
-            f"accumulated rate overflows exp at node {k} (t={traj.times[k]})"
-        )
-    return AccumulationProfile(times=traj.times, factors=np.exp(tails))
+    return AccumulationProfile(times=traj.times, factors=_accumulation_factors([traj], rate)[0])
 
 
 def discounted_moderate(cost: CostField, rate: RateField, T: float, x,
@@ -65,14 +75,11 @@ def discounted_value(terminal: TerminalCost, cost: CostField, rate: RateField,
     """Outer minimization of D * c(T - omega, x - omega*upsilon) + omega * Lambda.
 
     The discount D on the start cost is the accumulation factor at T - omega
-    along the cell's own discounted-moderation argmin trajectory.
+    along the cell's own discounted-moderation argmin trajectory; the factors of
+    all cells solved in one pricing call come from one rate batch.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-
-    def discount(traj):
-        return float(accumulate_rate(traj, rate).factors[0])
-
-    return _reduce(x, grid, _moderated_cells(terminal, cost, rate, T, x, cfg, discount))
+    return _reduce(x, grid, _moderated_cells(terminal, cost, rate, T, x, cfg, _accumulation_factors))
 
 
 def actualized_enrichment_certificate(result: ValueResult, terminal: TerminalCost,

@@ -213,11 +213,6 @@ def economic_value(terminal: TerminalCost, spec: ImpetusCostSpec, T: float,
     n_agents, dim = a.shape
     z = pack_economy(a, prices)
     cost = impetus_cost_field(spec, n_agents, dim)
-    if grid.normalized().upsilon_lattice.shape[1] != len(z):
-        raise MisuseError(
-            f"upsilon lattice dimension must be {len(z)} (doubled state), "
-            f"got {grid.normalized().upsilon_lattice.shape[1]}"
-        )
     return generalized_lax_hopf(terminal, cost, T, z, grid, cfg)
 
 

@@ -10,6 +10,8 @@ is one batch.  The search is a resumable state that reads one cell at a time;
 at an unpriced cell, a copy of it runs ahead, reading every unpriced cell as
 no improvement, and the cells that path asks for are priced in one batch with
 the missing one.  The search path is that of pricing one cell at a time.
+The search holds its point, steps and cells as tuples of Python floats: the
+same double arithmetic as on arrays, without a numpy call per probe.
 """
 
 from __future__ import annotations
@@ -126,23 +128,24 @@ class _CellCache:
         self.keys = {}  # exact (omega, *upsilon) -> rounded key
 
     def key(self, omega, ups):
-        exact = (float(omega), *ups.tolist())
+        exact = (omega, *ups)
         key = self.keys.get(exact)
         if key is None:
-            key = self.keys[exact] = (round(exact[0], 12), tuple(np.round(ups, 12).tolist()))
+            key = self.keys[exact] = (round(omega, 12), tuple(np.array(ups).round(12).tolist()))
         return key
 
     def fill(self, cells, keys, ahead=False) -> None:
         """Price the unseen cells of [(omega, upsilon)], whose keys are given, in one call;
         with ``ahead``, every cell but the first goes to ``ahead``."""
         todo = {}
-        for key, (omega, ups) in zip(keys, cells):
+        for key, cell in zip(keys, cells):
             if key not in self.store and key not in todo:
-                todo[key] = (float(omega), np.atleast_1d(ups))
+                todo[key] = cell
         if todo:
-            for (key, (omega, ups)), cell in zip(todo.items(), self.cells_fn(list(todo.values()))):
+            priced = self.cells_fn([(om, np.array(ups)) for om, ups in todo.values()])
+            for (key, (omega, ups)), cell in zip(todo.items(), priced):
                 if ahead and key != keys[0]:
-                    self.ahead[key] = ((omega, *ups.tolist()), cell)
+                    self.ahead[key] = ((omega, *ups), cell)
                 else:
                     self.store[key] = cell
 
@@ -172,7 +175,7 @@ class _PatternSearch:
     def __init__(self, cells, grid, omega_max, steps, best, strict):
         self.cells, self.grid, self.omega_max = cells, grid, omega_max
         self.moves = [(d, sgn) for d in range(len(steps)) for sgn in (+1.0, -1.0)]
-        self.y, self.steps = np.array([best[1], *best[2]]), np.asarray(steps)
+        self.y, self.steps = (best[1], *best[2]), tuple(steps)
         self.round = self.sweep = self.move = 0
         self.moved, self.strict, self.best, self.cell = False, strict, best, None
 
@@ -181,25 +184,26 @@ class _PatternSearch:
         if self.round == self.grid.max_rounds:
             return None
         d, sgn = self.moves[self.move]
-        p = self.y.copy()
+        p = list(self.y)
         p[d] += sgn * self.steps[d]
         om = min(max(p[0], 0.0), self.omega_max)
-        om, ups = (om, p[1:]) if om > 0 else (0.0, np.zeros(len(p) - 1))
+        om, ups = (om, tuple(p[1:])) if om > 0 else (0.0, (0.0,) * (len(p) - 1))
         self.cell = (om, ups)
         return self.cells.key(om, ups), om, ups
 
     def feed(self, value) -> None:
         """The value of the cell ``probe`` named last; advances the search."""
         om, ups = self.cell
-        cand = (value, om, tuple(ups))
+        cand = (value, om, ups)
         if (cand[0] < self.best[0]) if self.strict else (cand < self.best):
-            self.best, self.y, self.moved = cand, np.array([om, *ups]), True
+            self.best, self.y, self.moved = cand, (om, *ups), True
         self.move += 1
         if self.move < len(self.moves):
             return
         self.move, self.sweep = 0, self.sweep + 1
         if not self.moved or self.sweep == 50:
-            self.round, self.sweep, self.steps = self.round + 1, 0, self.steps * self.grid.shrink
+            self.round, self.sweep = self.round + 1, 0
+            self.steps = tuple(s * self.grid.shrink for s in self.steps)
         self.moved = False
 
 
@@ -216,7 +220,7 @@ def _walk(search: _PatternSearch):
         key, om, ups = probe
         if key in priced_ahead and key not in store:
             exact, cell = priced_ahead.pop(key)
-            if exact == (om, *ups.tolist()):
+            if exact == (om, *ups):
                 store[key] = cell
         if key not in store:
             ahead, keys = [(om, ups)], [key]
@@ -253,19 +257,20 @@ def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
     grid = grid.normalized()
     cells = _CellCache(cells_fn)
     ell = grid.upsilon_lattice.shape[1]
-    zero_ups = np.zeros(ell)
+    zero_ups = (0.0,) * ell
 
     grid_cells, keys = [], []
+    lattice = [tuple(ups) for ups in grid.upsilon_lattice.tolist()]
     lattice_keys = [tuple(k) for k in np.round(grid.upsilon_lattice, 12).tolist()]
-    for omega in grid.omega_values:
+    for omega in grid.omega_values.tolist():
         if omega == 0.0:
             grid_cells.append((0.0, zero_ups))
             keys.append(cells.key(0.0, zero_ups))
         else:
-            grid_cells += [(float(omega), ups) for ups in grid.upsilon_lattice]
-            keys += [(round(float(omega), 12), k) for k in lattice_keys]
+            grid_cells += [(omega, ups) for ups in lattice]
+            keys += [(round(omega, 12), k) for k in lattice_keys]
     cells.fill(grid_cells, keys)
-    priced = [(cells.store[key][0], om, tuple(ups)) for key, (om, ups) in zip(keys, grid_cells)]
+    priced = [(cells.store[key][0], om, ups) for key, (om, ups) in zip(keys, grid_cells)]
     best = min(priced)
 
     if grid.refine and math.isfinite(best[0]):
@@ -286,9 +291,9 @@ def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
             if math.isfinite(start[0]):
                 best = min(best, _walk(_PatternSearch(cells, grid, omega_max, first_steps,
                                                       start, strict=True)))
-    value, omega_star, ups_star = best[0], best[1], np.asarray(best[2])
+    value, omega_star, ups_star = best
     _, payload = cells.store[cells.key(omega_star, ups_star if omega_star > 0 else zero_ups)]
-    return value, omega_star, ups_star, payload
+    return value, omega_star, np.array(ups_star), payload
 
 
 def _finish(value, omega_star, ups_star, start, traj, lam, c_start, discount=None) -> ValueResult:
@@ -310,7 +315,10 @@ def _reduce(x: np.ndarray, grid: OuterGrid, cells_fn) -> ValueResult:
     """The one outer reduction; its variants differ only in how ``cells_fn``
     prices a batch of cells: (value, (lambda, trajectory, c_start, discount))
     or (value, None) for each."""
-    omega_max = float(np.max(grid.normalized().omega_values))
+    grid = grid.normalized()
+    if (ell := grid.upsilon_lattice.shape[1]) != len(x):
+        raise MisuseError(f"upsilon lattice dimension {ell} != state dimension {len(x)}")
+    omega_max = float(np.max(grid.omega_values))
     value, om, ups, payload = _outer_minimize(grid, cells_fn, omega_max)
     if om == 0.0 or payload is None:
         return _finish(value, om, ups, x.copy() if math.isfinite(value) else None,
@@ -325,7 +333,8 @@ def _moderated_cells(terminal: TerminalCost, cost: CostField, rate, T: float, x:
     + omega * moderated cost, and c(T, x) at zero aperture.
 
     The windows of all cells with a finite start cost are solved together, each
-    with its own seed; ``discount(trajectory)`` is the factor D (1 without it).
+    descent cell with its own seed; ``discount(trajectories, rate)`` gives the node
+    factors (B, N+1) of the solved cells, whose first column is D (1 without it).
     """
     def cells_fn(cells):
         out, live = [], []
@@ -338,15 +347,14 @@ def _moderated_cells(terminal: TerminalCost, cost: CostField, rate, T: float, x:
                 live.append((len(out), om, ups, c_val.value))
             out.append((math.inf, None))
         if live:
-            # a single start draws nothing, so it needs no seed
-            seeds = ([_cell_seed(cfg.seed, om, ups) for _, om, ups, _ in live] if cfg.multi_starts
-                     else [None] * len(live))
             solved = _solve_cells(cost, rate, T, x, [om for _, om, _, _ in live],
-                                  [ups for _, _, ups, _ in live], cfg, seeds)
-            for (i, om, _, c), (lam, traj) in zip(live, solved):
-                if lam.is_finite:
-                    d0 = None if discount is None else discount(traj)
-                    out[i] = ((c if d0 is None else d0 * c) + om * lam.value, (lam, traj, c, d0))
+                                  [ups for _, _, ups, _ in live], cfg,
+                                  lambda c: _cell_seed(cfg.seed, live[c][1], live[c][2]))
+            done = [(cell, lam, traj) for cell, (lam, traj) in zip(live, solved) if lam.is_finite]
+            ds = ([None] * len(done) if discount is None or not done
+                  else discount([t for *_, t in done], rate)[:, 0].tolist())
+            for ((i, om, _, c), lam, traj), d0 in zip(done, ds):
+                out[i] = ((c if d0 is None else d0 * c) + om * lam.value, (lam, traj, c, d0))
         return out
 
     return cells_fn

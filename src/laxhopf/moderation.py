@@ -410,19 +410,23 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs, ad
     """Solve many (omega, upsilon) cells: separable windows in closed form, the rest
     in lockstep descent with one lane per start of each cell.
 
-    ``rngs`` holds one seed or generator per cell (None: ``cfg.seed``); returns
-    one (ExtReal lambda, Trajectory or None) per cell.
+    ``rngs`` holds one seed or generator per cell (None: ``cfg.seed``), or is a
+    function of the cell's index giving it, called only for the cells whose
+    descent draws starts; returns one (ExtReal lambda, Trajectory or None) per cell.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n_steps = int(cfg.n_steps)
-    if not len(omegas) == len(upsilons) == len(rngs):
+    n_seeds = len(omegas) if callable(rngs) else len(rngs)
+    if not len(omegas) == len(upsilons) == n_seeds:
         raise MisuseError(f"moderation needs one upsilon and one seed per aperture, got "
-                          f"{len(omegas)} apertures, {len(upsilons)} upsilons, {len(rngs)} seeds")
+                          f"{len(omegas)} apertures, {len(upsilons)} upsilons, {n_seeds} seeds")
     omegas = [float(om) for om in omegas]
-    for om in omegas:
+    upsilons = [np.atleast_1d(np.asarray(u, dtype=float)) for u in upsilons]
+    for om, ups in zip(omegas, upsilons):
         if om <= 0:
             raise MisuseError(f"moderation needs a positive aperture, got {om}")
-    upsilons = [np.atleast_1d(np.asarray(u, dtype=float)) for u in upsilons]
+        if ups.shape != x.shape:
+            raise MisuseError(f"upsilon dimension {ups.size} != state dimension {x.size}")
     box = None if cost.domain_box is None else np.asarray(cost.domain_box, dtype=float)
     out = [(INF, None)] * len(omegas)
 
@@ -443,7 +447,8 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs, ad
     starts = np.repeat(ups[:, None, :], n_steps, axis=1)                       # (L, N, l)
     if n_starts > 1:
         for c, i in enumerate(cells):
-            rng = np.random.default_rng(cfg.seed if rngs[i] is None else rngs[i])
+            seed = rngs(i) if callable(rngs) else rngs[i]
+            rng = np.random.default_rng(cfg.seed if seed is None else seed)
             scale = 0.5 * float(np.linalg.norm(upsilons[i])) + 0.1
             noise = rng.uniform(-1.0, 1.0, size=(n_starts - 1, n_steps, ups.shape[1]))
             starts[c * n_starts + 1:(c + 1) * n_starts] += noise * scale
@@ -587,9 +592,9 @@ class ModerationTable:
 def build_moderation_table(cost, T, x, omega_grid, upsilon_grid, cfg: SolverConfig) -> ModerationTable:
     """Fill the (omega, upsilon) grid in one lockstep solve of every entry.
 
-    Per-entry infeasibility is data (+infinity), never an error.  Entries get
-    deterministic per-cell seeds so the table is reproducible regardless of
-    evaluation order.
+    Per-entry infeasibility is data (+infinity), never an error.  Entries that
+    take descent get deterministic per-cell seeds so the table is reproducible
+    regardless of evaluation order.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
     upsilon_grid = np.asarray(upsilon_grid, dtype=float)
@@ -601,7 +606,7 @@ def build_moderation_table(cost, T, x, omega_grid, upsilon_grid, cfg: SolverConf
     cells = [(i, j) for i in range(n) for j in range(m)]
     solved = _solve_cells(
         cost, None, T, x, [omega_grid[i] for i, _ in cells], [upsilon_grid[j] for _, j in cells],
-        cfg, [np.random.SeedSequence([cfg.seed, i, j]) for i, j in cells],
+        cfg, lambda c: np.random.SeedSequence([cfg.seed, *divmod(c, m)]),
     )
     values = np.array([lam.to_float() for lam, _ in solved]).reshape(n, m)
     argmins = [[traj for _, traj in solved[i * m:(i + 1) * m]] for i in range(n)]

@@ -78,11 +78,7 @@ class Trajectory:
     @property
     def states(self) -> np.ndarray:
         """Node states (N+1, l): x_k = x_{k+1} - u_k * dt, backward from x(T)."""
-        tail = np.cumsum(self.velocities[::-1], axis=0)[::-1] * self.dt
-        out = np.empty((self.n_steps + 1, self.dim))
-        out[-1] = self.terminal_state
-        out[:-1] = self.terminal_state - tail
-        return out
+        return _node_states(self.terminal_state, self.velocities, self.dt)
 
     def start_state(self) -> np.ndarray:
         return self.terminal_state - self.dt * self.velocities.sum(axis=0)
@@ -95,6 +91,13 @@ class Trajectory:
     def mid_states(self) -> np.ndarray:
         s = self.states
         return 0.5 * (s[:-1] + s[1:])
+
+
+def _node_states(ends, V, dt):
+    """Node states (..., N+1, l) of velocities V (..., N, l) with steps dt, backward
+    from x(T) = ends (..., l); a stack of trajectories is priced row by row."""
+    tail = np.cumsum(V[..., ::-1, :], axis=-2)[..., ::-1, :] * dt
+    return np.concatenate([ends[..., None, :] - tail, ends[..., None, :]], axis=-2)
 
 
 def build_trajectory(window: Window, terminal_state, velocities) -> Trajectory:

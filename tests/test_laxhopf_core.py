@@ -355,7 +355,7 @@ class TestOuterSearch:
         def record_feed(self, value):
             if any(self is w for w in walks):  # the real walk, not a look-ahead copy
                 om, ups = self.cell
-                reads.append((float(om), tuple(ups.tolist())))
+                reads.append((float(om), tuple(map(float, ups))))
             feed(self, value)
 
         with pytest.MonkeyPatch.context() as mp:
