@@ -24,6 +24,7 @@ from .economy import ImpetusCostSpec, economic_value
 from .errors import ConfigError, LaxHopfError, MisuseError, ParameterError
 from .laxhopf_core import (
     OuterGrid,
+    _box_lattice,
     classic_lax_hopf,
     generalized_lax_hopf,
     value_result_to_json,
@@ -137,6 +138,15 @@ def _terminal(cfg: dict, dim: int):
     return terminal
 
 
+def _cost(cfg: dict, dim: int):
+    """The named cost; a ``domain`` has one [lo, hi] pair per velocity coordinate."""
+    cost = _named(cfg, "cost", make_cost)
+    if cost.domain_box is not None and len(cost.domain_box) != dim:
+        _fail("cost.params.domain", f"needs {dim} [lo, hi] pairs, one per velocity coordinate, "
+                                    f"got {cost.domain_box.tolist()!r}")
+    return cost
+
+
 def _outer_grid(cfg: dict, dim=None) -> OuterGrid:
     _get(cfg, "outer", kind=dict)
     box = _array(cfg, "outer.upsilon_box", pairs=True)
@@ -238,13 +248,12 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         terminal = _terminal(cfg, len(x))
         w = _get(cfg, "wtp", kind=dict)
         box = _array(cfg, "wtp.state_box", pairs=True)
+        if len(box) != len(x):
+            _fail("wtp.state_box", f"needs {len(x)} [lo, hi] pairs, one per coordinate of x")
         n = _num(cfg, "wtp.n_state", 101, int, low=1)
-        axes = [np.linspace(lo, hi, n) for lo, hi in box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid_pts = np.stack([m.ravel() for m in mesh], axis=1)
         value = wtp_value(
             terminal, _num(cfg, "wtp.velocity_bound", low=0), T,
-            x, _num(cfg, "wtp.omega", low=0), grid_pts,
+            x, _num(cfg, "wtp.omega", low=0), _box_lattice(box, n),
         )
         doc = {"value": "inf" if not value.is_finite else value.value}
         (out_dir / "result.json").write_text(json.dumps(doc, indent=2, sort_keys=True))
@@ -257,7 +266,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     if kind == "verify":
         x = _array(cfg, "x")
         terminal = _terminal(cfg, len(x))
-        cost = _named(cfg, "cost", make_cost)
+        cost = _cost(cfg, len(x))
         levels_raw = _get(cfg, "verify.levels", kind=list)
         levels = [_dp_grids(cfg, f"verify.levels.{i}") for i in range(len(levels_raw))]
         scenario = Scenario(terminal=terminal, cost=cost, T=T, x=x,
@@ -286,7 +295,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     else:
         x = _array(cfg, "x")
         terminal = _terminal(cfg, len(x))
-        cost = _named(cfg, "cost", make_cost)
+        cost = _cost(cfg, len(x))
         grid = _outer_grid(cfg, len(x))
         if kind != "classic" and _get(cfg, "outputs.moderation_table", None) is not None:
             table_grids = _moderation_grids(cfg, "outputs.moderation_table", len(x))
@@ -367,17 +376,13 @@ def sweep_config(cfg: dict, axis: str, values, out_dir: Path) -> int:
 def conjugate_config(cfg: dict, out_dir: Path) -> int:
     """Dump a ConjugateTable CSV for the configured cost."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    cost = _named(cfg, "cost", make_cost)
     _get(cfg, "conjugate", kind=dict)
     t = _num(cfg, "conjugate.t", 0.0)
     x = _array(cfg, "conjugate.x", default=[0.0])
     vbox = _array(cfg, "conjugate.velocity_box", pairs=True)
     duals = _array(cfg, "conjugate.dual_grid", width=len(vbox))
     n = _num(cfg, "conjugate.n_velocity", 2001, int, low=2)
-    axes = [np.linspace(lo, hi, n) for lo, hi in vbox]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    vgrid = np.stack([m.ravel() for m in mesh], axis=1)
-    table = build_conjugate_table(cost, t, x, duals, vgrid)
+    table = build_conjugate_table(_cost(cfg, len(vbox)), t, x, duals, _box_lattice(vbox, n))
     with open(out_dir / "conjugate.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"p_{h + 1}" for h in range(duals.shape[1])] + ["conjugate"])
@@ -389,9 +394,8 @@ def conjugate_config(cfg: dict, out_dir: Path) -> int:
 def moderate_config(cfg: dict, out_dir: Path) -> int:
     """Dump a ModerationTable CSV for the configured cost."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    cost = _named(cfg, "cost", make_cost)
     x = _array(cfg, "x")
-    table = build_moderation_table(cost, _num(cfg, "T"), x,
+    table = build_moderation_table(_cost(cfg, len(x)), _num(cfg, "T"), x,
                                    *_moderation_grids(cfg, "moderation", len(x)), _solver_cfg(cfg))
     moderation_table_to_csv(table, out_dir / "moderation_table.csv")
     return 0

@@ -106,7 +106,7 @@ class CostField:
     def in_domain_box(self, u: np.ndarray) -> bool:
         if self.domain_box is None:
             return True
-        box = np.asarray(self.domain_box, dtype=float)
+        box = _domain_box(self.domain_box, np.size(u))
         return bool(np.all(u >= box[:, 0]) and np.all(u <= box[:, 1]))
 
 
@@ -149,6 +149,14 @@ def _to_float(raw) -> float:
     return raw.to_float() if isinstance(raw, ExtReal) else float(raw)
 
 
+def _domain_box(box, dim: int) -> np.ndarray:
+    """A velocity box as an (l, 2) float array; it needs one row per velocity coordinate."""
+    box = np.asarray(box, dtype=float)
+    if len(box) != dim:
+        raise MisuseError(f"cost domain has {len(box)} [lo, hi] rows, velocity dimension is {dim}")
+    return box
+
+
 def _field_rows(fld, what: str, t, X, U, box=None) -> np.ndarray:
     """Rows of a cost or rate field as a float array with IEEE inf.
 
@@ -158,12 +166,12 @@ def _field_rows(fld, what: str, t, X, U, box=None) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     X = np.asarray(X, dtype=float)
     U = np.asarray(U, dtype=float)
+    box = None if box is None else _domain_box(box, U.shape[1])
     if fld.batch_evaluator is not None:
         vals = np.asarray(fld.batch_evaluator(t, X, U), dtype=float)
     else:
         vals = np.array([_to_float(fld.evaluator(float(t[i]), X[i], U[i])) for i in range(len(U))])
     if box is not None:
-        box = np.asarray(box, dtype=float)
         vals = np.where(np.any((U < box[:, 0]) | (U > box[:, 1]), axis=1), np.inf, vals)
     if np.isnan(vals).any():
         i = int(np.flatnonzero(np.isnan(vals))[0])
@@ -341,7 +349,7 @@ def check_marchaud(
             # sample inside the ball anyway so value checks still run
             lo, hi = -radius * np.ones(ell), radius * np.ones(ell)
         else:
-            box = np.asarray(cost.domain_box, dtype=float)
+            box = _domain_box(cost.domain_box, ell)
             corner = np.max(np.abs(box), axis=1)
             if np.linalg.norm(corner) > radius + 1e-12:
                 violations.append(
@@ -443,7 +451,7 @@ def make_cost(name: str, /, **params) -> CostField:
         return CostField(
             velocity_only=False,
             state_free=True,
-            declared_convex_in_u=True,
+            declared_convex_in_u=a1 == 0 and a0 >= 0,   # a0 + a1 t >= 0 at every t
             domain_box=domain,
             batch_evaluator=lambda t, X, U: (a0 + a1 * t) * np.sum(U * U, axis=1) / 2.0,
             partials=lambda t, X, U: (None, (a0 + a1 * t)[:, None] * U),

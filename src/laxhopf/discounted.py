@@ -5,7 +5,8 @@ quantity is actualized to the terminal time T, i.e. the factor applied at time
 tau is exp of the tail integral of m from tau to T along the trajectory itself.
 Rate fields and their catalog live in :mod:`laxhopf.costs` (re-exported here)
 and are evaluated through the same batch path as the costs; the discounts of
-all cells one pricing call solves come from one rate batch.
+all cells one pricing call solves come from one rate batch over the velocity
+array the inner solve returns, of which :func:`accumulate_rate` is one row.
 With m identically zero every operation here reproduces its undiscounted
 counterpart bit for bit under the same solver configuration.
 """
@@ -20,7 +21,7 @@ import numpy as np
 from .costs import CostField, RateField, TerminalCost, eval_rate_batch, eval_terminal, make_rate
 from .errors import MisuseError, RateOverflowError
 from .laxhopf_core import OuterGrid, ValueResult, _moderated_cells, _reduce
-from .moderation import _EXP_CAP, SolverConfig, _solve_cells
+from .moderation import _EXP_CAP, SolverConfig, _cell_result, _solve_cells
 from .trajectories import Trajectory, _node_states, enrichment
 
 __all__ = [
@@ -42,32 +43,34 @@ class AccumulationProfile:
     factors: np.ndarray
 
 
-def _accumulation_factors(trajs, rate: RateField) -> np.ndarray:
-    """Node factors (B, N+1) of trajectories of one step count and dimension from one
-    rate batch; every operation runs along a row in order, so row b is
-    :func:`accumulate_rate` of ``trajs[b]`` bit for bit."""
-    V = np.stack([tr.velocities for tr in trajs])                                  # (B, N, l)
-    dt, flat = np.array([[tr.dt] for tr in trajs]), (-1, V.shape[2])              # (B, 1)
-    s = _node_states(np.stack([tr.terminal_state for tr in trajs]), V, dt[:, :, None])
-    t = np.array([[tr.window.start] for tr in trajs]) + dt * (np.arange(V.shape[1]) + 0.5)
-    m = eval_rate_batch(rate, t.ravel(), (0.5 * (s[:, :-1] + s[:, 1:])).reshape(flat), V.reshape(flat))
+def _accumulation_factors(T: float, x, omegas, V: np.ndarray, rate: RateField) -> np.ndarray:
+    """Node factors (B, N+1) of the paths with velocities V (B, N, l) on the windows
+    [T - omegas[b], T] that end at x, from one rate batch; every operation runs
+    along a row in order, so row b is :func:`accumulate_rate` of that path bit for bit."""
+    (B, n, ell), start = V.shape, T - np.asarray(omegas, dtype=float)             # (B,)
+    dt = (np.asarray(omegas, dtype=float) / n)[:, None]                           # (B, 1)
+    s = _node_states(np.broadcast_to(x, (B, ell)), V, dt[:, :, None])
+    t = start[:, None] + dt * (np.arange(n) + 0.5)
+    m = eval_rate_batch(rate, t.ravel(), (0.5 * (s[:, :-1] + s[:, 1:])).reshape(-1, ell), V.reshape(-1, ell))
     tails = np.zeros(s.shape[:2])
     tails[:, :-1] = np.cumsum((dt * m.reshape(t.shape))[:, ::-1], axis=1)[:, ::-1]
     if np.any(tails > _EXP_CAP):
         b, k = np.argwhere(tails > _EXP_CAP)[0]
-        raise RateOverflowError(f"accumulated rate overflows exp at node {k} (t={trajs[b].times[k]})")
+        raise RateOverflowError(f"accumulated rate overflows exp at node {k} (t={start[b] + dt[b, 0] * k})")
     return np.exp(tails)
 
 
 def accumulate_rate(traj: Trajectory, rate: RateField) -> AccumulationProfile:
     """Node factors D_k = exp(integral of m from t_k to T), midpoint quadrature."""
-    return AccumulationProfile(times=traj.times, factors=_accumulation_factors([traj], rate)[0])
+    return AccumulationProfile(times=traj.times, factors=_accumulation_factors(
+        traj.window.T, traj.terminal_state, [traj.window.omega], traj.velocities[None], rate)[0])
 
 
 def discounted_moderate(cost: CostField, rate: RateField, T: float, x,
                         omega: float, upsilon, cfg: SolverConfig, rng=None):
     """Moderation with the integrand weighted by the trajectory's own accumulation factor."""
-    return _solve_cells(cost, rate, T, x, [omega], [upsilon], cfg, [rng])[0]
+    lam, V = _solve_cells(cost, rate, T, x, [omega], [upsilon], cfg, lambda c: rng)
+    return _cell_result(lam[0], V[0], T, x, omega)
 
 
 def discounted_value(terminal: TerminalCost, cost: CostField, rate: RateField,
@@ -79,7 +82,7 @@ def discounted_value(terminal: TerminalCost, cost: CostField, rate: RateField,
     all cells solved in one pricing call come from one rate batch.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _reduce(x, grid, _moderated_cells(terminal, cost, rate, T, x, cfg, _accumulation_factors))
+    return _reduce(T, x, grid, _moderated_cells(terminal, cost, rate, T, x, cfg, _accumulation_factors))
 
 
 def actualized_enrichment_certificate(result: ValueResult, terminal: TerminalCost,

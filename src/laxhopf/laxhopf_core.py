@@ -11,7 +11,8 @@ at an unpriced cell, a copy of it runs ahead, reading every unpriced cell as
 no improvement, and the cells that path asks for are priced in one batch with
 the missing one.  The search path is that of pricing one cell at a time.
 The search holds its point, steps and cells as tuples of Python floats: the
-same double arithmetic as on arrays, without a numpy call per probe.
+same double arithmetic as on arrays, without a numpy call per probe.  A priced
+cell holds numbers and its velocity row; the result is built for the winner only.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .costs import CostField, TerminalCost, eval_cost_batch, eval_terminal, eval_terminal_batch
 from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
-from .moderation import SolverConfig, _solve_cells
+from .moderation import SolverConfig, _cell_result, _solve_cells
 from .trajectories import Trajectory, Window, enrichment
 
 __all__ = [
@@ -40,6 +41,12 @@ __all__ = [
     "wtp_value",
     "value_result_to_json",
 ]
+
+
+def _box_lattice(box, n: int) -> np.ndarray:
+    """The (n^l, l) lattice of n points along each [lo, hi] row of ``box``, the last axis fastest."""
+    mesh = np.meshgrid(*[np.linspace(lo, hi, n) for lo, hi in box], indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 @dataclass(frozen=True)
@@ -65,10 +72,7 @@ class OuterGrid:
         if omega_max <= 0 or n_omega < 1:
             raise MisuseError("OuterGrid.build needs omega_max > 0 and n_omega >= 1")
         omegas = np.concatenate([[0.0], np.linspace(omega_max / n_omega, omega_max, n_omega)])
-        box = np.asarray(upsilon_box, dtype=float).reshape(-1, 2)
-        axes = [np.linspace(lo, hi, n_upsilon) for lo, hi in box]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        lattice = np.stack([m.ravel() for m in mesh], axis=1)
+        lattice = _box_lattice(np.asarray(upsilon_box, dtype=float).reshape(-1, 2), n_upsilon)
         return OuterGrid(omega_values=omegas, upsilon_lattice=lattice,
                          refine=refine, shrink=shrink, max_rounds=max_rounds)
 
@@ -252,9 +256,8 @@ def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
     batch.  The search (``_PatternSearch``) reads one cell at a time; each
     time it reaches an unpriced cell, that cell and the unpriced cells a
     look-ahead copy of the search reads next are priced as one batch, so the
-    search path is that of pricing one cell at a time.
+    search path is that of pricing one cell at a time.  ``grid`` is normalized.
     """
-    grid = grid.normalized()
     cells = _CellCache(cells_fn)
     ell = grid.upsilon_lattice.shape[1]
     zero_ups = (0.0,) * ell
@@ -296,35 +299,27 @@ def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
     return value, omega_star, np.array(ups_star), payload
 
 
-def _finish(value, omega_star, ups_star, start, traj, lam, c_start, discount=None) -> ValueResult:
-    if not math.isfinite(value):
-        return ValueResult(INF, None, None, None, None)
-    residual = None
-    if omega_star > 0 and lam is not None and lam.is_finite and c_start is not None:
-        d = 1.0 if discount is None else discount
-        residual = abs(enrichment(d * c_start, value, omega_star) - lam.value)
-    return ValueResult(
-        value=ExtReal(value), omega_star=float(omega_star),
-        upsilon_star=ups_star if omega_star > 0 else None,
-        start_state=start, trajectory=traj, moderation_lambda=lam,
-        certificate_residual=residual, discount_factor=discount,
-    )
-
-
-def _reduce(x: np.ndarray, grid: OuterGrid, cells_fn) -> ValueResult:
+def _reduce(T: float, x: np.ndarray, grid: OuterGrid, cells_fn) -> ValueResult:
     """The one outer reduction; its variants differ only in how ``cells_fn``
-    prices a batch of cells: (value, (lambda, trajectory, c_start, discount))
-    or (value, None) for each."""
+    prices a batch of cells: (value, (lambda, omega, velocities or None,
+    c_start, D or None)) or (value, None) for each.  It builds the result from
+    the winning cell's payload alone."""
     grid = grid.normalized()
     if (ell := grid.upsilon_lattice.shape[1]) != len(x):
         raise MisuseError(f"upsilon lattice dimension {ell} != state dimension {len(x)}")
-    omega_max = float(np.max(grid.omega_values))
-    value, om, ups, payload = _outer_minimize(grid, cells_fn, omega_max)
-    if om == 0.0 or payload is None:
-        return _finish(value, om, ups, x.copy() if math.isfinite(value) else None,
-                       None, None, None)
-    lam, traj, c_start, discount = payload
-    return _finish(value, om, ups, x - om * ups, traj, lam, c_start, discount=discount)
+    value, om, ups, payload = _outer_minimize(grid, cells_fn, float(np.max(grid.omega_values)))
+    if not math.isfinite(value):
+        return ValueResult(INF, None, None, None, None)
+    if payload is None:   # the zero-aperture cell
+        return ValueResult(ExtReal(value), 0.0, None, x.copy(), None)
+    lam, omega, v, c_start, d = payload
+    moderation_lambda, traj = _cell_result(lam, v, T, x, omega)
+    return ValueResult(
+        value=ExtReal(value), omega_star=float(om), upsilon_star=ups, start_state=x - om * ups,
+        trajectory=traj, moderation_lambda=moderation_lambda,
+        certificate_residual=abs(enrichment((1.0 if d is None else d) * c_start, value, om) - lam),
+        discount_factor=d,
+    )
 
 
 def _moderated_cells(terminal: TerminalCost, cost: CostField, rate, T: float, x: np.ndarray,
@@ -333,8 +328,8 @@ def _moderated_cells(terminal: TerminalCost, cost: CostField, rate, T: float, x:
     + omega * moderated cost, and c(T, x) at zero aperture.
 
     The windows of all cells with a finite start cost are solved together, each
-    descent cell with its own seed; ``discount(trajectories, rate)`` gives the node
-    factors (B, N+1) of the solved cells, whose first column is D (1 without it).
+    descent cell with its own seed; ``discount(T, x, omegas, V, rate)`` gives the
+    node factors (B, N+1) of the solved cells, whose first column is D (1 without it).
     """
     def cells_fn(cells):
         out, live = [], []
@@ -347,14 +342,15 @@ def _moderated_cells(terminal: TerminalCost, cost: CostField, rate, T: float, x:
                 live.append((len(out), om, ups, c_val.value))
             out.append((math.inf, None))
         if live:
-            solved = _solve_cells(cost, rate, T, x, [om for _, om, _, _ in live],
-                                  [ups for _, _, ups, _ in live], cfg,
+            omegas = [om for _, om, _, _ in live]
+            lam, V = _solve_cells(cost, rate, T, x, omegas, [ups for _, _, ups, _ in live], cfg,
                                   lambda c: _cell_seed(cfg.seed, live[c][1], live[c][2]))
-            done = [(cell, lam, traj) for cell, (lam, traj) in zip(live, solved) if lam.is_finite]
-            ds = ([None] * len(done) if discount is None or not done
-                  else discount([t for *_, t in done], rate)[:, 0].tolist())
-            for ((i, om, _, c), lam, traj), d0 in zip(done, ds):
-                out[i] = ((c if d0 is None else d0 * c) + om * lam.value, (lam, traj, c, d0))
+            done = np.flatnonzero(np.isfinite(lam))
+            ds = ([None] * len(done) if discount is None or not done.size
+                  else discount(T, x, np.asarray(omegas)[done], V[done], rate)[:, 0].tolist())
+            for k, lam_k, d0 in zip(done.tolist(), lam[done].tolist(), ds):
+                i, om, _, c = live[k]
+                out[i] = ((c if d0 is None else d0 * c) + om * lam_k, (lam_k, om, V[k], c, d0))
         return out
 
     return cells_fn
@@ -387,10 +383,10 @@ def classic_lax_hopf(terminal: TerminalCost, cost: CostField, T: float, x,
             lvals = eval_cost_batch(cost, np.full(int(live.sum()), float(T)),
                                     np.broadcast_to(x, ups[live].shape), ups[live])
             for i, c, lval in zip(np.asarray(idx)[live], c_vals[live].tolist(), lvals.tolist()):
-                out[i] = (c + lval * om, (ExtReal(lval), None, c, None))
+                out[i] = (c + lval * om, (lval, om, None, c, None))
         return out
 
-    result = _reduce(x, grid, cells_fn)
+    result = _reduce(T, x, grid, cells_fn)
     if not result.omega_star or not result.value.is_finite:
         return result
     return replace(result, trajectory=Trajectory(
@@ -402,7 +398,7 @@ def generalized_lax_hopf(terminal: TerminalCost, cost: CostField, T: float, x,
                          grid: OuterGrid, cfg: SolverConfig) -> ValueResult:
     """Generalized reduction: omega * moderated cost replaces omega * l(upsilon)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return _reduce(x, grid, _moderated_cells(terminal, cost, None, T, x, cfg))
+    return _reduce(T, x, grid, _moderated_cells(terminal, cost, None, T, x, cfg))
 
 
 def optimum_certificate(result: ValueResult, terminal: TerminalCost,
@@ -454,13 +450,15 @@ def wtp_value(terminal: TerminalCost, velocity_bound: float, T: float, x,
     if velocity_bound < 0:
         raise MisuseError(f"velocity bound must be nonnegative, got {velocity_bound}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    pts = np.asarray(state_grid, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    if pts.shape[1] != len(x):
+        raise MisuseError(f"state grid dimension {pts.shape[1]} != state dimension {len(x)}")
     if omega == 0:
         return eval_terminal(terminal, T, x)
     if velocity_bound == 0:
         return eval_terminal(terminal, T - omega, x)
-    pts = np.asarray(state_grid, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
     inside = np.linalg.norm(pts - x, axis=1) <= omega * velocity_bound + 1e-12
     vals = eval_terminal_batch(terminal, T - omega, pts[inside])
     return ExtReal(float(np.min(vals, initial=np.inf)))

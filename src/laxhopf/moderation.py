@@ -42,6 +42,10 @@ trial passes; the lanes that fail price their next halvings together in one
 more batch (:func:`_line_search`), with the steps and points of halving one
 at a time.  The gradient reuses the rows its accepted trial was priced with.
 
+A solve of many cells returns arrays, lambda (C,) and argmin velocities
+(C, N, l), inf and NaN for an infeasible cell; :func:`_cell_result` makes the
+public (ExtReal, Trajectory) pair of one cell.
+
 The same machinery serves the interest-rate variant: an optional rate field
 weights each quadrature node by the accumulation factor of its own trajectory.
 """
@@ -55,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import CostField, eval_cost, eval_cost_batch, eval_rate_batch
+from .costs import CostField, _domain_box, eval_cost, eval_cost_batch, eval_rate_batch
 from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
 from .trajectories import AdmissibleSpec, Trajectory, Window
@@ -180,20 +184,19 @@ class _WindowObjective:
         """Objective of velocity matrices U (B, N, l) on lanes (B,) -> (B,) with inf."""
         return self.priced(U, lanes)[0]
 
-    def gradient(self, U: np.ndarray, lanes: np.ndarray, base: np.ndarray, rows=None):
+    def gradient(self, U: np.ndarray, lanes: np.ndarray, base: np.ndarray, rows):
         """Gradients at velocity matrices U (B, N, l) of finite objective ``base`` (B,).
 
         The exact discrete adjoint when the cost and the rate have partials:
         with w_k = e^{I_k}, a_k = w_k l_k, c_k = dt sum_{i<k} a_i + (dt/2) a_k
         and q_k = w_k l_x(k) + c_k m_x(k),
-        df/du_j = scale [w_j l_u(j) + c_j m_u(j) - (dt/2) q_j - dt sum_{k<j} q_k].
-        ``rows`` are the rows :meth:`priced` returned for U; without them the
-        midpoints, and under a rate the weights and cost rows, are priced again.
-        Otherwise central finite differences (:meth:`_fd_gradient`).
+        df/du_j = scale [w_j l_u(j) + c_j m_u(j) - (dt/2) q_j - dt sum_{k<j} q_k],
+        on the ``rows`` :meth:`priced` returned for U.  Otherwise central
+        finite differences (:meth:`_fd_gradient`).
         """
         if self.cost.partials is None or (self.rate is not None and self.rate.partials is None):
             return self._fd_gradient(U, lanes, base)
-        mids, raw, w = (None, None, None) if rows is None else rows
+        mids, raw, w = rows
         rows = self._rows(U, lanes, mids)
         dt = rows[3][:, :, None]
 
@@ -205,9 +208,6 @@ class _WindowObjective:
         G = np.zeros(U.shape) if lu is None else lu
         q = lx
         if self.rate is not None:
-            if w is None:
-                w = self._weights(rows, lanes)
-                raw = eval_cost_batch(self.cost, *rows[:3]).reshape(w.shape)
             a = w * raw
             c = dt * (_before(a) + 0.5 * a)[:, :, None]
             mx, mu = partials(self.rate)
@@ -406,20 +406,19 @@ def _line_search(obj, project, ids, u, v, g, step):
     return trial, tval, rows, step, fail
 
 
-def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs, admissible=None):
+def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, seed_of, admissible=None):
     """Solve many (omega, upsilon) cells: separable windows in closed form, the rest
     in lockstep descent with one lane per start of each cell.
 
-    ``rngs`` holds one seed or generator per cell (None: ``cfg.seed``), or is a
-    function of the cell's index giving it, called only for the cells whose
-    descent draws starts; returns one (ExtReal lambda, Trajectory or None) per cell.
+    ``seed_of(c)`` gives the seed or generator of cell c (None: ``cfg.seed``),
+    called only for the cells whose descent draws starts.  Returns lambda (C,)
+    and the argmin velocities V (C, N, l): inf and a NaN row for an infeasible cell.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n_steps = int(cfg.n_steps)
-    n_seeds = len(omegas) if callable(rngs) else len(rngs)
-    if not len(omegas) == len(upsilons) == n_seeds:
-        raise MisuseError(f"moderation needs one upsilon and one seed per aperture, got "
-                          f"{len(omegas)} apertures, {len(upsilons)} upsilons, {n_seeds} seeds")
+    if len(omegas) != len(upsilons):
+        raise MisuseError(f"moderation needs one upsilon per aperture, got "
+                          f"{len(omegas)} apertures, {len(upsilons)} upsilons")
     omegas = [float(om) for om in omegas]
     upsilons = [np.atleast_1d(np.asarray(u, dtype=float)) for u in upsilons]
     for om, ups in zip(omegas, upsilons):
@@ -427,27 +426,32 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs, ad
             raise MisuseError(f"moderation needs a positive aperture, got {om}")
         if ups.shape != x.shape:
             raise MisuseError(f"upsilon dimension {ups.size} != state dimension {x.size}")
-    box = None if cost.domain_box is None else np.asarray(cost.domain_box, dtype=float)
-    out = [(INF, None)] * len(omegas)
+    box = None if cost.domain_box is None else _domain_box(cost.domain_box, x.size)
+    lam, V = np.full(len(omegas), np.inf), np.full((len(omegas), n_steps, x.size), np.nan)
+
+    def take_best(cells, U, val, n_starts):   # each cell's best start; the first start wins ties
+        best = np.arange(len(cells)) * n_starts + val.reshape(-1, n_starts).argmin(axis=1)
+        fin = np.isfinite(val[best])
+        lam[cells[fin]], V[cells[fin]] = val[best[fin]], U[best[fin]]
 
     # the mean of box-constrained steps cannot leave the box
-    cells = [i for i, ups in enumerate(upsilons)
-             if box is None or not (np.any(ups < box[:, 0]) or np.any(ups > box[:, 1]))]
-    if cells and cost.separable is not None and admissible is None and (rate is None or rate.time_only):
+    cells = np.array([i for i, ups in enumerate(upsilons)
+                      if box is None or not (np.any(ups < box[:, 0]) or np.any(ups > box[:, 1]))], dtype=int)
+    if cells.size and cost.separable is not None and admissible is None and (rate is None or rate.time_only):
         obj = _WindowObjective(cost, rate, T, np.asarray(omegas)[cells], x, n_steps)
         U, exact = _separable_argmins(obj, cost.separable, np.asarray(upsilons)[cells], box)
         lanes = np.flatnonzero(exact)
-        _keep_best(out, [cells[c] for c in lanes], U[lanes], obj.values(U[lanes], lanes), 1, T, x, omegas)
-        cells = [cells[c] for c in np.flatnonzero(~exact)]
-    if not cells:
-        return out
+        take_best(cells[lanes], U[lanes], obj.values(U[lanes], lanes), 1)
+        cells = cells[~exact]
+    if not cells.size:
+        return lam, V
     # lane c * n_starts + k is start k of cell c; start 0 is the constant path
     n_starts = cfg.multi_starts + 1
     ups = np.repeat(np.asarray(upsilons)[cells], n_starts, axis=0)            # (L, l)
     starts = np.repeat(ups[:, None, :], n_steps, axis=1)                       # (L, N, l)
     if n_starts > 1:
-        for c, i in enumerate(cells):
-            seed = rngs(i) if callable(rngs) else rngs[i]
+        for c, i in enumerate(cells.tolist()):
+            seed = seed_of(i)
             rng = np.random.default_rng(cfg.seed if seed is None else seed)
             scale = 0.5 * float(np.linalg.norm(upsilons[i])) + 0.1
             noise = rng.uniform(-1.0, 1.0, size=(n_starts - 1, n_steps, ups.shape[1]))
@@ -506,8 +510,8 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, rngs, ad
         if not go.all():
             keep(go)
     U[ids], val[ids] = u, v
-    _keep_best(out, cells, U, val, n_starts, T, x, omegas)
-    return out
+    take_best(cells, U, val, n_starts)
+    return lam, V
 
 
 def _separable_argmins(obj: _WindowObjective, separable, ups: np.ndarray, box):
@@ -537,16 +541,15 @@ def _separable_argmins(obj: _WindowObjective, separable, ups: np.ndarray, box):
     return U, ok
 
 
-def _keep_best(out, cells, U, val, n_starts, T, x, omegas):
-    """Store each cell's best start (values ``val``, lanes of U in cell order) into ``out``."""
-    # the first start wins ties
-    best = val.reshape(-1, n_starts).argmin(axis=1)
-    for c, i in enumerate(cells):
-        lane = c * n_starts + best[c]
-        if math.isfinite(val[lane]):
-            traj = Trajectory(window=Window(T=float(T), omega=omegas[i]),
-                              terminal_state=x, velocities=U[lane].copy())
-            out[i] = (ExtReal(float(val[lane])), traj)
+def _cell_result(lam: float, v, T, x, omega):
+    """The public result of one solved cell: (ExtReal lambda, argmin Trajectory);
+    (INF, None) for an infeasible cell, and no trajectory when ``v`` is None."""
+    if not math.isfinite(lam):
+        return INF, None
+    traj = None if v is None else Trajectory(
+        window=Window(T=float(T), omega=float(omega)),
+        terminal_state=np.atleast_1d(np.asarray(x, dtype=float)), velocities=v)
+    return ExtReal(float(lam)), traj
 
 
 def moderate(prob: ModerationProblem, cfg: SolverConfig, rng=None):
@@ -556,8 +559,9 @@ def moderate(prob: ModerationProblem, cfg: SolverConfig, rng=None):
     form) and otherwise an upper bound on it (local multi-start descent);
     +infinity with no argmin signals an upsilon outside the effective domain.
     """
-    return _solve_cells(prob.cost, None, prob.T, prob.x, [prob.omega], [prob.upsilon], cfg, [rng],
-                        prob.admissible)[0]
+    lam, V = _solve_cells(prob.cost, None, prob.T, prob.x, [prob.omega], [prob.upsilon], cfg,
+                          lambda c: rng, prob.admissible)
+    return _cell_result(lam[0], V[0], prob.T, prob.x, prob.omega)
 
 
 def jensen_gap(cost: CostField, T, x, omega, upsilon, cfg: SolverConfig, rng=None) -> float:
@@ -568,11 +572,11 @@ def jensen_gap(cost: CostField, T, x, omega, upsilon, cfg: SolverConfig, rng=Non
     """
     if not (cost.velocity_only and cost.declared_convex_in_u):
         raise MisuseError("jensen_gap requires a velocity-only cost declared convex in u")
-    lam, _ = _solve_cells(cost, None, T, x, [omega], [upsilon], cfg, [rng])[0]
+    lam = float(_solve_cells(cost, None, T, x, [omega], [upsilon], cfg, lambda c: rng)[0][0])
     pointwise = eval_cost(cost, float(T), x, upsilon)
-    if not lam.is_finite and not pointwise.is_finite:
+    if math.isinf(lam) and not pointwise.is_finite:
         return 0.0
-    return lam.to_float() - pointwise.to_float()
+    return lam - pointwise.to_float()
 
 
 @dataclass(frozen=True)
@@ -603,15 +607,14 @@ def build_moderation_table(cost, T, x, omega_grid, upsilon_grid, cfg: SolverConf
     if omega_grid.size == 0 or upsilon_grid.size == 0:
         raise MisuseError("moderation table grids must be non-empty")
     n, m = len(omega_grid), len(upsilon_grid)
-    cells = [(i, j) for i in range(n) for j in range(m)]
-    solved = _solve_cells(
-        cost, None, T, x, [omega_grid[i] for i, _ in cells], [upsilon_grid[j] for _, j in cells],
+    lam, V = _solve_cells(
+        cost, None, T, x, np.repeat(omega_grid, m), np.tile(upsilon_grid, (n, 1)),
         cfg, lambda c: np.random.SeedSequence([cfg.seed, *divmod(c, m)]),
     )
-    values = np.array([lam.to_float() for lam, _ in solved]).reshape(n, m)
-    argmins = [[traj for _, traj in solved[i * m:(i + 1) * m]] for i in range(n)]
+    argmins = [[_cell_result(lam[i * m + j], V[i * m + j], T, x, omega_grid[i])[1] for j in range(m)]
+               for i in range(n)]
     return ModerationTable(
-        omega_grid=omega_grid, upsilon_grid=upsilon_grid, values=values,
+        omega_grid=omega_grid, upsilon_grid=upsilon_grid, values=lam.reshape(n, m),
         argmins=argmins, base_point=(float(T), np.atleast_1d(np.asarray(x, dtype=float))),
     )
 

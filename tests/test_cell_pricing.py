@@ -1,7 +1,8 @@
 """Cell pricing of the outer search against the per-cell forms it replaced.
 
 The discount factors of a pricing call come from one rate batch, seeds are
-drawn only for descent cells, and the pattern search runs on Python floats.
+drawn only for descent cells, the inner solve returns arrays whose rows are
+the single-cell results, and the pattern search runs on Python floats.
 Each reference below is the earlier per-cell or array form, written out here,
 and every comparison is bit for bit.
 """
@@ -24,6 +25,7 @@ from laxhopf import (
     accumulate_rate,
     build_moderation_table,
     classic_lax_hopf,
+    discounted_moderate,
     discounted_value,
     generalized_lax_hopf,
     make_cost,
@@ -93,12 +95,13 @@ def per_cell_pricer(terminal, cost, rate, T, x, cfg):
         if live:
             seeds = ([per_cell_seed(cfg.seed, om, ups) for _, om, ups, _ in live] if cfg.multi_starts
                      else [None] * len(live))
-            solved = _solve_cells(cost, rate, T, x, [om for _, om, _, _ in live],
-                                  [ups for _, _, ups, _ in live], cfg, seeds)
-            for (i, om, _, c), (lam, traj) in zip(live, solved):
-                if lam.is_finite:
+            lam, V = _solve_cells(cost, rate, T, x, [om for _, om, _, _ in live],
+                                  [ups for _, _, ups, _ in live], cfg, lambda k: seeds[k])
+            for (i, om, _, c), lam_k, v in zip(live, lam.tolist(), V):
+                if math.isfinite(lam_k):
+                    traj = trajectory(T, om, x, v)
                     d0 = None if rate is None else float(per_trajectory_factors(traj, rate)[0])
-                    out[i] = ((c if d0 is None else d0 * c) + om * lam.value, (lam, traj, c, d0))
+                    out[i] = ((c if d0 is None else d0 * c) + om * lam_k, (lam_k, om, v, c, d0))
         return out
 
     return cells_fn
@@ -169,16 +172,20 @@ def trajectory(T, omega, x, velocities):
 
 @st.composite
 def trajectory_batches(draw, speed=3.0):
-    """Trajectories of one step count and dimension with their own windows and ends."""
+    """Trajectories of one step count, dimension, end time and end state, with their own apertures."""
     ell, n, b = draw(st.integers(1, 3)), draw(st.integers(1, 9)), draw(st.integers(1, 6))
     num = st.floats(-speed, speed, allow_nan=False, allow_subnormal=False)
-    trajs = []
-    for _ in range(b):
-        T = draw(st.floats(-1.0, 2.0, allow_subnormal=False))
-        omega = draw(st.floats(0.01, 2.0))
-        x = [draw(st.floats(-2.0, 2.0, allow_subnormal=False)) for _ in range(ell)]
-        trajs.append(trajectory(T, omega, x, [[draw(num) for _ in range(ell)] for _ in range(n)]))
-    return trajs
+    T = draw(st.floats(-1.0, 2.0, allow_subnormal=False))
+    x = [draw(st.floats(-2.0, 2.0, allow_subnormal=False)) for _ in range(ell)]
+    return [trajectory(T, draw(st.floats(0.01, 2.0)), x, [[draw(num) for _ in range(ell)] for _ in range(n)])
+            for _ in range(b)]
+
+
+def factors(trajs, rate):
+    """_accumulation_factors of a batch of trajectories that share T and x."""
+    T, x = trajs[0].window.T, trajs[0].terminal_state
+    return _accumulation_factors(T, x, [tr.window.omega for tr in trajs],
+                                 np.stack([tr.velocities for tr in trajs]), rate)
 
 
 class TestDiscountBatch:
@@ -187,7 +194,7 @@ class TestDiscountBatch:
            r=st.floats(-2.0, 2.0, allow_subnormal=False))
     def test_rows_equal_the_per_trajectory_factors(self, trajs, rate, r):
         field = {"constant": make_rate("constant", r=r), "velocity": RATES["velocity"], "txu": TXU_RATE}[rate]
-        got = _accumulation_factors(trajs, field)
+        got = factors(trajs, field)
         assert got.shape == (len(trajs), len(trajs[0].velocities) + 1)
         for row, traj in zip(got, trajs):
             want = per_trajectory_factors(traj, field)
@@ -206,17 +213,17 @@ class TestDiscountBatch:
                 want = str(exc)
                 break
         if want is None:
-            _accumulation_factors(trajs, rate)
+            factors(trajs, rate)
             return
         with pytest.raises(RateOverflowError) as info:
-            _accumulation_factors(trajs, rate)
+            factors(trajs, rate)
         assert str(info.value) == want
 
     def test_overflow_in_a_later_lane(self):
-        calm = trajectory(1.0, 0.5, [0.2, 0.1], [[0.3, -0.2]] * 4)
-        wild = trajectory(2.0, 1.0, [0.0, 0.0], [[900.0, 1.0]] * 4)
+        calm = trajectory(2.0, 0.5, [0.2, 0.1], [[0.3, -0.2]] * 4)
+        wild = trajectory(2.0, 1.0, [0.2, 0.1], [[900.0, 1.0]] * 4)
         with pytest.raises(RateOverflowError) as info:
-            _accumulation_factors([calm, wild, calm], RATES["velocity"])
+            factors([calm, wild, calm], RATES["velocity"])
         with pytest.raises(RateOverflowError) as alone:
             per_trajectory_factors(wild, RATES["velocity"])
         assert str(info.value) == str(alone.value)
@@ -257,7 +264,7 @@ class TestReductionsMatchPerCellPricing:
             got = generalized_lax_hopf(QTERM, COSTS[cost], 1.0, x, grid, cfg)
         else:
             got = discounted_value(QTERM, COSTS[cost], field, 1.0, x, grid, cfg)
-        want = _reduce(x, grid, per_cell_pricer(QTERM, COSTS[cost], field, 1.0, x, cfg))
+        want = _reduce(1.0, x, grid, per_cell_pricer(QTERM, COSTS[cost], field, 1.0, x, cfg))
         assert bits(got) == bits(want)
 
     def test_velocity_rate_with_starts(self):
@@ -265,8 +272,17 @@ class TestReductionsMatchPerCellPricing:
         cfg = SolverConfig(n_steps=8, multi_starts=1, max_iter=30, seed=0)
         x = np.array([0.95])
         got = discounted_value(QTERM, QUAD, RATES["velocity"], 1.0, x, grid, cfg)
-        want = _reduce(x, grid, per_cell_pricer(QTERM, QUAD, RATES["velocity"], 1.0, x, cfg))
+        want = _reduce(1.0, x, grid, per_cell_pricer(QTERM, QUAD, RATES["velocity"], 1.0, x, cfg))
         assert got.discount_factor is not None and bits(got) == bits(want)
+
+    def test_trajectory_window_takes_the_priced_aperture(self, monkeypatch):
+        # the search can read a cell priced at 0.3 under the rounded key of its probe 0.1 + 0.2
+        priced_at, probed_at = 0.3, 0.1 + 0.2
+        payload = (0.5, priced_at, np.full((4, 1), 0.25), 0.1, None)
+        monkeypatch.setattr(laxhopf_core, "_outer_minimize",
+                            lambda grid, cells_fn, omega_max: (0.4, probed_at, np.array([0.25]), payload))
+        got = _reduce(1.0, np.array([1.0]), OuterGrid.build(1.0, 2, [[-1, 1]], 5), None)
+        assert got.trajectory.window.omega == priced_at != got.omega_star == probed_at
 
 
 class TestSeedsOnlyForDescent:
@@ -278,9 +294,9 @@ class TestSeedsOnlyForDescent:
             seeded.append((omega, tuple(ups.tolist())))
             return seed(base, omega, ups)
 
-        def counted_solve(cost, rate, T, x, omegas, upsilons, cfg, rngs, admissible=None):
+        def counted_solve(cost, rate, T, x, omegas, upsilons, cfg, seed_of, admissible=None):
             solved.extend((om, tuple(u.tolist())) for om, u in zip(omegas, upsilons))
-            return solve(cost, rate, T, x, omegas, upsilons, cfg, rngs, admissible)
+            return solve(cost, rate, T, x, omegas, upsilons, cfg, seed_of, admissible)
 
         monkeypatch.setattr(laxhopf_core, "_cell_seed", counted_seed)
         monkeypatch.setattr(laxhopf_core, "_solve_cells", counted_solve)
@@ -322,16 +338,75 @@ class TestSeedsOnlyForDescent:
         cfg = SolverConfig(n_steps=6, multi_starts=2, max_iter=10, seed=3)
         omegas, ups = [0.5, 1.0], [[-0.5], [0.0], [0.5]]
         got = build_moderation_table(DESCENT_QUAD, 1.0, [1.0], omegas, ups, cfg)
-        want = _solve_cells(DESCENT_QUAD, None, 1.0, [1.0], [om for om in omegas for _ in ups],
-                            [u for _ in omegas for u in ups], cfg,
-                            [np.random.SeedSequence([3, i, j]) for i in range(2) for j in range(3)])
-        assert got.values.tobytes() == np.array([lam.to_float() for lam, _ in want]).reshape(2, 3).tobytes()
+        seeds = [np.random.SeedSequence([3, i, j]) for i in range(2) for j in range(3)]
+        lam, V = _solve_cells(DESCENT_QUAD, None, 1.0, [1.0], [om for om in omegas for _ in ups],
+                              [u for _ in omegas for u in ups], cfg, lambda k: seeds[k])
+        assert got.values.tobytes() == lam.reshape(2, 3).tobytes()
+        assert all(got.argmins[i][j].velocities.tobytes() == V[3 * i + j].tobytes()
+                   for i in range(2) for j in range(3))
 
         def no_seed(*args, **kwargs):
             raise AssertionError("a separable entry drew a seed")
 
         monkeypatch.setattr(np.random, "SeedSequence", no_seed)
         assert np.isfinite(build_moderation_table(WQ, 1.0, [1.0], omegas, ups, SolverConfig()).values).all()
+
+
+# ---------------------------------------------------------------------------
+# the array results of the inner solve against the public single-cell calls
+# ---------------------------------------------------------------------------
+
+SOLVE_COSTS = {"quadratic": QUAD, "weighted_quadratic": WQ, "abs": ABS,
+               "indicator_zero": make_cost("indicator_zero"), "descent_quadratic": DESCENT_QUAD,
+               "descent_weighted_quadratic": dataclasses.replace(WQ, separable=None)}
+
+
+@st.composite
+def cell_batches(draw):
+    """(cost, rate, x, cells, seeds): mixed apertures, upsilons in and out of the box."""
+    ell = draw(st.sampled_from([1, 2]))
+    name = draw(st.sampled_from(sorted(SOLVE_COSTS)))
+    cost = SOLVE_COSTS[name]
+    if draw(st.booleans()):
+        cost = dataclasses.replace(cost, domain_box=np.array([[-1.0, 1.0]] * ell))
+    coord = st.sampled_from([-1.5, -0.6, 0.0, 0.4, 1.0, 1.3])   # +-1.5, 1.3 leave the box
+    cells = draw(st.lists(st.tuples(st.sampled_from([0.25, 0.5, 1.0]), st.tuples(*[coord] * ell)),
+                          min_size=1, max_size=5))
+    seeds = [draw(st.integers(0, 9)) for _ in cells]
+    return cost, RATES[draw(st.sampled_from(sorted(RATES)))], [0.8] * ell, cells, seeds
+
+
+class TestArrayResults:
+    @settings(max_examples=60, deadline=None)
+    @given(case=cell_batches(), starts=st.integers(0, 2))
+    def test_rows_equal_the_single_cell_calls(self, case, starts):
+        cost, rate, x, cells, seeds = case
+        cfg = SolverConfig(n_steps=5, multi_starts=starts, max_iter=15, seed=1)
+        lam, V = _solve_cells(cost, rate, 1.0, x, [om for om, _ in cells], [u for _, u in cells], cfg,
+                              lambda c: seeds[c])
+        assert lam.shape == (len(cells),) and V.shape == (len(cells), cfg.n_steps, len(x))
+        for c, (om, ups) in enumerate(cells):
+            if rate is None:
+                one, traj = moderate(ModerationProblem(cost, 1.0, np.array(x), om, np.array(ups)), cfg, seeds[c])
+            else:
+                one, traj = discounted_moderate(cost, rate, 1.0, x, om, ups, cfg, seeds[c])
+            if not one.is_finite:
+                assert lam[c] == math.inf and traj is None and np.isnan(V[c]).all()
+                continue
+            assert lam[c].hex() == one.value.hex()
+            assert V[c].tobytes() == traj.velocities.tobytes()
+            assert (traj.window.T, traj.window.omega) == (1.0, om)
+
+    def test_infeasible_rows(self):
+        # upsilon outside the box, and the indicator of zero away from zero
+        cfg = SolverConfig(n_steps=4, multi_starts=1, max_iter=5)
+        boxed = make_cost("quadratic", domain=[[-1, 1]])
+        lam, V = _solve_cells(boxed, None, 1.0, [1.0], [0.5, 1.0], [[1.5], [0.5]], cfg, lambda c: c)
+        assert lam[0] == math.inf and np.isnan(V[0]).all()
+        assert lam[1] == 0.125 and np.array_equal(V[1], np.full((4, 1), 0.5))
+        lam, V = _solve_cells(make_cost("indicator_zero"), None, 1.0, [1.0], [0.5, 0.5], [[0.0], [0.3]],
+                              cfg, lambda c: c)
+        assert lam.tolist() == [0.0, math.inf] and np.isnan(V[1]).all() and not np.isnan(V[0]).any()
 
 
 # ---------------------------------------------------------------------------

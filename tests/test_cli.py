@@ -223,6 +223,12 @@ class TestTypedFields:
          "terminal.params.x0"),
         (dict(with_level(), terminal={"name": "indicator_origin", "params": {"x0": [0.0, 0.0]}}),
          "terminal.params.x0"),
+        # a cost domain has one [lo, hi] pair per velocity coordinate, a wtp box one per state coordinate
+        ({"cost": {"name": "quadratic", "params": {"domain": [[-1, 1], [-0.1, 0.1]]}}}, "cost.params.domain"),
+        (dict(with_level(), cost={"name": "abs", "params": {"domain": [[-1, 1], [-1, 1]]}}),
+         "cost.params.domain"),
+        (dict(WTP, wtp=dict(WTP["wtp"], state_box=[[-1, 1], [0, 1]])), "wtp.state_box"),
+        (dict(WTP, x=[1.0, 0.0], wtp=dict(WTP["wtp"], state_box=[[-1, 1]])), "wtp.state_box"),
     ])
     def test_exit_2_names_field(self, tmp_path, capsys, monkeypatch, overrides, field):
         def no_search(*args, **kwargs):   # a negative max_rounds search would never stop
@@ -299,6 +305,16 @@ class TestTypedTableFields:
         # a box is a list of [lo, hi] pairs, never a flat list
         ("run", with_params("cost", "quadratic", domain=[-1, 1, -2, 2]), "cost.params.domain"),
         ("conjugate", with_conjugate(velocity_box=[-5, 5]), "conjugate.velocity_box"),
+        # a cost domain has one [lo, hi] pair per velocity coordinate; numpy would broadcast it
+        ("run", dict(with_params("cost", "quadratic", domain=[[-1, 1], [-0.1, 0.1]]), kind="generalized"),
+         "cost.params.domain"),
+        ("run", dict(with_params("cost", "quadratic", domain=[[-1, 1], [-0.1, 0.1]]), kind="discounted",
+                     rate={"name": "zero"}), "cost.params.domain"),
+        ("moderate", dict(with_params("cost", "quadratic", domain=[[-1, 1], [-0.1, 0.1]]),
+                          moderation={"omega_grid": [1.0], "upsilon_grid": [[0.5]]}), "cost.params.domain"),
+        ("conjugate", dict(with_params("cost", "quadratic", domain=[[-1, 1]]),
+                           **with_conjugate(velocity_box=[[-5, 5], [-5, 5]], dual_grid=[[0, 0]])),
+         "cost.params.domain"),
     ])
     def test_exit_2_names_field(self, tmp_path, capsys, command, overrides, field):
         cfg = write_cfg(tmp_path, overrides)

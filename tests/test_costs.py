@@ -164,6 +164,39 @@ class TestCatalogs:
         assert term.in_departure_tube(0.0, 0.0)
         assert not term.in_departure_tube(1.0, 0.0)
 
+    @pytest.mark.parametrize("a0, a1, convex", [(1.0, 1.0, False), (-0.3, 1.0, False), (1.0, 0.0, True),
+                                                (0.0, 0.0, True), (-0.3, 0.0, False)])
+    def test_weighted_quadratic_convex_only_for_a_nonnegative_constant_weight(self, a0, a1, convex):
+        # (a0 + a1 t) |u|^2 / 2 is convex in u at every t only when the weight is a constant >= 0
+        assert make_cost("weighted_quadratic", a0=a0, a1=a1).declared_convex_in_u is convex
+
+
+class TestDomainWidth:
+    """A cost ``domain`` needs one [lo, hi] row per velocity coordinate; numpy would broadcast."""
+
+    BOXED = make_cost("quadratic", domain=[[-1, 1], [-0.1, 0.1]])
+    MATCH = "cost domain has 2 \\[lo, hi\\] rows, velocity dimension is 1"
+
+    def test_cost_rows(self):
+        with pytest.raises(MisuseError, match=self.MATCH):
+            eval_cost(self.BOXED, 0.0, [1.0], [0.5])
+        with pytest.raises(MisuseError, match=self.MATCH):
+            eval_cost_batch(self.BOXED, np.zeros(3), np.zeros((3, 1)), np.zeros((3, 1)))
+        with pytest.raises(MisuseError, match="cost domain has 1 \\[lo, hi\\] rows, velocity dimension is 2"):
+            eval_cost(make_cost("abs", domain=[[-1, 1]]), 0.0, [1.0, 0.0], [0.5, 0.5])
+
+    def test_conjugate_and_checks(self):
+        with pytest.raises(MisuseError, match=self.MATCH):
+            legendre_fenchel(self.BOXED, 0.0, 0.0, 1.0, GRID)
+        with pytest.raises(MisuseError, match=self.MATCH):
+            subdifferential_check(self.BOXED, 0.0, 0.0, 0.5, 0.5, GRID, 1e-9)
+        with pytest.raises(MisuseError, match=self.MATCH):
+            check_marchaud(self.BOXED, 1.0, (0.0, 1.0), [[-1, 1]], 3, rng=0)
+
+    def test_matching_width_prices(self):
+        assert eval_cost(self.BOXED, 0.0, [0.0, 0.0], [0.5, 0.05]).value == pytest.approx(0.12625)
+        assert not eval_cost(self.BOXED, 0.0, [0.0, 0.0], [0.5, 0.2]).is_finite
+
 
 def _bits(v) -> str:
     return float(v).hex()

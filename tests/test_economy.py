@@ -343,10 +343,10 @@ class TestImpetusGradient:
     def test_adjoint_equals_finite_differences(self, drawn):
         obj, U = drawn
         lanes = np.arange(len(U))
-        base = obj.values(U, lanes)
+        base, rows = obj.priced(U, lanes)
         assert np.isfinite(base).all()
         fd = obj._fd_gradient(U, lanes, base)
-        adjoint = obj.gradient(U, lanes, base)
+        adjoint = obj.gradient(U, lanes, base, rows)
         np.testing.assert_allclose(adjoint, fd, rtol=1e-6, atol=1e-6 * max(1.0, np.abs(fd).max()))
 
     def test_gradient_prices_no_perturbed_trajectories(self):
@@ -356,9 +356,9 @@ class TestImpetusGradient:
         n, lanes = 6, np.arange(3)
         obj = _WindowObjective(cost, None, 1.0, [0.5, 1.0, 0.8], [1.0, -0.5, 0.8, 1.2], n)
         U = np.random.default_rng(0).uniform(-1, 1, (3, n, 4))
-        base = obj.values(U, lanes)
+        base, rows = obj.priced(U, lanes)
         batches.clear()
         scalars.clear()
-        obj.gradient(U, lanes, base)
+        obj.gradient(U, lanes, base, rows)
         assert batches == []
         assert len(scalars) == 2 * (len(lanes) * n)

@@ -7,9 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laxhopf import (
+    DPGrids,
     OuterGrid,
     SolverConfig,
+    Window,
+    build_trajectory,
     classic_lax_hopf,
+    cumulated_cost,
+    dp_oracle,
     dynamic_value_profile,
     generalized_lax_hopf,
     make_cost,
@@ -172,6 +177,38 @@ class TestWtp:
     def test_empty_intersection(self):
         v = wtp_value(QTERM, 1.0, 1.0, 10.0, 0.5, np.linspace(-3, 3, 7))
         assert not v.is_finite
+
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    def test_grid_of_the_wrong_width(self, omega):
+        # the points of a 2-D grid would broadcast against x and price a 2-D terminal
+        grid = np.array([[0.0, 0.0], [1.0, 0.5]])
+        with pytest.raises(MisuseError, match="state grid dimension 2 != state dimension 1"):
+            wtp_value(QTERM, 1.0, 1.0, [1.0], omega, grid)
+        with pytest.raises(MisuseError, match="state grid dimension 1 != state dimension 2"):
+            wtp_value(QTERM, 1.0, 1.0, [1.0, 0.0], omega, np.linspace(-1, 1, 5))
+
+
+class TestDomainWidth:
+    """A cost domain with more rows than x has coordinates is misuse in every reduction."""
+
+    BOXED = make_cost("quadratic", domain=[[-1, 1], [-0.1, 0.1]])
+    GRID = OuterGrid.build(1.0, 2, [[-1, 1]], 5)
+    MATCH = "cost domain has 2 \\[lo, hi\\] rows, velocity dimension is 1"
+
+    def test_classic(self):
+        with pytest.raises(MisuseError, match=self.MATCH):
+            classic_lax_hopf(QTERM, self.BOXED, 1.0, [1.0], self.GRID)
+
+    def test_generalized(self, fast_cfg):
+        with pytest.raises(MisuseError, match=self.MATCH):
+            generalized_lax_hopf(QTERM, self.BOXED, 1.0, [1.0], self.GRID, fast_cfg)
+
+    def test_dp_oracle_and_cumulated_cost(self):
+        grids = DPGrids.build(0.0, 1.0, 10, [[-2, 2]], 0.01, [[-2, 2]], 0.1)
+        with pytest.raises(MisuseError, match=self.MATCH):
+            dp_oracle(QTERM, self.BOXED, grids)
+        with pytest.raises(MisuseError, match=self.MATCH):
+            cumulated_cost(build_trajectory(Window(T=1.0, omega=1.0), [1.0], [0.5, 0.5]), self.BOXED)
 
 
 class TestProperties:

@@ -153,10 +153,10 @@ class TestGradient:
         obj = _WindowObjective(GRADIENT_COSTS[cost](ell), GRADIENT_RATES[rate], T, omegas, x,
                                U.shape[1])
         lanes = np.arange(len(U))
-        base = obj.values(U, lanes)
+        base, rows = obj.priced(U, lanes)
         assert np.isfinite(base).all()
         fd = obj._fd_gradient(U, lanes, base)
-        adjoint = obj.gradient(U, lanes, base)
+        adjoint = obj.gradient(U, lanes, base, rows)
         np.testing.assert_allclose(adjoint, fd, rtol=1e-6, atol=1e-6 * max(1.0, np.abs(fd).max()))
 
     @pytest.mark.parametrize("ell", [1, 2])
@@ -165,9 +165,9 @@ class TestGradient:
         n, lanes = 5, np.arange(3)
         obj = _WindowObjective(cost, None, 1.0, [0.5, 1.0, 0.8], [1.0] * ell, n)
         U = np.random.default_rng(0).uniform(-1, 1, (3, n, ell))
-        base = obj.values(U, lanes)
+        base, rows = obj.priced(U, lanes)
         calls.clear()
-        obj.gradient(U, lanes, base)
+        obj.gradient(U, lanes, base, rows)
         assert sum(calls) == len(lanes) * 2 * n * ell * n
 
     def test_catalog_gradient_prices_no_perturbed_rows(self):
@@ -177,11 +177,8 @@ class TestGradient:
         obj = _WindowObjective(cost, make_rate("velocity"), 1.0, [0.5, 1.0], [1.0], n)
         U = np.random.default_rng(0).uniform(-1, 1, (2, n, 1))
         base, rows = obj.priced(U, lanes)
-        warm = obj.gradient(U, lanes, base, rows)
+        obj.gradient(U, lanes, base, rows)
         assert sum(calls) == len(lanes) * n
-        cold = obj.gradient(U, lanes, base)   # without the rows: the cost is priced again
-        assert sum(calls) == 2 * (len(lanes) * n)
-        assert np.array_equal(warm, cold)
 
     def test_replace_keeps_partials(self):
         wrapped, _ = counted(WQ)
@@ -245,18 +242,16 @@ class TestLockstep:
         cost, rate = lane_cost(name, ell)
         cfg = SolverConfig(n_steps=6, multi_starts=starts, max_iter=25, seed=0)
 
-        def solve(part):
+        def solve(part):   # one seed per cell, whatever the batch
             seeds = [np.random.SeedSequence([3, cells.index(c)]) for c in part]
             return _solve_cells(cost, rate, 1.0, [1.0] * ell, [om for om, _ in part],
-                                [ups for _, ups in part], cfg, seeds)
+                                [ups for _, ups in part], cfg, lambda k: seeds[k])
 
-        for c, (lam, traj) in zip(batch, solve(batch)):
-            alone, alone_traj = solve([c])[0]
-            assert lam.to_float() == alone.to_float()
-            if traj is None:
-                assert alone_traj is None
-            else:
-                assert np.array_equal(traj.velocities, alone_traj.velocities)
+        lam, V = solve(batch)
+        for k, c in enumerate(batch):
+            alone, alone_V = solve([c])
+            assert lam[k] == alone[0]
+            assert V[k].tobytes() == alone_V[0].tobytes()   # NaN rows for an infeasible cell
 
 
 def one_rung_solve(cost, rate, T, x, omegas, upsilons, cfg, rngs, log):
@@ -312,7 +307,7 @@ def one_rung_solve(cost, rate, T, x, omegas, upsilons, cfg, rngs, log):
     for _ in range(cfg.max_iter):
         if not ids.size:
             break
-        g = obj.gradient(u, ids, v)
+        g = obj.gradient(u, ids, v, obj.priced(u, ids)[1])
         if prev_u is not None:
             s_vec, y_vec = u - prev_u, g - prev_g
             sty = dots(s_vec, y_vec)
@@ -410,7 +405,7 @@ class TestLineSearch:
         cost, rate, x, cells = case
         cfg = SolverConfig(n_steps=n_steps, multi_starts=starts, max_iter=25, seed=0)
         seeds = [np.random.SeedSequence([5, k]) for k in range(len(cells))]
-        args = (cost, rate, 1.0, x, [om for om, _ in cells], [ups for _, ups in cells], cfg, seeds)
+        args = (cost, rate, 1.0, x, [om for om, _ in cells], [ups for _, ups in cells], cfg)
         want_log, got_log, finite = [], [], []
 
         def logged(obj, project, ids, u, v, g, step):
@@ -427,15 +422,16 @@ class TestLineSearch:
         priced = _WindowObjective.priced
         with mock.patch.object(moderation, "_MAX_BACKTRACKS", max_backtracks), \
                 mock.patch.object(moderation, "_STEP_INIT", step_init):
-            want, want_reason = one_rung_solve(*args, want_log)
+            want, want_reason = one_rung_solve(*args, seeds, want_log)
             with mock.patch.object(moderation, "_line_search", logged), \
                     mock.patch.object(_WindowObjective, "priced", starts_priced):
-                got = _solve_cells(*args)
-        for (lam, traj), (want_lam, want_u) in zip(got, want):
-            assert lam.to_float() == want_lam
-            assert (traj is None) == (want_u is None)
-            if traj is not None:
-                assert np.array_equal(traj.velocities, want_u)
+                lam, V = _solve_cells(*args, lambda k: seeds[k])
+        for k, (want_lam, want_u) in enumerate(want):
+            assert lam[k] == want_lam
+            if want_u is None:
+                assert np.isnan(V[k]).all()
+            else:
+                assert np.array_equal(V[k], want_u)
         assert len(got_log) == len(want_log)
         for got_search, want_search in zip(got_log, want_log):
             (ids, v, step, tval, fail), (w_ids, w_v, w_step, w_tval, w_fail) = got_search, want_search
@@ -509,10 +505,10 @@ class TestConfigChecks:
         lam, traj = moderate(prob(QUAD, upsilon=0.5), cfg)
         assert lam.value == 0.125 and np.array_equal(traj.velocities, [[0.5]])   # l = u^2 / 2
 
-    def test_one_seed_per_cell(self, fast_cfg):
-        with pytest.raises(MisuseError, match="seed"):
-            _solve_cells(QUAD, None, 1.0, [0.0], [1.0, 0.5, 0.25], [[0.1], [0.2], [0.3]],
-                         fast_cfg, [0])
+    def test_one_upsilon_per_aperture(self, fast_cfg):
+        with pytest.raises(MisuseError, match="3 apertures, 2 upsilons"):
+            _solve_cells(QUAD, None, 1.0, [0.0], [1.0, 0.5, 0.25], [[0.1], [0.2]],
+                         fast_cfg, lambda c: 0)
 
 
 class TestAdmissible:
