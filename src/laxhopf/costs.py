@@ -112,7 +112,7 @@ class CostField:
 
 @dataclass(frozen=True)
 class RateField:
-    """Per-time-unit interest rate m(t, x, u), no sign restriction.
+    """Per-time-unit interest rate m(t, x, u), no sign restriction; a NaN or -inf row is a fault.
 
     ``evaluator``, ``batch_evaluator`` and ``partials`` follow the contract of
     :class:`CostField`, ``partials`` returning (dm/dx, dm/du).
@@ -157,11 +157,23 @@ def _domain_box(box, dim: int) -> np.ndarray:
     return box
 
 
+def _box(box, name: str) -> np.ndarray:
+    """``box`` as a (k, 2) float array of finite [lo, hi] rows with lo <= hi."""
+    try:
+        arr = np.asarray(box, dtype=float)
+    except (TypeError, ValueError):
+        arr = np.empty(0)
+    ok = arr.ndim == 2 and arr.shape[1] == 2 and len(arr) > 0 and np.isfinite(arr).all()
+    if not (ok and np.all(arr[:, 0] <= arr[:, 1])):
+        raise MisuseError(f"{name} needs a non-empty list of finite [lo, hi] pairs with lo <= hi, got {box!r}")
+    return arr
+
+
 def _field_rows(fld, what: str, t, X, U, box=None) -> np.ndarray:
     """Rows of a cost or rate field as a float array with IEEE inf.
 
     Runs the batch evaluator, or loops the scalar one row by row; rows whose
-    velocity leaves ``box`` are +infinity, and a NaN row is a fault.
+    velocity leaves ``box`` are +infinity, and a NaN or -infinity row is a fault.
     """
     t = np.asarray(t, dtype=float)
     X = np.asarray(X, dtype=float)
@@ -173,9 +185,11 @@ def _field_rows(fld, what: str, t, X, U, box=None) -> np.ndarray:
         vals = np.array([_to_float(fld.evaluator(float(t[i]), X[i], U[i])) for i in range(len(U))])
     if box is not None:
         vals = np.where(np.any((U < box[:, 0]) | (U > box[:, 1]), axis=1), np.inf, vals)
-    if np.isnan(vals).any():
-        i = int(np.flatnonzero(np.isnan(vals))[0])
-        raise EvaluationFault(f"{what} evaluator returned NaN at t={t[i]}, x={X[i]}, u={U[i]}")
+    ok = vals > -np.inf   # false on NaN and -inf
+    if not ok.all():
+        i = int(np.argmin(ok))
+        bad = "NaN" if np.isnan(vals[i]) else "-inf"
+        raise EvaluationFault(f"{what} evaluator returned {bad} at t={t[i]}, x={X[i]}, u={U[i]}")
     return vals
 
 
@@ -185,7 +199,7 @@ def eval_cost_batch(cost: CostField, t: np.ndarray, X: np.ndarray, U: np.ndarray
 
 
 def eval_rate_batch(rate: RateField, t: np.ndarray, X: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """Rate rows m(t_i, X_i, U_i) as a float array."""
+    """Rate rows m(t_i, X_i, U_i) as a float array; raises EvaluationFault on a NaN or -inf row."""
     return _field_rows(rate, "rate", t, X, U)
 
 
@@ -204,13 +218,19 @@ def eval_terminal(term: TerminalCost, t: float, x) -> ExtReal:
 
 
 def eval_terminal_batch(term: TerminalCost, t: float, X: np.ndarray) -> np.ndarray:
+    """Terminal rows c(t, X_i); a NaN row is an EvaluationFault and a -inf row misuse, as in eval_terminal."""
     X = np.asarray(X, dtype=float)
     if term.batch_evaluator is not None:
         vals = np.asarray(term.batch_evaluator(t, X), dtype=float)
     else:
         vals = np.array([eval_terminal(term, t, X[i]).to_float() for i in range(len(X))])
-    if np.isnan(vals).any():
-        raise EvaluationFault(f"terminal evaluator returned NaN at t={t}")
+    ok = vals > -np.inf   # false on NaN and -inf
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if np.isnan(vals[i]):
+            raise EvaluationFault(f"terminal evaluator returned NaN at t={t}, x={X[i]}")
+        raise MisuseError(f"terminal evaluator returned -inf at t={t}, x={X[i]}; "
+                          "extended reals have no negative infinity")
     return vals
 
 
@@ -335,7 +355,7 @@ def check_marchaud(
     if c_const <= 0:
         raise MisuseError("check_marchaud needs a positive growth constant")
     rng = np.random.default_rng(rng)
-    x_box = np.asarray(x_box, dtype=float).reshape(-1, 2)
+    x_box = _box(x_box, "x_box")
     ell = len(x_box)
     violations = []
     for _ in range(n_samples):

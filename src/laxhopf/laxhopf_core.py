@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import CostField, TerminalCost, eval_cost_batch, eval_terminal, eval_terminal_batch
+from .costs import CostField, TerminalCost, _box, eval_cost_batch, eval_terminal, eval_terminal_batch
 from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
 from .moderation import SolverConfig, _cell_result, _solve_cells
@@ -72,7 +72,7 @@ class OuterGrid:
         if omega_max <= 0 or n_omega < 1:
             raise MisuseError("OuterGrid.build needs omega_max > 0 and n_omega >= 1")
         omegas = np.concatenate([[0.0], np.linspace(omega_max / n_omega, omega_max, n_omega)])
-        lattice = _box_lattice(np.asarray(upsilon_box, dtype=float).reshape(-1, 2), n_upsilon)
+        lattice = _box_lattice(_box(upsilon_box, "upsilon_box"), n_upsilon)
         return OuterGrid(omega_values=omegas, upsilon_lattice=lattice,
                          refine=refine, shrink=shrink, max_rounds=max_rounds)
 
@@ -146,7 +146,7 @@ class _CellCache:
             if key not in self.store and key not in todo:
                 todo[key] = cell
         if todo:
-            priced = self.cells_fn([(om, np.array(ups)) for om, ups in todo.values()])
+            priced = self.cells_fn(list(todo.values()))
             for (key, (omega, ups)), cell in zip(todo.items(), priced):
                 if ahead and key != keys[0]:
                     self.ahead[key] = ((omega, *ups), cell)
@@ -252,7 +252,7 @@ def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
     best positive-aperture grid cell instead, moving on strict gains only, and
     its end point replaces the zero cell only if it is strictly cheaper.
 
-    ``cells_fn`` prices a list of (omega, upsilon) cells.  The grid pass is one
+    ``cells_fn`` prices a list of (omega, upsilon tuple) cells.  The grid pass is one
     batch.  The search (``_PatternSearch``) reads one cell at a time; each
     time it reaches an unpriced cell, that cell and the unpriced cells a
     look-ahead copy of the search reads next are priced as one batch, so the
@@ -337,6 +337,7 @@ def _moderated_cells(terminal: TerminalCost, cost: CostField, rate, T: float, x:
             if om == 0.0:
                 out.append((eval_terminal(terminal, T, x).to_float(), None))
                 continue
+            ups = np.array(ups)
             c_val = eval_terminal(terminal, T - om, x - om * ups)
             if c_val.is_finite:
                 live.append((len(out), om, ups, c_val.value))

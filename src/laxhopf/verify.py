@@ -6,9 +6,21 @@ over apertures without enumerating windows.  Out-of-lattice transitions are
 excluded, never clamped, so every value is certified by an actual lattice
 trajectory.  A cost declared ``state_free`` is priced once per (time step,
 velocity) into a stage table before the sweep; any other cost is priced at
-every in-lattice (node, velocity) pair of every step.  The surface kernel works
-on IEEE floats with inf internally (only sums and mins, so NaN cannot arise);
-the accessor API speaks ExtReal.
+every in-lattice (node, velocity) pair of every step.
+
+The sweep keeps W of the previous and the current step in two flat buffers
+padded with +inf: each state axis d >= 1 gets a halo of max |k_d| nodes on
+both sides (k: the nodes an in-lattice velocity moves per step), and each
+buffer a margin of sum_d halo_d * stride_d at both ends.  A move is then one
+contiguous shift by k . strides over the destination rows [lo_0, hi_0) of
+axis 0, and a source off the lattice reads +inf.  The halo entries those rows
+cover take throwaway values and are reset after each step.  The views of
+every move are built once per sweep: slicing per move and step costs as much
+as the add and the min themselves on a 1-D lattice.
+
+NaN and -inf cost and terminal rows are rejected, so the kernel adds only
+reals and +inf: NaN cannot arise.
+The accessor API speaks ExtReal.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ import numpy as np
 from .costs import (
     CostField,
     TerminalCost,
+    _box,
     eval_cost_batch,
     eval_terminal_batch,
     legendre_fenchel,
@@ -92,13 +105,11 @@ class DPGrids:
 
     @staticmethod
     def build(t0, T, n_t, state_box, state_step, velocity_box, velocity_step) -> "DPGrids":
-        state_box = np.asarray(state_box, float).reshape(-1, 2)
-        velocity_box = np.asarray(velocity_box, float).reshape(-1, 2)
         s_axes, v_axes = [], []
-        for lo, hi in state_box:
+        for lo, hi in _box(state_box, "state_box"):
             n = int(round((hi - lo) / state_step))
             s_axes.append(lo + state_step * np.arange(n + 1))
-        for lo, hi in velocity_box:
+        for lo, hi in _box(velocity_box, "velocity_box"):
             n = int(round((hi - lo) / velocity_step))
             v_axes.append(lo + velocity_step * np.arange(n + 1))
         return DPGrids(float(t0), float(T), int(n_t), tuple(s_axes), tuple(v_axes))
@@ -155,10 +166,16 @@ def dp_oracle(terminal: TerminalCost, cost: CostField, grids: DPGrids) -> ValueS
     starting from W(t0, y) = c(t0, y).  Boundary states whose predecessor would
     leave the lattice take only the fresh-start branch.
 
+    Each velocity is one add and one min on precomputed views of the padded
+    buffers (see the module docstring); the step loop slices and allocates nothing.
     When ``cost.state_free`` is set, l is priced once per (step, velocity) in
     one batch, at the midpoint of that velocity's first in-lattice destination,
-    and every node of the step shares the row; the sweep runs the same float
-    operations on the same operands as the per-node pricing of other fields.
+    and every node of the step shares dt * l as a Python float.  Any other field
+    is priced at the in-lattice destinations of each (step, velocity) into that
+    block of a padded stage buffer, whose other entries meet only +inf sources
+    or halo destinations.  Each node adds the operands of a per-node sum.
+
+    Raises EvaluationFault, naming (t, x, u), for a NaN or -inf cost row.
     """
     dt = grids.dt
     mesh = grids.state_mesh()                       # (*dims, l)
@@ -166,41 +183,72 @@ def dp_oracle(terminal: TerminalCost, cost: CostField, grids: DPGrids) -> ValueS
     flat_states = mesh.reshape(-1, grids.dim)
     steps = np.array([ax[1] - ax[0] for ax in grids.state_axes])
 
-    moves = []   # (u, destination slices, source slices) of each velocity that stays in the lattice
+    moves = []   # (u, k) of each velocity with an in-lattice destination
     for u in itertools.product(*grids.velocity_axes):
         u = np.asarray(u, float)
         k = np.round(u * dt / steps).astype(int)
+        if np.all(np.abs(k) < dims):
+            moves.append((u, k))
+
+    halo = np.max([np.abs(k) for _, k in moves], axis=0) if moves else np.zeros(grids.dim, int)
+    halo[0] = 0                                     # axis 0 is cut to the destination rows
+    padded = np.array(dims) + 2 * halo
+    strides = np.cumprod(np.concatenate(([1], padded[:0:-1])))[::-1]
+    margin, size = int(halo @ strides), int(np.prod(padded))
+    bufs = [np.full(size + 2 * margin, np.inf) for _ in range(2)]
+    cores = [b[margin:margin + size].reshape(padded) for b in bufs]
+    inner = tuple(map(slice, halo, halo + dims))
+    outside = np.ones(padded, bool)
+    outside[inner] = False
+    outside = margin + np.flatnonzero(outside)      # the halo entries of a buffer
+    scratch = np.empty(size)
+    if not cost.state_free:
+        stage_buf = np.zeros(size + 2 * margin)
+        stage_core = stage_buf[margin:margin + size].reshape(padded)
+
+    shifts = [[], []]   # per parity of the step: (destination, source, scratch) views of each move
+    blocks = []         # per move: mesh block, its stage buffer view, the flat stage view
+    for u, k in moves:
         lo, hi = np.maximum(k, 0), np.array(dims) + np.minimum(k, 0)
-        if np.all(lo < hi):
-            moves.append((u, tuple(map(slice, lo, hi)), tuple(map(slice, lo - k, hi - k))))
+        a, b = margin + lo[0] * strides[0], margin + hi[0] * strides[0]
+        off = int(k @ strides)
+        for p in (0, 1):
+            shifts[p].append((bufs[p][a:b], bufs[1 - p][a - off:b - off], scratch[:b - a]))
+        if not cost.state_free:
+            blocks.append((mesh[tuple(map(slice, lo, hi))],
+                           stage_core[tuple(map(slice, lo + halo, hi + halo))], stage_buf[a:b]))
 
     t_mids = grids.times[1:] - dt / 2.0
-    table = None   # (step, velocity) stage costs of a state-free field
+    stages = [[]] * grids.n_t   # dt * l of each (step, move) of a state-free field, as floats
     if cost.state_free and moves:
-        U = np.array([u for u, _, _ in moves])
-        X = np.array([mesh[tuple(s.start for s in dest)] for _, dest, _ in moves]) - U * (dt / 2.0)
+        U = np.array([u for u, _ in moves])
+        X = np.array([mesh[tuple(np.maximum(k, 0))] for _, k in moves]) - U * (dt / 2.0)
         n = len(moves)
         table = eval_cost_batch(
             cost, np.repeat(t_mids, n), np.tile(X, (grids.n_t, 1)), np.tile(U, (grids.n_t, 1))
         ).reshape(grids.n_t, n)
+        stages = (dt * table).tolist()
 
+    def priced(j):
+        """dt * l of each move at step j, written into the stage buffer."""
+        for (u, _), (block, view, flat) in zip(moves, blocks):
+            m = (block - u * (dt / 2.0)).reshape(-1, grids.dim)
+            vals = eval_cost_batch(cost, np.full(len(m), t_mids[j - 1]), m, np.broadcast_to(u, m.shape))
+            np.multiply(dt, vals.reshape(view.shape), out=view)
+            yield flat
+
+    add, minimum = np.add, np.minimum
     values = np.empty((grids.n_t + 1, *dims))
-    values[0] = eval_terminal_batch(terminal, float(grids.times[0]), flat_states).reshape(dims)
+    values[0] = cores[0][inner] = eval_terminal_batch(
+        terminal, float(grids.times[0]), flat_states).reshape(dims)
     for j in range(1, grids.n_t + 1):
-        best = eval_terminal_batch(terminal, float(grids.times[j]), flat_states).reshape(dims)
-        prev = values[j - 1]
-        with np.errstate(invalid="ignore"):
-            for v, (u, dest, src) in enumerate(moves):
-                if table is not None:
-                    stage = table[j - 1, v]
-                else:
-                    mid = mesh[dest] - u * (dt / 2.0)
-                    m = mid.reshape(-1, grids.dim)
-                    stage = eval_cost_batch(
-                        cost, np.full(len(m), t_mids[j - 1]), m, np.broadcast_to(u, m.shape)
-                    ).reshape(mid.shape[:-1])
-                np.minimum(best[dest], prev[src] + dt * stage, out=best[dest])
-        values[j] = best
+        p = j & 1
+        cores[p][inner] = eval_terminal_batch(terminal, float(grids.times[j]), flat_states).reshape(dims)
+        for (dst, src, tmp), stage in zip(shifts[p], stages[j - 1] if cost.state_free else priced(j)):
+            add(src, stage, out=tmp)
+            minimum(dst, tmp, out=dst)
+        values[j] = cores[p][inner]
+        bufs[p][outside] = np.inf
     return ValueSurface(grids=grids, values=values)
 
 
@@ -279,7 +327,7 @@ def jensen_suite(cost: CostField, n_samples: int, omega_range, upsilon_box,
     mixing beats the pointwise cost, i.e. the declared convexity is not real.
     """
     rng = np.random.default_rng(seed)
-    upsilon_box = np.asarray(upsilon_box, float).reshape(-1, 2)
+    upsilon_box = _box(upsilon_box, "upsilon_box")
     samples, pos, neg = [], [], []
     worst = 0.0
     for i in range(n_samples):

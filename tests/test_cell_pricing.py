@@ -88,6 +88,7 @@ def per_cell_pricer(terminal, cost, rate, T, x, cfg):
             if om == 0.0:
                 out.append((eval_terminal(terminal, T, x).to_float(), None))
                 continue
+            ups = np.array(ups)
             c_val = eval_terminal(terminal, T - om, x - om * ups)
             if c_val.is_finite:
                 live.append((len(out), om, ups, c_val.value))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from laxhopf import (
     CostField,
     RateField,
+    TerminalCost,
     build_conjugate_table,
     check_marchaud,
     eval_cost,
@@ -16,7 +17,7 @@ from laxhopf import (
     make_terminal,
     subdifferential_check,
 )
-from laxhopf.costs import eval_cost_batch, eval_rate_batch, eval_terminal, make_rate
+from laxhopf.costs import eval_cost_batch, eval_rate_batch, eval_terminal, eval_terminal_batch, make_rate
 from laxhopf.errors import EmptyDomainError, EvaluationFault, MisuseError
 
 QUAD = make_cost("quadratic")                 # |u|^2 / 2
@@ -259,6 +260,20 @@ class TestOneEvaluationPath:
         rate = RateField(batch_evaluator=lambda t, X, U: np.full(len(U), math.nan))
         with pytest.raises(EvaluationFault, match="rate evaluator returned NaN at t="):
             eval_rate_batch(rate, [0.5], [[0.0]], [[1.0]])
+
+    def test_minus_inf_rate_is_a_fault(self):
+        rate = RateField(batch_evaluator=lambda t, X, U: np.where(U[:, 0] > 0, -math.inf, 0.0))
+        with pytest.raises(EvaluationFault, match=r"rate evaluator returned -inf at t=0\.5, x=\[0\.\], u=\[1\.\]"):
+            eval_rate_batch(rate, [0.5, 0.5], [[0.0], [0.0]], [[-1.0], [1.0]])
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_minus_inf_terminal_is_misuse(self, batch):
+        f = lambda t, x: -math.inf if abs(x[0] - 1.0) < 0.5 else 0.0
+        term = TerminalCost(evaluator=f, batch_evaluator=(lambda t, X: np.array([f(t, x) for x in X])) if batch else None)
+        with pytest.raises(MisuseError, match="negative infinity"):
+            eval_terminal_batch(term, 0.5, [[0.0], [1.0]])
+        with pytest.raises(MisuseError, match="negative infinity"):
+            eval_terminal(term, 0.5, [1.0])
 
 
 class TestStateFree:

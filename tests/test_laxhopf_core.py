@@ -335,6 +335,23 @@ def bowl_searches(draw):
 
 
 class TestOuterSearch:
+    @pytest.mark.parametrize("box", [
+        [-1, 1, -2, 2],            # flat: not read as a 2-D box
+        [-1, 1, 0],                # no [lo, hi] pairs
+        [[1, -1]],                 # reversed
+        [[-1, math.inf]],
+        [[math.nan, 1]],
+        [],
+        [[-1, "a"]],
+    ])
+    def test_upsilon_box_needs_finite_ordered_pairs(self, box):
+        with pytest.raises(MisuseError, match="upsilon_box"):
+            OuterGrid.build(1.0, 2, box, 3)
+
+    def test_degenerate_upsilon_box(self):
+        grid = OuterGrid.build(1.0, 2, [[0.5, 0.5], [-1, 1]], 3)
+        assert grid.upsilon_lattice[:, 0].tolist() == [0.5] * 9
+
     def test_negative_max_rounds_misuse(self):
         # the search stops when its round count reaches max_rounds, so a negative one never stops
         with pytest.raises(MisuseError, match="max_rounds"):

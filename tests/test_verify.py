@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laxhopf import (
@@ -21,7 +21,7 @@ from laxhopf import (
     make_terminal,
     surface_to_csv,
 )
-from laxhopf.costs import CostField
+from laxhopf.costs import CostField, TerminalCost, eval_cost_batch, eval_terminal_batch
 from laxhopf.errors import CommensurabilityError, EvaluationFault, MisuseError
 from laxhopf.verify import ValueSurface
 
@@ -49,6 +49,24 @@ class TestDPGrids:
     def test_dimension_mismatch(self):
         with pytest.raises(MisuseError):
             DPGrids(0.0, 1.0, 10, (np.linspace(-1, 1, 11),), ())
+
+    @pytest.mark.parametrize("box", [[-1, 1, 0], [[1, -1]], [[-1, math.inf]], [[math.nan, 1]], [], "wide"])
+    def test_state_box_needs_finite_ordered_pairs(self, box):
+        with pytest.raises(MisuseError, match="state_box"):
+            DPGrids.build(0.0, 1.0, 10, box, 0.1, [[-1, 1]], 0.1)
+
+    @pytest.mark.parametrize("box", [[[0.5, 0.5]], [[0.5, 0.54]]])
+    def test_degenerate_state_box(self, box):
+        with pytest.raises(MisuseError, match="state axis 0 needs at least two nodes"):
+            DPGrids.build(0.0, 1.0, 10, box, 0.1, [[-1, 1]], 0.1)
+
+    @pytest.mark.parametrize("box", [[-1, 1, 0], [[1, -1]], [[-1, math.inf]], [[math.nan, 1]]])
+    def test_velocity_box_needs_finite_ordered_pairs(self, box):
+        with pytest.raises(MisuseError, match="velocity_box"):
+            DPGrids.build(0.0, 1.0, 10, [[-1, 1]], 0.1, box, 0.1)
+
+    def test_single_velocity(self):
+        assert DPGrids.build(0.0, 1.0, 10, [[-1, 1]], 0.1, [[0, 0]], 0.1).velocity_axes[0].tolist() == [0.0]
 
 
 class TestDpOracle:
@@ -176,15 +194,20 @@ class TestConvergenceStudy:
 
 @st.composite
 def small_grids(draw):
-    """Small commensurable grids; some velocities may leave the lattice entirely."""
-    dim = draw(st.sampled_from([1, 2]))
+    """Small commensurable 1-3-D grids with their own box per axis (2 to 7 nodes);
+    velocity boxes may be a single velocity, one-sided, miss 0, or leave the
+    lattice in some or every move."""
+    dim = draw(st.sampled_from([1, 2, 3]))
     n_t = draw(st.integers(1, 4))
     h = draw(st.sampled_from([0.125, 0.25, 0.5]))
     v_step = draw(st.integers(1, 2)) * h * n_t       # moves 1 or 2 nodes per step (T = 1)
-    n_lo, n_hi = draw(st.integers(-3, 0)), draw(st.integers(1, 3))
-    v_lo, v_hi = draw(st.integers(-4, 0)), draw(st.integers(0, 4))
-    return DPGrids.build(0.0, 1.0, n_t, [[n_lo * h, n_hi * h]] * dim, h,
-                         [[v_lo * v_step, v_hi * v_step]] * dim, v_step)
+    state_box, velocity_box = [], []
+    for _ in range(dim):
+        n_lo = draw(st.integers(-3, 0))
+        state_box.append([n_lo * h, (n_lo + draw(st.integers(1, 6))) * h])
+        v_lo = draw(st.integers(-4, 2))
+        velocity_box.append([v_lo * v_step, (v_lo + draw(st.integers(0, 8))) * v_step])
+    return DPGrids.build(0.0, 1.0, n_t, state_box, h, velocity_box, v_step)
 
 
 CATALOG = [("quadratic", {}), ("quadratic", {"a": 2.0}), ("abs", {}),
@@ -223,8 +246,7 @@ class TestStateFreeStageTable:
     def test_table_equals_per_node_pricing(self, g, which, boxed, indicator, node):
         name, params = CATALOG[which]
         cost = make_cost(name, domain=[[-1.0, 0.5]] * g.dim if boxed else None, **params)
-        axis = g.state_axes[0]
-        origin = np.full(g.dim, axis[node % len(axis)])
+        origin = np.array([ax[node % len(ax)] for ax in g.state_axes])
         term = make_terminal("indicator_origin" if indicator else "quadratic_state", x0=origin)
         fast = dp_oracle(term, cost, g).values
         slow = dp_oracle(term, dataclasses.replace(cost, state_free=False), g).values
@@ -256,6 +278,88 @@ class TestStateFreeStageTable:
                         state_free=True)
         with pytest.raises(EvaluationFault, match=r"x=\[-1\.995\], u=\[0\.1\]"):
             dp_oracle(QTERM, nan, grids(n_t=10, state_step=0.01))
+
+    @pytest.mark.parametrize("state_free", [True, False])
+    def test_minus_inf_is_a_fault(self, state_free):
+        # -inf + inf is NaN: it would spread through the sweep instead of bounding it
+        neg = CostField(batch_evaluator=lambda t, X, U: np.where(U[:, 0] > 0, -np.inf, 0.0),
+                        state_free=state_free)
+        g = DPGrids.build(0, 1, 4, [[-0.4, 0.4]], 0.05, [[-0.2, 0.2]], 0.2)
+        with pytest.raises(EvaluationFault, match=r"-inf at t=0\.125, x=\[-0\.375\], u=\[0\.2\]"):
+            dp_oracle(IND, neg, g)
+
+    def test_minus_inf_terminal_is_misuse(self):
+        # a -inf node plus a +inf stage (a velocity outside the domain box) would be NaN
+        neg = TerminalCost(evaluator=lambda t, x: 0.0,
+                           batch_evaluator=lambda t, X: np.where(np.abs(X[:, 0]) < 0.01, -np.inf, 0.0))
+        g = DPGrids.build(0, 1, 4, [[-0.4, 0.4]], 0.05, [[-0.2, 0.2]], 0.2)
+        with pytest.raises(MisuseError, match=r"-inf at t=0\.0, x=\[0\.\]"):
+            dp_oracle(neg, make_cost("quadratic", domain=[[-0.1, 0.1]]), g)
+
+
+def _slice_loop_oracle(terminal, cost, grids):
+    """Reference sweep, one sliced add and min per (step, velocity); dp_oracle must equal it bitwise."""
+    dt = grids.dt
+    mesh = grids.state_mesh()                       # (*dims, l)
+    dims = mesh.shape[:-1]
+    flat_states = mesh.reshape(-1, grids.dim)
+    steps = np.array([ax[1] - ax[0] for ax in grids.state_axes])
+
+    moves = []   # (u, destination slices, source slices) of each velocity that stays in the lattice
+    for u in itertools.product(*grids.velocity_axes):
+        u = np.asarray(u, float)
+        k = np.round(u * dt / steps).astype(int)
+        lo, hi = np.maximum(k, 0), np.array(dims) + np.minimum(k, 0)
+        if np.all(lo < hi):
+            moves.append((u, tuple(map(slice, lo, hi)), tuple(map(slice, lo - k, hi - k))))
+
+    t_mids = grids.times[1:] - dt / 2.0
+    table = None   # (step, velocity) stage costs of a state-free field
+    if cost.state_free and moves:
+        U = np.array([u for u, _, _ in moves])
+        X = np.array([mesh[tuple(s.start for s in dest)] for _, dest, _ in moves]) - U * (dt / 2.0)
+        n = len(moves)
+        table = eval_cost_batch(
+            cost, np.repeat(t_mids, n), np.tile(X, (grids.n_t, 1)), np.tile(U, (grids.n_t, 1))
+        ).reshape(grids.n_t, n)
+
+    values = np.empty((grids.n_t + 1, *dims))
+    values[0] = eval_terminal_batch(terminal, float(grids.times[0]), flat_states).reshape(dims)
+    for j in range(1, grids.n_t + 1):
+        best = eval_terminal_batch(terminal, float(grids.times[j]), flat_states).reshape(dims)
+        prev = values[j - 1]
+        with np.errstate(invalid="ignore"):
+            for v, (u, dest, src) in enumerate(moves):
+                if table is not None:
+                    stage = table[j - 1, v]
+                else:
+                    mid = mesh[dest] - u * (dt / 2.0)
+                    m = mid.reshape(-1, grids.dim)
+                    stage = eval_cost_batch(
+                        cost, np.full(len(m), t_mids[j - 1]), m, np.broadcast_to(u, m.shape)
+                    ).reshape(mid.shape[:-1])
+                np.minimum(best[dest], prev[src] + dt * stage, out=best[dest])
+        values[j] = best
+    return values
+
+
+USER = CostField(batch_evaluator=lambda t, X, U: np.sum(U * U + X * X, axis=1) + t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=small_grids(), which=st.integers(0, len(CATALOG)), boxed=st.booleans(),
+       indicator=st.booleans(), node=st.integers(0, 6))
+@example(g=DPGrids.build(0.0, 1.0, 2, [[0.0, 0.5]], 0.5, [[2.0, 2.0]], 2.0),   # no in-lattice move
+         which=0, boxed=False, indicator=False, node=0)
+def test_sweep_equals_slice_loop(g, which, boxed, indicator, node):
+    if which == len(CATALOG):
+        cost = USER if not boxed else dataclasses.replace(USER, domain_box=np.array([[-1.0, 0.5]] * g.dim))
+    else:
+        name, params = CATALOG[which]
+        cost = make_cost(name, domain=[[-1.0, 0.5]] * g.dim if boxed else None, **params)
+    origin = np.array([ax[node % len(ax)] for ax in g.state_axes])
+    term = make_terminal("indicator_origin" if indicator else "quadratic_state", x0=origin)
+    assert dp_oracle(term, cost, g).values.tobytes() == _slice_loop_oracle(term, cost, g).tobytes()
 
 
 def _old_surface_csv(surface, path):
