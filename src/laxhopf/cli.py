@@ -10,9 +10,8 @@ invalid config (diagnostic carries the offending field path), 3 value is
 from __future__ import annotations
 
 import argparse
-import csv
-import inspect
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,10 +30,12 @@ from .laxhopf_core import (
     wtp_value,
 )
 from .moderation import _SOLVER_AT_LEAST, SolverConfig, build_moderation_table, moderation_table_to_csv
-from .trajectories import trajectory_to_csv
+from .trajectories import _write_csv, trajectory_to_csv
 from .verify import DPGrids, Scenario, convergence_study, surface_to_csv
 
 _KINDS = ("classic", "generalized", "discounted", "economy", "wtp", "verify")
+_TOP_KEYS = ("schema kind seed T x terminal cost rate outer solver outputs wtp verify economy "
+             "conjugate moderation out_dir")
 
 
 def _fail(path: str, msg: str):
@@ -55,6 +56,16 @@ def _get(cfg: dict, path: str, default=KeyError, kind=None):
             return default
     if kind is not None and not isinstance(node, kind):
         _fail(path, f"expected {getattr(kind, '__name__', kind)}, got {type(node).__name__}")
+    return node
+
+
+def _open(cfg: dict, path: str, keys: str, default=KeyError) -> dict:
+    """The object at ``path``, or the whole config for ""; a key that is not one of
+    the space-separated ``keys`` fails as an unknown field."""
+    node = _get(cfg, path, default, dict) if path else cfg
+    for key in node:
+        if key not in keys.split():
+            _fail(f"{path}.{key}" if path else key, f"unknown field; known fields: {keys or 'none'}")
     return node
 
 
@@ -96,6 +107,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"config: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         _fail("config", "top level must be an object")
+    _open(cfg, "", _TOP_KEYS)
     schema = _get(cfg, "schema", 1)
     if type(schema) is not int or schema != 1:   # true and 1.0 equal 1 but are no version
         _fail("schema", f"unsupported schema version {schema!r}")
@@ -107,18 +119,15 @@ def load_config(path) -> dict:
 
 def _solver_cfg(cfg: dict) -> SolverConfig:
     """Each ``solver.<field>`` as an integer; the seed is only the top-level ``seed``."""
-    values = {}
-    for key in _get(cfg, "solver", {}, dict):
-        if key == "seed":
-            _fail("solver.seed", "the seed is the top-level 'seed' key or --seed")
-        if key not in _SOLVER_AT_LEAST:
-            _fail(f"solver.{key}", "unknown solver option")
-        values[key] = _num(cfg, f"solver.{key}", cast=int, low=_SOLVER_AT_LEAST[key])
+    if "seed" in _get(cfg, "solver", {}, dict):
+        _fail("solver.seed", "the seed is the top-level 'seed' key or --seed")
+    values = {key: _num(cfg, f"solver.{key}", cast=int, low=_SOLVER_AT_LEAST[key])
+              for key in _open(cfg, "solver", " ".join(_SOLVER_AT_LEAST), {})}
     return SolverConfig(seed=_num(cfg, "seed", 0, int, low=0), **values)
 
 
 def _named(cfg, path, factory):
-    spec = _get(cfg, path, kind=dict)
+    _open(cfg, path, "name params")
     name = _get(cfg, f"{path}.name", kind=str)
     params = _get(cfg, f"{path}.params", {}, dict)
     try:
@@ -148,7 +157,7 @@ def _cost(cfg: dict, dim: int):
 
 
 def _outer_grid(cfg: dict, dim=None) -> OuterGrid:
-    _get(cfg, "outer", kind=dict)
+    _open(cfg, "outer", "omega_max n_omega upsilon_box n_upsilon max_rounds")
     box = _array(cfg, "outer.upsilon_box", pairs=True)
     if dim is not None and len(box) != dim:
         _fail("outer.upsilon_box", f"needs {dim} [lo, hi] pairs, one per coordinate of x")
@@ -158,8 +167,6 @@ def _outer_grid(cfg: dict, dim=None) -> OuterGrid:
             n_omega=_num(cfg, "outer.n_omega", 10, int, low=1),
             upsilon_box=box,
             n_upsilon=_num(cfg, "outer.n_upsilon", 21, int, low=1),
-            refine=_get(cfg, "outer.refine", True, bool),
-            shrink=_num(cfg, "outer.shrink", 0.5),
             max_rounds=_num(cfg, "outer.max_rounds", 10, int, low=0),
         )
     except MisuseError as exc:
@@ -168,7 +175,7 @@ def _outer_grid(cfg: dict, dim=None) -> OuterGrid:
 
 def _dp_grids(cfg: dict, path: str) -> DPGrids:
     """One DP level, e.g. ``verify.levels.0``."""
-    _get(cfg, path, kind=dict)
+    _open(cfg, path, "t0 n_t state_box state_step velocity_box velocity_step")
     fields = dict(
         t0=_num(cfg, f"{path}.t0", 0.0), T=_num(cfg, "T"),
         n_t=_num(cfg, f"{path}.n_t", cast=int, low=1),
@@ -183,15 +190,15 @@ def _dp_grids(cfg: dict, path: str) -> DPGrids:
         _fail(path, str(exc))
 
 
-_IMPETUS_SCALARS = {
-    "quadratic": lambda a=1.0: (lambda e: a * e * e),
-    "abs": lambda: abs,
+_IMPETUS_SCALARS = {   # name -> (parameter names, factory)
+    "quadratic": ("a", lambda a=1.0: (lambda e: a * e * e)),
+    "abs": ("", lambda: abs),
 }
 
 
 def _moderation_grids(cfg: dict, path: str, dim: int):
     """The ``omega_grid`` (apertures > 0) and ``upsilon_grid`` (rows of ``dim`` numbers)."""
-    _get(cfg, path, kind=dict)
+    _open(cfg, path, "omega_grid upsilon_grid")
     omegas = _array(cfg, f"{path}.omega_grid")
     if not np.all(omegas > 0):
         _fail(f"{path}.omega_grid", f"expected positive apertures, got {omegas.tolist()}")
@@ -209,15 +216,14 @@ def _agent_rows(cfg: dict, path: str) -> np.ndarray:
 
 def _economy(cfg: dict):
     """The impetus cost spec, the allocations and the prices of ``economy``."""
-    _get(cfg, "economy", kind=dict)
+    _open(cfg, "economy", "scalar_cost scalar_params gamma_price gamma_agents allocations prices "
+                          "shared_prices")
     name = _get(cfg, "economy.scalar_cost", kind=str)
     if name not in _IMPETUS_SCALARS:
         _fail("economy.scalar_cost", f"unknown impetus cost {name!r}")
-    make, params = _IMPETUS_SCALARS[name], {}
-    for key in _get(cfg, "economy.scalar_params", {}, dict):
-        if key not in inspect.signature(make).parameters:
-            _fail(f"economy.scalar_params.{key}", f"unknown parameter for impetus cost {name!r}")
-        params[key] = _num(cfg, f"economy.scalar_params.{key}")
+    keys, make = _IMPETUS_SCALARS[name]
+    params = {key: _num(cfg, f"economy.scalar_params.{key}")
+              for key in _open(cfg, "economy.scalar_params", keys, {})}
     gamma_price = _num(cfg, "economy.gamma_price")
     gamma_agents = _array(cfg, "economy.gamma_agents")
     allocations = _agent_rows(cfg, "economy.allocations")
@@ -246,7 +252,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
     if kind == "wtp":
         x = _array(cfg, "x")
         terminal = _terminal(cfg, len(x))
-        w = _get(cfg, "wtp", kind=dict)
+        _open(cfg, "wtp", "state_box n_state velocity_bound omega")
         box = _array(cfg, "wtp.state_box", pairs=True)
         if len(box) != len(x):
             _fail("wtp.state_box", f"needs {len(x)} [lo, hi] pairs, one per coordinate of x")
@@ -267,6 +273,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         x = _array(cfg, "x")
         terminal = _terminal(cfg, len(x))
         cost = _cost(cfg, len(x))
+        _open(cfg, "verify", "levels")
         levels_raw = _get(cfg, "verify.levels", kind=list)
         levels = [_dp_grids(cfg, f"verify.levels.{i}") for i in range(len(levels_raw))]
         scenario = Scenario(terminal=terminal, cost=cost, T=T, x=x,
@@ -275,12 +282,8 @@ def run_config(cfg: dict, out_dir: Path) -> int:
             rows = convergence_study(scenario, levels)
         except MisuseError as exc:
             _fail("verify", str(exc))
-        with open(out_dir / "error_table.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dt", "oracle_value", "formula_value", "error"])
-            for r in rows:
-                writer.writerow([repr(r.dt), repr(r.oracle_value),
-                                 repr(r.formula_value), repr(r.error)])
+        _write_csv(out_dir / "error_table.csv", ["dt", "oracle_value", "formula_value", "error"],
+                   [[r.dt, r.oracle_value, r.formula_value, r.error] for r in rows])
         surface_to_csv(rows[-1].surface, out_dir / "value_surface.csv")
         for r in rows:
             print(f"dt={r.dt:.6g} error={r.error:.6g}")
@@ -297,7 +300,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         terminal = _terminal(cfg, len(x))
         cost = _cost(cfg, len(x))
         grid = _outer_grid(cfg, len(x))
-        if kind != "classic" and _get(cfg, "outputs.moderation_table", None) is not None:
+        if "moderation_table" in _open(cfg, "outputs", "moderation_table", {}) and kind != "classic":
             table_grids = _moderation_grids(cfg, "outputs.moderation_table", len(x))
         if kind == "classic":
             result = classic_lax_hopf(terminal, cost, T, x, grid,
@@ -356,38 +359,27 @@ def sweep_config(cfg: dict, axis: str, values, out_dir: Path) -> int:
         try:
             code = run_config(sub, row_dir)
         except LaxHopfError as exc:
-            return (value, None, None, 2 if isinstance(exc, ConfigError) else 1)
+            return (value, math.inf, None, 2 if isinstance(exc, ConfigError) else 1)
         doc = json.loads((row_dir / "result.json").read_text())
-        v = doc.get("value")
-        return (value, None if v == "inf" else v, doc.get("omega_star"), code)
+        return (value, float(doc["value"]), doc.get("omega_star"), code)   # float("inf") is +inf
 
-    rows = [one(i, value) for i, value in enumerate(values)]
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([axis, "value", "omega_star", "exit_code"])
-        for value, v, om, code in rows:
-            writer.writerow([repr(float(value)),
-                             "inf" if v is None else repr(float(v)),
-                             "" if om is None else repr(float(om)),
-                             code])
+    _write_csv(out_dir / "sweep.csv", [axis, "value", "omega_star", "exit_code"],
+               [one(i, value) for i, value in enumerate(values)])
     return 0
 
 
 def conjugate_config(cfg: dict, out_dir: Path) -> int:
     """Dump a ConjugateTable CSV for the configured cost."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    _get(cfg, "conjugate", kind=dict)
+    _open(cfg, "conjugate", "t x velocity_box dual_grid n_velocity")
     t = _num(cfg, "conjugate.t", 0.0)
     x = _array(cfg, "conjugate.x", default=[0.0])
     vbox = _array(cfg, "conjugate.velocity_box", pairs=True)
     duals = _array(cfg, "conjugate.dual_grid", width=len(vbox))
     n = _num(cfg, "conjugate.n_velocity", 2001, int, low=2)
     table = build_conjugate_table(_cost(cfg, len(vbox)), t, x, duals, _box_lattice(vbox, n))
-    with open(out_dir / "conjugate.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"p_{h + 1}" for h in range(duals.shape[1])] + ["conjugate"])
-        for p, v in zip(duals, table.values):
-            writer.writerow([repr(float(c_)) for c_ in p] + [repr(float(v))])
+    _write_csv(out_dir / "conjugate.csv", [f"p_{h + 1}" for h in range(duals.shape[1])] + ["conjugate"],
+               [[*p, v] for p, v in zip(duals.tolist(), table.values.tolist())])
     return 0
 
 

@@ -102,12 +102,8 @@ class CostField:
 
     def __post_init__(self):
         _require_evaluator(self)
-
-    def in_domain_box(self, u: np.ndarray) -> bool:
-        if self.domain_box is None:
-            return True
-        box = _domain_box(self.domain_box, np.size(u))
-        return bool(np.all(u >= box[:, 0]) and np.all(u <= box[:, 1]))
+        if self.domain_box is not None:
+            object.__setattr__(self, "domain_box", _box(self.domain_box, "domain_box"))
 
 
 @dataclass(frozen=True)
@@ -149,9 +145,8 @@ def _to_float(raw) -> float:
     return raw.to_float() if isinstance(raw, ExtReal) else float(raw)
 
 
-def _domain_box(box, dim: int) -> np.ndarray:
-    """A velocity box as an (l, 2) float array; it needs one row per velocity coordinate."""
-    box = np.asarray(box, dtype=float)
+def _domain_box(box: np.ndarray, dim: int) -> np.ndarray:
+    """A cost's checked domain box; it needs one row per velocity coordinate."""
     if len(box) != dim:
         raise MisuseError(f"cost domain has {len(box)} [lo, hi] rows, velocity dimension is {dim}")
     return box
@@ -300,7 +295,8 @@ def subdifferential_check(cost: CostField, t: float, x, u, p, grid, tol: float) 
     """True iff <p,u> = l(t,x,u) + l*(t,x,p) within tol (p in the subdifferential at u)."""
     u = _as_vec(u)
     p = _as_vec(p)
-    if not cost.in_domain_box(u):
+    box = cost.domain_box
+    if box is not None and not np.all((_domain_box(box, u.size)[:, 0] <= u) & (u <= box[:, 1])):
         raise MisuseError("subdifferential_check requires u inside the domain box")
     lv = eval_cost(cost, t, x, u)
     conj = legendre_fenchel(cost, t, x, p, grid)

@@ -51,44 +51,40 @@ def _box_lattice(box, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OuterGrid:
-    """Search grid over (omega, upsilon); omega = 0 is always a member."""
+    """Search grid over (omega, upsilon); omega = 0 is always a member.
+
+    Construction adds the zero aperture, sorts the apertures without repeats and
+    makes the lattice (m, l).  ``max_rounds`` bounds the pattern search that
+    follows the grid pass; 0 is the grid pass alone.
+    """
 
     omega_values: np.ndarray        # sorted, 0 plus positive apertures
     upsilon_lattice: np.ndarray     # (m, l)
-    refine: bool = True
-    shrink: float = 0.5
     max_rounds: int = 10
 
     def __post_init__(self):
         if not self.max_rounds >= 0:   # the pattern search stops when its round count reaches it
             raise MisuseError(f"OuterGrid needs max_rounds >= 0, got {self.max_rounds}")
-        if not 0 < self.shrink < 1:    # each round scales the probe steps by it
-            raise MisuseError(f"OuterGrid needs 0 < shrink < 1, got {self.shrink}")
-
-    @staticmethod
-    def build(omega_max: float, n_omega: int, upsilon_box, n_upsilon: int,
-              refine: bool = True, shrink: float = 0.5, max_rounds: int = 10) -> "OuterGrid":
-        """Uniform grid: n_omega apertures in (0, omega_max] plus 0, and a box lattice."""
-        if omega_max <= 0 or n_omega < 1:
-            raise MisuseError("OuterGrid.build needs omega_max > 0 and n_omega >= 1")
-        omegas = np.concatenate([[0.0], np.linspace(omega_max / n_omega, omega_max, n_omega)])
-        lattice = _box_lattice(_box(upsilon_box, "upsilon_box"), n_upsilon)
-        return OuterGrid(omega_values=omegas, upsilon_lattice=lattice,
-                         refine=refine, shrink=shrink, max_rounds=max_rounds)
-
-    def normalized(self) -> "OuterGrid":
-        omegas = np.asarray(self.omega_values, dtype=float)
-        if not np.any(omegas == 0.0):
-            omegas = np.concatenate([[0.0], omegas])
-        omegas = np.unique(omegas)
-        if np.any(omegas < 0):
+        omegas = np.unique(np.append(0.0, np.asarray(self.omega_values, dtype=float)))
+        if not np.all(omegas >= 0):
             raise MisuseError("omega grid values must be nonnegative")
         lattice = np.asarray(self.upsilon_lattice, dtype=float)
         if lattice.ndim == 1:
             lattice = lattice[:, None]
         if lattice.size == 0:
             raise MisuseError("upsilon lattice must be non-empty")
-        return OuterGrid(omegas, lattice, self.refine, self.shrink, self.max_rounds)
+        object.__setattr__(self, "omega_values", omegas)
+        object.__setattr__(self, "upsilon_lattice", lattice)
+
+    @staticmethod
+    def build(omega_max: float, n_omega: int, upsilon_box, n_upsilon: int,
+              max_rounds: int = 10) -> "OuterGrid":
+        """Uniform grid: n_omega apertures in (0, omega_max] plus 0, and a box lattice."""
+        if omega_max <= 0 or n_omega < 1:
+            raise MisuseError("OuterGrid.build needs omega_max > 0 and n_omega >= 1")
+        omegas = np.linspace(omega_max / n_omega, omega_max, n_omega)
+        lattice = _box_lattice(_box(upsilon_box, "upsilon_box"), n_upsilon)
+        return OuterGrid(omega_values=omegas, upsilon_lattice=lattice, max_rounds=max_rounds)
 
 
 @dataclass(frozen=True)
@@ -114,6 +110,8 @@ def _cell_seed(base_seed: int, omega: float, upsilon: np.ndarray):
 
 # Unpriced cells one look-ahead batch holds at most, the missing cell included.
 _LOOKAHEAD_CELLS = 16
+# Each pattern-search round scales the probe steps by it.
+_SHRINK = 0.5
 
 
 class _CellCache:
@@ -169,7 +167,7 @@ class _PatternSearch:
     Each sweep probes y +- step along every coordinate in turn and moves to a
     probe that beats the incumbent (``strict``: on a lower value only); a
     round repeats sweeps until one moves nowhere (at most 50), then scales the
-    steps by ``shrink``.  ``probe`` names the next cell and ``feed`` takes its
+    steps by ``_SHRINK``.  ``probe`` names the next cell and ``feed`` takes its
     value, so a ``copy.copy`` of the state can be run ahead of the real walk.
     """
 
@@ -207,7 +205,7 @@ class _PatternSearch:
         self.move, self.sweep = 0, self.sweep + 1
         if not self.moved or self.sweep == 50:
             self.round, self.sweep = self.round + 1, 0
-            self.steps = tuple(s * self.grid.shrink for s in self.steps)
+            self.steps = tuple(s * _SHRINK for s in self.steps)
         self.moved = False
 
 
@@ -246,7 +244,8 @@ def _walk(search: _PatternSearch):
 
 
 def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
-    """Grid pass plus optional pattern search; deterministic smallest-(omega, upsilon) tie-break.
+    """Grid pass, then up to ``grid.max_rounds`` pattern-search rounds; deterministic
+    smallest-(omega, upsilon) tie-break.
 
     When the zero-aperture cell wins the grid pass, the search walks from the
     best positive-aperture grid cell instead, moving on strict gains only, and
@@ -256,7 +255,7 @@ def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
     batch.  The search (``_PatternSearch``) reads one cell at a time; each
     time it reaches an unpriced cell, that cell and the unpriced cells a
     look-ahead copy of the search reads next are priced as one batch, so the
-    search path is that of pricing one cell at a time.  ``grid`` is normalized.
+    search path is that of pricing one cell at a time.
     """
     cells = _CellCache(cells_fn)
     ell = grid.upsilon_lattice.shape[1]
@@ -276,8 +275,8 @@ def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
     priced = [(cells.store[key][0], om, ups) for key, (om, ups) in zip(keys, grid_cells)]
     best = min(priced)
 
-    if grid.refine and math.isfinite(best[0]):
-        pos = np.asarray(grid.omega_values)[np.asarray(grid.omega_values) > 0]
+    if math.isfinite(best[0]):
+        pos = grid.omega_values[grid.omega_values > 0]
         d_omega = float(np.min(np.diff(pos))) if len(pos) > 1 else omega_max / 4.0
         first_steps = [d_omega]
         for h in range(ell):
@@ -304,7 +303,6 @@ def _reduce(T: float, x: np.ndarray, grid: OuterGrid, cells_fn) -> ValueResult:
     prices a batch of cells: (value, (lambda, omega, velocities or None,
     c_start, D or None)) or (value, None) for each.  It builds the result from
     the winning cell's payload alone."""
-    grid = grid.normalized()
     if (ell := grid.upsilon_lattice.shape[1]) != len(x):
         raise MisuseError(f"upsilon lattice dimension {ell} != state dimension {len(x)}")
     value, om, ups, payload = _outer_minimize(grid, cells_fn, float(np.max(grid.omega_values)))

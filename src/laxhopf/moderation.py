@@ -52,7 +52,6 @@ weights each quadrature node by the accumulation factor of its own trajectory.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -62,7 +61,7 @@ import numpy as np
 from .costs import CostField, _domain_box, eval_cost, eval_cost_batch, eval_rate_batch
 from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
-from .trajectories import AdmissibleSpec, Trajectory, Window
+from .trajectories import AdmissibleSpec, Trajectory, Window, _write_csv
 
 __all__ = [
     "SolverConfig",
@@ -590,7 +589,7 @@ class ModerationTable:
     base_point: tuple            # (T, x)
 
     def value_at(self, i: int, j: int) -> ExtReal:
-        return ExtReal(float(self.values[i, j])) if np.isfinite(self.values[i, j]) else INF
+        return ExtReal(float(self.values[i, j]))
 
 
 def build_moderation_table(cost, T, x, omega_grid, upsilon_grid, cfg: SolverConfig) -> ModerationTable:
@@ -622,14 +621,6 @@ def build_moderation_table(cost, T, x, omega_grid, upsilon_grid, cfg: SolverConf
 def moderation_table_to_csv(table: ModerationTable, path) -> None:
     """Columns omega, upsilon_1..upsilon_l, lambda; +infinity as the literal "inf"."""
     ell = table.upsilon_grid.shape[1]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega"] + [f"upsilon_{h + 1}" for h in range(ell)] + ["lambda"])
-        for i, om in enumerate(table.omega_grid):
-            for j, ups in enumerate(table.upsilon_grid):
-                v = table.values[i, j]
-                writer.writerow(
-                    [repr(float(om))]
-                    + [repr(float(c)) for c in ups]
-                    + ["inf" if np.isinf(v) else repr(float(v))]
-                )
+    _write_csv(path, ["omega"] + [f"upsilon_{h + 1}" for h in range(ell)] + ["lambda"],
+               [[om, *ups, v] for om, row in zip(table.omega_grid.tolist(), table.values.tolist())
+                for ups, v in zip(table.upsilon_grid.tolist(), row)])

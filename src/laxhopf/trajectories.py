@@ -145,7 +145,7 @@ def average_transaction(traj: Trajectory) -> np.ndarray:
 def cumulated_cost(traj: Trajectory, cost: CostField) -> ExtReal:
     """Midpoint quadrature of the running cost l(t, x(t), x'(t)) over the window."""
     vals = eval_cost_batch(cost, traj.mid_times, traj.mid_states, traj.velocities)
-    if np.isinf(vals).any():
+    if np.isinf(vals).any():   # not dt * inf: a zero-aperture window has dt = 0
         return INF
     return ExtReal(traj.dt * float(vals.sum()))
 
@@ -189,20 +189,20 @@ def refine_trajectory(traj: Trajectory) -> Trajectory:
     )
 
 
-def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Write t, x_1..x_l, u_1..u_l rows; velocities left-aligned with step start."""
-    ell = traj.dim
-    states = traj.states
-    times = traj.times
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and ``rows`` with \\r\\n line ends: a number as repr(float(v)),
+    so +infinity is "inf"; None as an empty cell; an int (an exit code) as itself."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["t"] + [f"x_{h + 1}" for h in range(ell)] + [f"u_{h + 1}" for h in range(ell)]
-        )
-        for k in range(traj.n_steps + 1):
-            u = traj.velocities[k] if k < traj.n_steps else np.full(ell, np.nan)
-            writer.writerow(
-                [repr(float(times[k]))]
-                + [repr(float(v)) for v in states[k]]
-                + ["" if np.isnan(w) else repr(float(w)) for w in u]
-            )
+        writer.writerow(header)
+        writer.writerows([["" if v is None else v if type(v) is int else repr(float(v)) for v in row]
+                          for row in rows])
+
+
+def trajectory_to_csv(traj: Trajectory, path) -> None:
+    """Write t, x_1..x_l, u_1..u_l rows; velocities left-aligned with step start,
+    so the last row's are empty."""
+    ell = traj.dim
+    _write_csv(path, ["t"] + [f"x_{h + 1}" for h in range(ell)] + [f"u_{h + 1}" for h in range(ell)],
+               [[t, *x, *u] for t, x, u in zip(traj.times.tolist(), traj.states.tolist(),
+                                               traj.velocities.tolist() + [[None] * ell])])

@@ -41,7 +41,7 @@ from .costs import (
     legendre_fenchel,
 )
 from .errors import CommensurabilityError, MisuseError
-from .extreal import INF, ExtReal
+from .extreal import ExtReal
 from .laxhopf_core import OuterGrid, generalized_lax_hopf
 from .moderation import SolverConfig, jensen_gap
 
@@ -134,8 +134,7 @@ class ValueSurface:
     values: np.ndarray   # (n_t + 1, *state dims), IEEE inf for unreachable nodes
 
     def value_at(self, time_index: int, state_index) -> ExtReal:
-        v = float(self.values[(time_index, *np.atleast_1d(state_index))])
-        return ExtReal(v) if math.isfinite(v) else INF
+        return ExtReal(float(self.values[(time_index, *np.atleast_1d(state_index))]))
 
     def nearest_node(self, t: float, x) -> tuple:
         return self.grids.nearest_node(t, x)

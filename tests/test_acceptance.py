@@ -135,7 +135,7 @@ def test_criterion_4_enrichment_certificates():
 
 def test_criterion_5_obstacle_and_boundary():
     ok = True
-    cheap_grid = OuterGrid.build(1.0, 4, [[-2, 2]], 9, refine=False)
+    cheap_grid = OuterGrid.build(1.0, 4, [[-2, 2]], 9, max_rounds=0)
     cheap_cfg = SolverConfig(n_steps=4, multi_starts=0, max_iter=0, seed=0)
     for x in np.linspace(-2.0, 2.0, 100):
         res = generalized_lax_hopf(QTERM, QUAD, 1.0, x, cheap_grid, cheap_cfg)

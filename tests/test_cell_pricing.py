@@ -139,7 +139,7 @@ class ArraySearch:
             return
         self.move, self.sweep = 0, self.sweep + 1
         if not self.moved or self.sweep == 50:
-            self.round, self.sweep, self.steps = self.round + 1, 0, self.steps * self.grid.shrink
+            self.round, self.sweep, self.steps = self.round + 1, 0, self.steps * 0.5
         self.moved = False
 
 
@@ -418,8 +418,7 @@ class TestArrayResults:
 def searches(draw):
     ell = draw(st.sampled_from([1, 2]))
     omega_max = draw(st.floats(0.25, 2.0))
-    grid = OuterGrid.build(omega_max, 2, [[-1, 1]] * ell, 3, shrink=draw(st.floats(0.2, 0.8)),
-                           max_rounds=draw(st.integers(1, 8)))
+    grid = OuterGrid.build(omega_max, 2, [[-1, 1]] * ell, 3, max_rounds=draw(st.integers(1, 8)))
     unit = st.floats(-1.0, 1.0)
     start = (draw(st.floats(0.0, omega_max)), tuple(draw(unit) for _ in range(ell)))
     steps = [draw(st.floats(0.01, 1.5)) for _ in range(1 + ell)]

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from laxhopf import cli, verify
+from laxhopf import OuterGrid, cli, verify
 from laxhopf.cli import main
 
 BASE = {
@@ -201,9 +201,10 @@ class TestTypedFields:
         ({"x": [True]}, "x"),
         ({"outer": dict(BASE["outer"], n_omega="8")}, "outer.n_omega"),
         ({"outer": dict(BASE["outer"], refine="no")}, "outer.refine"),
-        ({"outer": dict(BASE["outer"], shrink=0)}, "outer"),
-        ({"outer": dict(BASE["outer"], shrink=-1)}, "outer"),
-        ({"outer": dict(BASE["outer"], shrink=1)}, "outer"),
+        # OuterGrid.build's own range check; -0.0 is not a positive aperture either
+        ({"outer": dict(BASE["outer"], omega_max=0)}, "outer"),
+        ({"outer": dict(BASE["outer"], omega_max=-1)}, "outer"),
+        ({"outer": dict(BASE["outer"], omega_max=-0.0)}, "outer"),
         (with_economy(shared_prices=1), "economy.shared_prices"),
         (dict(WTP, wtp=dict(WTP["wtp"], velocity_bound=-1)), "wtp.velocity_bound"),
         (dict(WTP, wtp=dict(WTP["wtp"], omega=-0.5)), "wtp.omega"),
@@ -315,6 +316,25 @@ class TestTypedTableFields:
         ("conjugate", dict(with_params("cost", "quadratic", domain=[[-1, 1]]),
                            **with_conjugate(velocity_box=[[-5, 5], [-5, 5]], dual_grid=[[0, 0]])),
          "cost.params.domain"),
+        # every config object lists its keys; a key it does not list is an unknown field
+        ("run", {"wtpp": {}}, "wtpp"),
+        ("run", {"terminal": {"name": "indicator_origin", "parms": {}}}, "terminal.parms"),
+        ("run", {"cost": {"name": "quadratic", "param": {"a": 1.0}}}, "cost.param"),
+        ("run", {"kind": "discounted", "rate": {"name": "zero", "r": 0.5}}, "rate.r"),
+        ("run", {"outer": dict(BASE["outer"], n_upislon=5)}, "outer.n_upislon"),
+        ("run", {"outer": dict(BASE["outer"], max_round=3)}, "outer.max_round"),
+        ("run", {"solver": {"n_step": 8}}, "solver.n_step"),
+        ("run", dict(TABLE, outputs={"table": {}}), "outputs.table"),
+        ("run", with_table({"omega_grid": [1.0], "upsilon_grid": [1.0], "omega": [1.0]}),
+         "outputs.moderation_table.omega"),
+        ("run", dict(WTP, wtp=dict(WTP["wtp"], n_states=21)), "wtp.n_states"),
+        ("verify", dict(VERIFY, verify=dict(VERIFY["verify"], level=[])), "verify.level"),
+        ("verify", with_level(dt=0.1), "verify.levels.1.dt"),
+        ("run", with_economy(gamma_prices=1.0), "economy.gamma_prices"),
+        ("run", with_economy(scalar_cost="abs", scalar_params={"a": 1.0}), "economy.scalar_params.a"),
+        ("conjugate", with_conjugate(n_velocities=11), "conjugate.n_velocities"),
+        ("moderate", {"moderation": {"omega_grid": [1.0], "upsilon_grid": [[1.0]], "x": [1.0]}},
+         "moderation.x"),
     ])
     def test_exit_2_names_field(self, tmp_path, capsys, command, overrides, field):
         cfg = write_cfg(tmp_path, overrides)
@@ -446,6 +466,45 @@ class TestDeterminism:
         assert blobs["flag"] == blobs["config"] != blobs["zero"]
 
 
+PLANE = {"x": [1.0, 0.5], "terminal": {"name": "indicator_origin", "params": {"x0": [0.0, 0.0]}},
+         "outer": {"omega_max": 1.0, "n_omega": 4, "upsilon_box": [[-2, 2], [-2, 2]], "n_upsilon": 9}}
+PINNED_LEVELS = [
+    {"n_t": 4, "state_box": [[-2, 2]], "state_step": 0.05, "velocity_box": [[-2, 2]], "velocity_step": 0.2},
+    {"n_t": 8, "state_box": [[-2, 2]], "state_step": 0.025, "velocity_box": [[-2, 2]], "velocity_step": 0.2},
+]
+
+
+class TestArtifactBytes:
+    """The exact bytes of each CSV artifact: +inf as "inf", a missing value as an empty
+    cell, an exit code as an integer, and \\r\\n line ends."""
+
+    @pytest.mark.parametrize("argv, overrides, name, expected", [
+        (["run"], dict(PLANE, solver={"n_steps": 2}), "trajectory.csv",
+         b"t,x_1,x_2,u_1,u_2\r\n0.0,0.0,0.0,1.0,0.5\r\n0.5,0.5,0.25,1.0,0.5\r\n1.0,1.0,0.5,,\r\n"),
+        (["moderate"], {"cost": {"name": "quadratic", "params": {"domain": [[-1, 1]]}},
+                        "moderation": {"omega_grid": [0.5, 1.0], "upsilon_grid": [[0.5], [1.5]]},
+                        "solver": {"n_steps": 4}}, "moderation_table.csv",
+         b"omega,upsilon_1,lambda\r\n0.5,0.5,0.125\r\n0.5,1.5,inf\r\n1.0,0.5,0.125\r\n1.0,1.5,inf\r\n"),
+        (["sweep", "--axis", "x.0", "--values", "1,9"], {}, "sweep.csv",
+         b"x.0,value,omega_star,exit_code\r\n1.0,0.5,1.0,0\r\n9.0,inf,,3\r\n"),
+        (["conjugate"], {"cost": {"name": "quadratic", "params": {"domain": [[-1, 1], [-2, 2]]}},
+                         "conjugate": {"x": [0.0, 0.0], "dual_grid": [[-1, 0.5], [2, -3]],
+                                       "velocity_box": [[-2, 2], [-2, 2]], "n_velocity": 21}},
+         "conjugate.csv", b"p_1,p_2,conjugate\r\n-1.0,0.5,0.62\r\n2.0,-3.0,5.5\r\n"),
+        (["verify"], {"kind": "verify", "cost": {"name": "weighted_quadratic"},
+                      "solver": {"n_steps": 8, "multi_starts": 0}, "verify": {"levels": PINNED_LEVELS}},
+         "error_table.csv",
+         b"dt,oracle_value,formula_value,error\r\n"
+         b"0.25,0.7275000000000003,0.7218543009001974,0.005645699099802837\r\n"
+         b"0.125,0.7240625000000002,0.7218543009001974,0.0022081990998027434\r\n"),
+    ])
+    def test_bytes(self, tmp_path, capsys, argv, overrides, name, expected):
+        cfg = write_cfg(tmp_path, overrides)
+        out = tmp_path / "o"
+        assert main([argv[0], "--config", str(cfg), "--out", str(out)] + argv[1:]) == 0
+        assert (out / name).read_bytes() == expected
+
+
 class TestRemovedSolverKeys:
     @pytest.mark.parametrize("key", [
         "seed", "armijo", "fd_step", "grad_tol", "step_init", "step_growth", "max_backtracks",
@@ -461,3 +520,32 @@ class TestRemovedSolverKeys:
         assert not (out / "result.json").exists()
         if key == "seed":
             assert "--seed" in err
+
+
+class TestRemovedOuterKeys:
+    """``refine=false`` was the grid pass alone, which is ``max_rounds: 0``; the shrink is fixed."""
+
+    @pytest.mark.parametrize("key", ["refine", "shrink"])
+    def test_exit_2_names_key(self, tmp_path, capsys, key):
+        cfg = write_cfg(tmp_path, {"outer": dict(BASE["outer"], **{key: 0.5})})
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: outer.{key}: unknown field")
+        assert "Traceback" not in err
+        assert not (out / "result.json").exists()
+
+    def test_zero_rounds_is_the_grid_pass(self, tmp_path):
+        outer = dict(BASE["outer"], n_omega=3, n_upsilon=4)
+        docs = []
+        for rounds in (0, 10):
+            cfg = write_cfg(tmp_path, {"x": [0.7], "terminal": {"name": "quadratic_state"},
+                                       "outer": dict(outer, max_rounds=rounds)})
+            out = tmp_path / f"o{rounds}"
+            assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            docs.append(json.loads((out / "result.json").read_text()))
+        grid = OuterGrid.build(1.0, 3, [[-2, 2]], 4)
+        assert docs[0]["omega_star"] in grid.omega_values.tolist()   # a grid cell
+        assert docs[0]["upsilon_star"] in grid.upsilon_lattice.tolist()
+        assert docs[1]["value"] < docs[0]["value"]   # the search leaves it
+

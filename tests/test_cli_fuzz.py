@@ -42,8 +42,7 @@ CONFIGS = {
         economy={"scalar_cost": "quadratic", "scalar_params": {"a": 1.0}, "gamma_price": 1.0,
                  "gamma_agents": [1.0], "allocations": [[1.0]], "prices": [[1.0]],
                  "shared_prices": False},
-        outer=dict(OUTER_1D, upsilon_box=[[-1, 1], [-1, 1]], n_upsilon=3, refine=True,
-                   shrink=0.5, max_rounds=3))),
+        outer=dict(OUTER_1D, upsilon_box=[[-1, 1], [-1, 1]], n_upsilon=3, max_rounds=3))),
     "wtp": ("run", dict(COMMON, kind="wtp", terminal={"name": "quadratic_state"},
                         wtp={"velocity_bound": 1.0, "omega": 0.5, "state_box": [[-2, 2]],
                              "n_state": 21})),

@@ -172,6 +172,28 @@ class TestCatalogs:
         assert make_cost("weighted_quadratic", a0=a0, a1=a1).declared_convex_in_u is convex
 
 
+class TestDomainBox:
+    """A ``domain_box`` is checked when the field is built and kept as a float array.  Unchecked,
+    a reversed pair priced every row +inf, a NaN bound was ignored and a flat list raised IndexError."""
+
+    @pytest.mark.parametrize("box", [[[1, -1]], [[math.nan, 1]], [1.0, 2.0]], ids=["reversed", "nan", "flat"])
+    def test_bad_box_is_misuse(self, box):
+        with pytest.raises(MisuseError, match="domain_box"):
+            CostField(batch_evaluator=lambda t, X, U: np.sum(U * U, axis=1), domain_box=box)
+
+    def test_box_is_stored_as_floats(self):
+        cost = CostField(batch_evaluator=lambda t, X, U: np.sum(U * U, axis=1), domain_box=[[-1, 1], [0, 2]])
+        assert cost.domain_box.dtype == float and cost.domain_box.tolist() == [[-1.0, 1.0], [0.0, 2.0]]
+        assert eval_cost(cost, 0.0, [0.0, 0.0], [-1.0, 2.0]).value == 5.0
+        assert not eval_cost(cost, 0.0, [0.0, 0.0], [0.5, -0.1]).is_finite
+
+    def test_subdifferential_check_needs_u_in_the_box(self):
+        boxed = make_cost("quadratic", domain=[[-1, 1]])
+        assert subdifferential_check(boxed, 0.0, 0.0, 0.5, 0.5, GRID, tol=1e-4)
+        with pytest.raises(MisuseError, match="inside the domain box"):
+            subdifferential_check(boxed, 0.0, 0.0, 1.5, 1.5, GRID, tol=1e-4)
+
+
 class TestDomainWidth:
     """A cost ``domain`` needs one [lo, hi] row per velocity coordinate; numpy would broadcast."""
 

@@ -120,7 +120,7 @@ class TestDiscountedValue:
 
     def test_monotone_in_rate(self, fast_cfg):
         from laxhopf import OuterGrid
-        grid = OuterGrid.build(1.0, 4, [[-2, 2]], 11, refine=False)
+        grid = OuterGrid.build(1.0, 4, [[-2, 2]], 11, max_rounds=0)
         vals = []
         for r in (0.0, 0.1, 0.5):
             res = discounted_value(QTERM, QUAD, make_rate("constant", r=r),
@@ -155,7 +155,7 @@ class TestActualizedCertificate:
 
     def test_zero_aperture_none(self, fast_cfg):
         from laxhopf import OuterGrid
-        grid = OuterGrid.build(1.0, 2, [[-1, 1]], 3, refine=False)
+        grid = OuterGrid.build(1.0, 2, [[-1, 1]], 3, max_rounds=0)
         zero_l = make_cost("quadratic", a=0.0)
         res = discounted_value(make_terminal("zero"), zero_l, ZERO_RATE, 1.0, 1.0,
                                grid, fast_cfg)

@@ -151,7 +151,7 @@ ECON_GRID = OuterGrid.build(omega_max=1.0, n_omega=3,
 # cheap settings for scenarios whose terminal cost is finite everywhere
 CHEAP_GRID = OuterGrid.build(omega_max=1.0, n_omega=3,
                              upsilon_box=[[-1, 1], [-1, 1]], n_upsilon=5,
-                             refine=False)
+                             max_rounds=0)
 ECON_CFG = SolverConfig(n_steps=8, multi_starts=1, max_iter=60, seed=0)
 CHEAP_CFG = SolverConfig(n_steps=6, multi_starts=0, max_iter=30, seed=0)
 

@@ -219,8 +219,8 @@ class TestProperties:
             assert res.value.to_float() <= x * x + 1e-9
 
     def test_grid_monotonicity(self, fast_cfg):
-        coarse = OuterGrid.build(1.0, 4, [[-2, 2]], 9, refine=False)
-        fine = OuterGrid.build(1.0, 8, [[-2, 2]], 17, refine=False)
+        coarse = OuterGrid.build(1.0, 4, [[-2, 2]], 9, max_rounds=0)
+        fine = OuterGrid.build(1.0, 8, [[-2, 2]], 17, max_rounds=0)
         a = generalized_lax_hopf(QTERM, QUAD, 1.0, 1.0, coarse, fast_cfg)
         b = generalized_lax_hopf(QTERM, QUAD, 1.0, 1.0, fine, fast_cfg)
         assert b.value.to_float() <= a.value.to_float() + 1e-9
@@ -229,7 +229,7 @@ class TestProperties:
         # flat landscape: every cell has the same value; smallest omega then ups wins
         zero_term = make_terminal("zero")
         zero_l = make_cost("quadratic", a=0.0)
-        grid = OuterGrid.build(1.0, 4, [[-1, 1]], 5, refine=False)
+        grid = OuterGrid.build(1.0, 4, [[-1, 1]], 5, max_rounds=0)
         res = classic_lax_hopf(zero_term, zero_l, 1.0, 1.0, grid)
         assert res.value.value == 0.0
         assert res.omega_star == 0.0
@@ -247,7 +247,6 @@ def test_json_export(scalar_grid):
 def _sequential_outer_minimize(grid, cells_fn, omega_max, reads):
     """Reference outer search with no look-ahead: one cell priced per read,
     each read of the pattern search appended to ``reads``."""
-    grid = grid.normalized()
     store = {}
     ell = grid.upsilon_lattice.shape[1]
     zero_ups = np.zeros(ell)
@@ -266,7 +265,7 @@ def _sequential_outer_minimize(grid, cells_fn, omega_max, reads):
                   for ups in (grid.upsilon_lattice[:1] if omega == 0.0 else grid.upsilon_lattice)]
     priced = [(get(om, ups)[0], float(om), tuple(np.atleast_1d(ups))) for om, ups in grid_cells]
     best = min(priced)
-    if grid.refine and math.isfinite(best[0]):
+    if math.isfinite(best[0]):
         pos = np.asarray(grid.omega_values)[np.asarray(grid.omega_values) > 0]
         d_omega = float(np.min(np.diff(pos))) if len(pos) > 1 else omega_max / 4.0
         first_steps = [d_omega]
@@ -291,7 +290,7 @@ def _sequential_outer_minimize(grid, cells_fn, omega_max, reads):
                             best, y, moved = cand, np.array([om, *ups]), True
                     if not moved:
                         break
-                steps = steps * grid.shrink
+                steps = steps * 0.5
             return best
 
         if best[1] > 0:
@@ -324,8 +323,7 @@ def bowl_searches(draw):
     ell = draw(st.sampled_from([1, 2]))
     unit = st.floats(-1.5, 1.5, allow_nan=False)
     grid = OuterGrid.build(draw(st.floats(0.5, 2.0)), draw(st.integers(1, 4)),
-                           [[-1, 1]] * ell, draw(st.integers(2, 5)),
-                           shrink=draw(st.floats(0.3, 0.7)), max_rounds=draw(st.integers(1, 12)))
+                           [[-1, 1]] * ell, draw(st.integers(2, 5)), max_rounds=draw(st.integers(1, 12)))
     center = [draw(st.floats(-0.5, 2.5))] + [draw(unit) for _ in range(ell)]
     weights = [draw(st.floats(0.1, 3.0)) for _ in range(1 + ell)]
     bowl = make_bowl(center, weights, draw(st.floats(0.5, 3.0)))
@@ -358,7 +356,17 @@ class TestOuterSearch:
             OuterGrid.build(1.0, 2, [[-1, 1]], 3, max_rounds=-1)
         grid = OuterGrid.build(1.0, 2, [[-1, 1]], 3, max_rounds=0)
         with pytest.raises(MisuseError, match="max_rounds"):
-            OuterGrid(grid.omega_values, grid.upsilon_lattice, max_rounds=-1).normalized()
+            OuterGrid(grid.omega_values, grid.upsilon_lattice, max_rounds=-1)
+
+    def test_construction_normalizes(self):
+        grid = OuterGrid([0.5, 0.25, 0.5], [1.0, -1.0])
+        assert grid.omega_values.tolist() == [0.0, 0.25, 0.5]
+        assert grid.upsilon_lattice.tolist() == [[1.0], [-1.0]]
+        assert OuterGrid([0.0, 1.0], [[0.0]]).omega_values.tolist() == [0.0, 1.0]
+        for omegas, lattice, match in (([-0.5, 1.0], [1.0], "nonnegative"), ([math.nan], [1.0], "nonnegative"),
+                                       ([1.0], [], "non-empty")):
+            with pytest.raises(MisuseError, match=match):
+                OuterGrid(omegas, lattice)
 
     def test_failed_speculative_batch_stores_nothing(self):
         from laxhopf.errors import RateOverflowError

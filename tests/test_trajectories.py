@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laxhopf import (
+    Trajectory,
     Window,
     average_transaction,
     build_trajectory,
@@ -83,6 +84,10 @@ class TestCumulatedCost:
         boxed = make_cost("quadratic", domain=[[-1, 1]])
         traj = build_trajectory(Window(T=1.0, omega=1.0), 1.0, [0.5, 2.0])
         assert not cumulated_cost(traj, boxed).is_finite
+        # on a zero aperture dt = 0, and dt * inf would be NaN
+        instant = Trajectory(window=Window(T=1.0, omega=0.0), terminal_state=np.array([0.0]),
+                             velocities=np.array([[2.0]]))
+        assert not cumulated_cost(instant, boxed).is_finite
 
 
 class TestEnrichment:
