@@ -36,10 +36,13 @@ from .trajectories import (
     trajectory_to_csv,
 )
 from .moderation import (
+    AccumulationProfile,
     ModerationProblem,
     ModerationTable,
     SolverConfig,
+    accumulate_rate,
     build_moderation_table,
+    discounted_moderate,
     jensen_gap,
     moderate,
     moderation_table_to_csv,
@@ -47,19 +50,14 @@ from .moderation import (
 from .laxhopf_core import (
     OuterGrid,
     ValueResult,
+    actualized_enrichment_certificate,
     classic_lax_hopf,
+    discounted_value,
     dynamic_value_profile,
     generalized_lax_hopf,
     optimum_certificate,
     value_result_to_json,
     wtp_value,
-)
-from .discounted import (
-    AccumulationProfile,
-    accumulate_rate,
-    actualized_enrichment_certificate,
-    discounted_moderate,
-    discounted_value,
 )
 from .economy import (
     EconomyState,

@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .costs import _numbers, build_conjugate_table, make_cost, make_rate, make_terminal
-from .discounted import discounted_value
 from .economy import ImpetusCostSpec, economic_value
 from .errors import ConfigError, LaxHopfError, MisuseError, ParameterError
 from .laxhopf_core import (
     OuterGrid,
     _box_lattice,
     classic_lax_hopf,
+    discounted_value,
     generalized_lax_hopf,
     value_result_to_json,
     wtp_value,
@@ -300,7 +300,7 @@ def run_config(cfg: dict, out_dir: Path) -> int:
         terminal = _terminal(cfg, len(x))
         cost = _cost(cfg, len(x))
         grid = _outer_grid(cfg, len(x))
-        if "moderation_table" in _open(cfg, "outputs", "moderation_table", {}) and kind != "classic":
+        if "moderation_table" in _open(cfg, "outputs", "moderation_table", {}):
             table_grids = _moderation_grids(cfg, "outputs.moderation_table", len(x))
         if kind == "classic":
             result = classic_lax_hopf(terminal, cost, T, x, grid,
@@ -347,8 +347,14 @@ def _set_path(cfg: dict, axis: str, value: float):
 
 
 def sweep_config(cfg: dict, axis: str, values, out_dir: Path) -> int:
-    """One run per swept value; failed rows keep their exit code, the sweep continues."""
-    # validate the axis against the base config before any row runs
+    """One run per swept value; failed rows keep their exit code, the sweep continues.
+
+    A row that raises prints its diagnostic to stderr; the sweep exits 2 when
+    every row failed on its config.
+    """
+    # validate the kind and the axis against the base config before any row runs
+    if cfg["kind"] == "verify":
+        _fail("kind", "sweep needs a value kind; a verify-kind config has no value per row")
     _set_path(json.loads(json.dumps(cfg)), axis, 0.0)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -359,13 +365,15 @@ def sweep_config(cfg: dict, axis: str, values, out_dir: Path) -> int:
         try:
             code = run_config(sub, row_dir)
         except LaxHopfError as exc:
-            return (value, math.inf, None, 2 if isinstance(exc, ConfigError) else 1)
+            kind = "config error" if isinstance(exc, ConfigError) else "error"
+            print(f"row {i} ({axis}={value!r}): {kind}: {exc}", file=sys.stderr)
+            return (value, math.inf, None, 2 if kind == "config error" else 1)
         doc = json.loads((row_dir / "result.json").read_text())
         return (value, float(doc["value"]), doc.get("omega_star"), code)   # float("inf") is +inf
 
-    _write_csv(out_dir / "sweep.csv", [axis, "value", "omega_star", "exit_code"],
-               [one(i, value) for i, value in enumerate(values)])
-    return 0
+    rows = [one(i, value) for i, value in enumerate(values)]
+    _write_csv(out_dir / "sweep.csv", [axis, "value", "omega_star", "exit_code"], rows)
+    return 2 if rows and all(row[3] == 2 for row in rows) else 0
 
 
 def conjugate_config(cfg: dict, out_dir: Path) -> int:

@@ -533,8 +533,8 @@ def make_terminal(name: str, /, **params) -> TerminalCost:
         a = _param(params, "a", 1.0)
         x0v = _param(params, "x0", 0.0, 1)
         _reject_extras(name, params)
-        return TerminalCost(
-            evaluator=lambda t, x: a * float((x - x0v) @ (x - x0v)),
+        return TerminalCost(   # the scalar is a batch row's arithmetic, so the two agree bit for bit
+            evaluator=lambda t, x: a * float(np.add.reduce(np.square(x - x0v))),
             batch_evaluator=lambda t, X: a * np.sum((X - x0v) ** 2, axis=1),
         )
     if name == "zero":

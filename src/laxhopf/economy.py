@@ -22,6 +22,7 @@ from .errors import MisuseError
 from .extreal import ExtReal
 from .laxhopf_core import OuterGrid, ValueResult, generalized_lax_hopf, optimum_certificate
 from .moderation import SolverConfig
+from .trajectories import _bounds_at
 
 __all__ = [
     "EconomyState",
@@ -88,14 +89,6 @@ def impact_of_price_fluctuation(p_prime, x) -> float:
     if p_prime.shape != x.shape:
         raise MisuseError(f"shape mismatch {p_prime.shape} vs {x.shape}")
     return float(p_prime @ x)
-
-
-def _bounds_at(bound: Union[float, Callable], t: np.ndarray) -> np.ndarray:
-    """The bound at every time of t (m,); a callable is called once per distinct time."""
-    if not callable(bound):
-        return np.full(len(t), float(bound))
-    times, back = np.unique(t, return_inverse=True)
-    return np.array([float(bound(float(tv))) for tv in times])[back]
 
 
 @dataclass(frozen=True)

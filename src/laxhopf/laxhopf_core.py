@@ -2,17 +2,21 @@
 
 The classic reduction prices each cell as c(T - omega, x - omega*upsilon) +
 omega * l(upsilon); the generalized reduction replaces l(upsilon) with the
-moderated cost of the inner trajectory problem.  The zero-aperture cell always
-contributes c(T, x), so the value never exceeds the instantaneous cost where
-that is finite.  Grid optima are sharpened by a coordinate pattern search with
-step halving around the incumbent.  Cells are priced in batches: the grid pass
-is one batch.  The search is a resumable state that reads one cell at a time;
-at an unpriced cell, a copy of it runs ahead, reading every unpriced cell as
-no improvement, and the cells that path asks for are priced in one batch with
-the missing one.  The search path is that of pricing one cell at a time.
-The search holds its point, steps and cells as tuples of Python floats: the
-same double arithmetic as on arrays, without a numpy call per probe.  A priced
-cell holds numbers and its velocity row; the result is built for the winner only.
+moderated cost of the inner trajectory problem.  Given an interest-rate field
+m, the discounted reduction weights that moderation by the accumulation factors
+of the cell's own argmin and the start cost by their value D at T - omega, all
+from one rate batch per pricing call; m = 0 gives the generalized values bit
+for bit.  The zero-aperture cell always contributes c(T, x), so the value never
+exceeds the instantaneous cost where that is finite.  Grid optima are sharpened
+by a coordinate pattern search with step halving around the incumbent.  Cells
+are priced in batches: the grid pass is one batch.  The search is a resumable
+state that reads one cell at a time; at an unpriced cell, a copy of it runs
+ahead, reading every unpriced cell as no improvement, and the cells that path
+asks for are priced in one batch with the missing one.  The search path is that
+of pricing one cell at a time.  The search holds its point, steps and cells as
+tuples of Python floats: the same double arithmetic as on arrays, without a
+numpy call per probe.  A priced cell holds numbers and its velocity row; the
+result is built for the winner only.
 """
 
 from __future__ import annotations
@@ -25,10 +29,11 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import CostField, TerminalCost, _box, eval_cost_batch, eval_terminal, eval_terminal_batch
+from .costs import (CostField, RateField, TerminalCost, _box, eval_cost_batch, eval_terminal,
+                    eval_terminal_batch)
 from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
-from .moderation import SolverConfig, _cell_result, _solve_cells
+from .moderation import SolverConfig, _accumulation_factors, _cell_result, _solve_cells, accumulate_rate
 from .trajectories import Trajectory, Window, enrichment
 
 __all__ = [
@@ -36,7 +41,9 @@ __all__ = [
     "ValueResult",
     "classic_lax_hopf",
     "generalized_lax_hopf",
+    "discounted_value",
     "optimum_certificate",
+    "actualized_enrichment_certificate",
     "dynamic_value_profile",
     "wtp_value",
     "value_result_to_json",
@@ -320,14 +327,14 @@ def _reduce(T: float, x: np.ndarray, grid: OuterGrid, cells_fn) -> ValueResult:
     )
 
 
-def _moderated_cells(terminal: TerminalCost, cost: CostField, rate, T: float, x: np.ndarray,
-                     cfg: SolverConfig, discount=None):
+def _moderated_cells(terminal: TerminalCost, cost: CostField, rate: Optional[RateField],
+                     T: float, x: np.ndarray, cfg: SolverConfig):
     """Cell pricer of the generalized reduction: D * c(T - omega, x - omega*upsilon)
     + omega * moderated cost, and c(T, x) at zero aperture.
 
     The windows of all cells with a finite start cost are solved together, each
-    descent cell with its own seed; ``discount(T, x, omegas, V, rate)`` gives the
-    node factors (B, N+1) of the solved cells, whose first column is D (1 without it).
+    descent cell with its own seed.  With a rate, one rate batch gives the node
+    factors (B, N+1) of the solved cells, whose first column is D (None without).
     """
     def cells_fn(cells):
         out, live = [], []
@@ -345,8 +352,8 @@ def _moderated_cells(terminal: TerminalCost, cost: CostField, rate, T: float, x:
             lam, V = _solve_cells(cost, rate, T, x, omegas, [ups for _, _, ups, _ in live], cfg,
                                   lambda c: _cell_seed(cfg.seed, live[c][1], live[c][2]))
             done = np.flatnonzero(np.isfinite(lam))
-            ds = ([None] * len(done) if discount is None or not done.size
-                  else discount(T, x, np.asarray(omegas)[done], V[done], rate)[:, 0].tolist())
+            ds = ([None] * len(done) if rate is None or not done.size else
+                  _accumulation_factors(T, x, np.asarray(omegas)[done], V[done], rate)[:, 0].tolist())
             for k, lam_k, d0 in zip(done.tolist(), lam[done].tolist(), ds):
                 i, om, _, c = live[k]
                 out[i] = ((c if d0 is None else d0 * c) + om * lam_k, (lam_k, om, V[k], c, d0))
@@ -400,24 +407,45 @@ def generalized_lax_hopf(terminal: TerminalCost, cost: CostField, T: float, x,
     return _reduce(T, x, grid, _moderated_cells(terminal, cost, None, T, x, cfg))
 
 
+def discounted_value(terminal: TerminalCost, cost: CostField, rate: RateField,
+                     T: float, x, grid: OuterGrid, cfg: SolverConfig) -> ValueResult:
+    """Outer minimization of D * c(T - omega, x - omega*upsilon) + omega * Lambda.
+
+    The discount D on the start cost is the accumulation factor at T - omega
+    along the cell's own discounted-moderation argmin trajectory.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return _reduce(T, x, grid, _moderated_cells(terminal, cost, rate, T, x, cfg))
+
+
+def _certificate(result: ValueResult, terminal: TerminalCost, moderation_lambda: Optional[ExtReal],
+                 rate: Optional[RateField]) -> Optional[float]:
+    """|enrichment(D c(T - omega*, start), V, omega*) - lambda*|, D the accumulation
+    factor at the start of the optimal trajectory (1.0 without a rate); None at omega* = 0."""
+    if result.omega_star is None or result.omega_star == 0:
+        return None
+    if result.trajectory is None or moderation_lambda is None:
+        raise MisuseError("certificate needs the optimal trajectory and moderation value")
+    c_start = eval_terminal(terminal, result.trajectory.window.start, result.start_state)
+    if not (c_start.is_finite and result.value.is_finite and moderation_lambda.is_finite):
+        raise MisuseError("certificate needs finite value, start cost and moderation")
+    d0 = 1.0 if rate is None else float(accumulate_rate(result.trajectory, rate).factors[0])
+    return abs(enrichment(d0 * c_start.value, result.value.value, result.omega_star) - moderation_lambda.value)
+
+
 def optimum_certificate(result: ValueResult, terminal: TerminalCost,
                         moderation_lambda: ExtReal) -> Optional[float]:
     """|enrichment(c(T - omega*, start), V, omega*) - lambda*|; None at omega* = 0.
 
     A zero-aperture optimum has no window to enrich over: flagged (None), not failed.
     """
-    if result.omega_star is None or result.omega_star == 0:
-        return None
-    if result.trajectory is None:
-        raise MisuseError("optimum_certificate needs the optimal trajectory")
-    t_start = result.trajectory.window.start
-    c_start = eval_terminal(terminal, t_start, result.start_state)
-    if not (c_start.is_finite and result.value.is_finite and moderation_lambda.is_finite):
-        raise MisuseError("optimum_certificate needs finite value, start cost and moderation")
-    return abs(
-        enrichment(c_start.value, result.value.value, result.omega_star)
-        - moderation_lambda.value
-    )
+    return _certificate(result, terminal, moderation_lambda, None)
+
+
+def actualized_enrichment_certificate(result: ValueResult, terminal: TerminalCost,
+                                      rate: RateField) -> Optional[float]:
+    """|Lambda* - (V - D(T - omega*) c(T - omega*, start)) / omega*|; None at omega* = 0."""
+    return _certificate(result, terminal, result.moderation_lambda, rate)
 
 
 def dynamic_value_profile(result: ValueResult, terminal: TerminalCost, cost: CostField):

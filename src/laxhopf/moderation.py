@@ -47,7 +47,11 @@ A solve of many cells returns arrays, lambda (C,) and argmin velocities
 public (ExtReal, Trajectory) pair of one cell.
 
 The same machinery serves the interest-rate variant: an optional rate field
-weights each quadrature node by the accumulation factor of its own trajectory.
+m(t, x, u) weights each quadrature node by the accumulation factor of its own
+trajectory, exp of the tail integral of m from the node to T along the
+trajectory itself (:func:`accumulate_rate`).  With m identically zero every
+rate-weighted operation reproduces its undiscounted counterpart bit for bit
+under the same solver configuration.
 """
 
 from __future__ import annotations
@@ -58,16 +62,19 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import CostField, _domain_box, eval_cost, eval_cost_batch, eval_rate_batch
+from .costs import CostField, RateField, _domain_box, eval_cost, eval_cost_batch, eval_rate_batch
 from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
-from .trajectories import AdmissibleSpec, Trajectory, Window, _write_csv
+from .trajectories import AdmissibleSpec, Trajectory, Window, _bounds_at, _node_states, _write_csv
 
 __all__ = [
     "SolverConfig",
     "ModerationProblem",
     "ModerationTable",
+    "AccumulationProfile",
     "moderate",
+    "discounted_moderate",
+    "accumulate_rate",
     "build_moderation_table",
     "jensen_gap",
     "moderation_table_to_csv",
@@ -134,9 +141,8 @@ class _WindowObjective:
         self.dt = self.omega / self.n
         self.scale = self.dt / self.omega
         self.mid_times = (float(T) - self.omega)[:, None] + self.dt[:, None] * (np.arange(self.n) + 0.5)
-        self.bounds = None if admissible is None else np.array(
-            [[admissible.bound_at(float(t)) for t in row] for row in self.mid_times]
-        )
+        self.bounds = None if admissible is None else _bounds_at(
+            admissible.velocity_bound, self.mid_times.ravel()).reshape(self.mid_times.shape)
 
     def _rows(self, U: np.ndarray, lanes: np.ndarray, mids=None):
         """Midpoint rows (t, X, U) of velocities U (B, N, l), flattened to B*N rows; and dt (B, 1).
@@ -561,6 +567,44 @@ def moderate(prob: ModerationProblem, cfg: SolverConfig, rng=None):
     lam, V = _solve_cells(prob.cost, None, prob.T, prob.x, [prob.omega], [prob.upsilon], cfg,
                           lambda c: rng, prob.admissible)
     return _cell_result(lam[0], V[0], prob.T, prob.x, prob.omega)
+
+
+def discounted_moderate(cost: CostField, rate: RateField, T: float, x,
+                        omega: float, upsilon, cfg: SolverConfig, rng=None):
+    """Moderation with the integrand weighted by the trajectory's own accumulation factor."""
+    lam, V = _solve_cells(cost, rate, T, x, [omega], [upsilon], cfg, lambda c: rng)
+    return _cell_result(lam[0], V[0], T, x, omega)
+
+
+@dataclass(frozen=True)
+class AccumulationProfile:
+    """Per-node factors exp(tail integral of m) along a trajectory; 1 at the terminal node."""
+
+    times: np.ndarray
+    factors: np.ndarray
+
+
+def _accumulation_factors(T: float, x, omegas, V: np.ndarray, rate: RateField) -> np.ndarray:
+    """Node factors (B, N+1) of the paths with velocities V (B, N, l) on the windows
+    [T - omegas[b], T] that end at x, from one rate batch; every operation runs
+    along a row in order, so row b is :func:`accumulate_rate` of that path bit for bit."""
+    (B, n, ell), start = V.shape, T - np.asarray(omegas, dtype=float)             # (B,)
+    dt = (np.asarray(omegas, dtype=float) / n)[:, None]                           # (B, 1)
+    s = _node_states(np.broadcast_to(x, (B, ell)), V, dt[:, :, None])
+    t = start[:, None] + dt * (np.arange(n) + 0.5)
+    m = eval_rate_batch(rate, t.ravel(), (0.5 * (s[:, :-1] + s[:, 1:])).reshape(-1, ell), V.reshape(-1, ell))
+    tails = np.zeros(s.shape[:2])
+    tails[:, :-1] = np.cumsum((dt * m.reshape(t.shape))[:, ::-1], axis=1)[:, ::-1]
+    if np.any(tails > _EXP_CAP):
+        b, k = np.argwhere(tails > _EXP_CAP)[0]
+        raise RateOverflowError(f"accumulated rate overflows exp at node {k} (t={start[b] + dt[b, 0] * k})")
+    return np.exp(tails)
+
+
+def accumulate_rate(traj: Trajectory, rate: RateField) -> AccumulationProfile:
+    """Node factors D_k = exp(integral of m from t_k to T), midpoint quadrature."""
+    return AccumulationProfile(times=traj.times, factors=_accumulation_factors(
+        traj.window.T, traj.terminal_state, [traj.window.omega], traj.velocities[None], rate)[0])
 
 
 def jensen_gap(cost: CostField, T, x, omega, upsilon, cfg: SolverConfig, rng=None) -> float:

@@ -116,23 +116,23 @@ def build_trajectory(window: Window, terminal_state, velocities) -> Trajectory:
     return Trajectory(window=window, terminal_state=terminal_state, velocities=velocities)
 
 
+def _bounds_at(bound: Union[float, Callable], t: np.ndarray) -> np.ndarray:
+    """The speed bound at every time of t (m,); a callable is called once per distinct time."""
+    if not callable(bound):
+        return np.full(len(t), float(bound))
+    times, back = np.unique(t, return_inverse=True)
+    return np.array([float(bound(float(tv))) for tv in times])[back]
+
+
 @dataclass(frozen=True)
 class AdmissibleSpec:
-    """Velocity-norm bound (possibly time-varying) plus an optional cost domain."""
+    """Velocity-norm bound, a number or a callable of time."""
 
     velocity_bound: Union[float, Callable[[float], float]]
-    domain_cost: Optional[CostField] = None
-
-    def bound_at(self, t: float) -> float:
-        b = self.velocity_bound
-        return float(b(t)) if callable(b) else float(b)
 
     def is_admissible(self, traj: Trajectory) -> bool:
-        bounds = np.array([self.bound_at(float(t)) for t in traj.mid_times])
-        if np.any(np.linalg.norm(traj.velocities, axis=1) > bounds + 1e-12):
-            return False
-        return self.domain_cost is None or bool(np.isfinite(eval_cost_batch(
-            self.domain_cost, traj.mid_times, traj.mid_states, traj.velocities)).all())
+        bounds = _bounds_at(self.velocity_bound, traj.mid_times)
+        return not np.any(np.linalg.norm(traj.velocities, axis=1) > bounds + 1e-12)
 
 
 def average_transaction(traj: Trajectory) -> np.ndarray:

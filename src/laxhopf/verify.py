@@ -262,45 +262,38 @@ def hj_residual(surface, cost: CostField, node, velocity_grid, step: Optional[fl
     if callable(surface):
         if step is None or step <= 0:
             raise MisuseError("a callable surface needs a positive stencil step")
-        t, y = node
-        y = np.atleast_1d(np.asarray(y, float))
-        v_t = (surface(t + step, y) - surface(t - step, y)) / (2 * step)
-        grad = np.empty(len(y))
-        for d in range(len(y)):
-            e = np.zeros(len(y))
-            e[d] = step
-            grad[d] = (surface(t, y + e) - surface(t, y - e)) / (2 * step)
-        conj = legendre_fenchel(cost, float(t), y, grad, velocity_grid)
-        return float(v_t) + conj.to_float()
+        t, y = float(node[0]), np.atleast_1d(np.asarray(node[1], float))
+        steps = [step] * (1 + len(y))
 
-    if not isinstance(surface, ValueSurface):
+        def at(axis, k):   # the value k steps along axis (0: time, d + 1: state d) from the node
+            if axis == 0:
+                return surface(t + k * step, y)
+            e = np.zeros(len(y))
+            e[axis - 1] = k * step
+            return surface(t, y + e)
+    elif isinstance(surface, ValueSurface):
+        j, idx = node
+        idx = tuple(np.atleast_1d(idx))
+        g, W = surface.grids, surface.values
+        if not (1 <= j <= g.n_t - 1):
+            raise MisuseError("node must be interior in time")
+        for d, i in enumerate(idx):
+            if not (1 <= i <= len(g.state_axes[d]) - 2):
+                raise MisuseError("node must be interior in state")
+        t, y = float(g.times[j]), np.array([g.state_axes[d][idx[d]] for d in range(g.dim)])
+        steps = [g.dt] + [ax[1] - ax[0] for ax in g.state_axes]
+
+        def at(axis, k):
+            p = [j, *idx]
+            p[axis] += k
+            return W[tuple(p)]
+    else:
         raise MisuseError("surface must be a callable or a ValueSurface")
-    j, idx = node
-    idx = tuple(np.atleast_1d(idx))
-    g = surface.grids
-    if not (1 <= j <= g.n_t - 1):
-        raise MisuseError("node must be interior in time")
-    for d, i in enumerate(idx):
-        if not (1 <= i <= len(g.state_axes[d]) - 2):
-            raise MisuseError("node must be interior in state")
-    W = surface.values
-    stencil = [W[(j - 1, *idx)], W[(j + 1, *idx)], W[(j, *idx)]]
-    neighbors = []
-    for d in range(g.dim):
-        up = list(idx); up[d] += 1
-        dn = list(idx); dn[d] -= 1
-        neighbors.append((W[(j, *up)], W[(j, *dn)]))
-        stencil += [W[(j, *up)], W[(j, *dn)]]
-    if not all(math.isfinite(v) for v in stencil):
+    pairs = [(at(a, 1), at(a, -1)) for a in range(len(steps))]
+    if not (math.isfinite(at(0, 0)) and np.isfinite(pairs).all()):
         return None
-    grad = np.empty(g.dim)
-    for d, (w_up, w_dn) in enumerate(neighbors):
-        h = g.state_axes[d][1] - g.state_axes[d][0]
-        grad[d] = (w_up - w_dn) / (2 * h)
-    v_t = (W[(j + 1, *idx)] - W[(j - 1, *idx)]) / (2 * g.dt)
-    y = np.array([g.state_axes[d][idx[d]] for d in range(g.dim)])
-    conj = legendre_fenchel(cost, float(g.times[j]), y, grad, velocity_grid)
-    return float(v_t) + conj.to_float()
+    diffs = [(up - dn) / (2 * h) for (up, dn), h in zip(pairs, steps)]
+    return float(diffs[0]) + legendre_fenchel(cost, t, y, np.array(diffs[1:]), velocity_grid).to_float()
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,9 @@ from laxhopf import (
 )
 from laxhopf import laxhopf_core
 from laxhopf.costs import eval_rate_batch, eval_terminal
-from laxhopf.discounted import _accumulation_factors
 from laxhopf.errors import MisuseError, RateOverflowError
 from laxhopf.laxhopf_core import _CellCache, _PatternSearch, _reduce
-from laxhopf.moderation import _EXP_CAP, _solve_cells
+from laxhopf.moderation import _EXP_CAP, _accumulation_factors, _solve_cells
 
 QTERM = make_terminal("quadratic_state")
 QUAD = make_cost("quadratic")

@@ -99,6 +99,16 @@ class TestRun:
         assert "V=0.25" in capsys.readouterr().out
 
 
+    def test_classic_kind_writes_moderation_table(self, tmp_path):
+        cfg = write_cfg(tmp_path, {"outputs": {"moderation_table": {"omega_grid": [1.0],
+                                                                    "upsilon_grid": [[1.0], [2.0]]}}})
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        with open(out / "moderation_table.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["lambda"]) for r in rows] == pytest.approx([0.5, 2.0])
+
+
 class TestVerify:
     def test_error_table_decreasing(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {
@@ -384,6 +394,34 @@ class TestSweep:
                      "--axis", "x.0", "--values", ""]) == 0
         lines = (out / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) == 1  # header only
+
+    def test_verify_kind_exit_2_before_any_row(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"kind": "verify", "verify": {"levels": [
+            {"n_t": 5, "state_box": [[-2, 2]], "state_step": 0.02, "velocity_box": [[-2, 2]],
+             "velocity_step": 0.1}] * 2}})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--axis", "x.0", "--values", "0.5,1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: kind:") and "Traceback" not in err
+        assert not (out / "row_000").exists() and not (out / "sweep.csv").exists()
+
+    def test_row_config_errors_are_reported(self, tmp_path, capsys):
+        # an unknown key fails every row: each row names itself, the sweep exits 2
+        cfg = write_cfg(tmp_path, {"outer": dict(BASE["outer"], max_round=3)})
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--axis", "x.0", "--values", "0.5,1"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line.split(": ")[0] for line in err] == ["row 0 (x.0=0.5)", "row 1 (x.0=1.0)"]
+        assert all("config error: outer.max_round: unknown field" in line for line in err)
+        assert (out / "sweep.csv").read_text().splitlines()[1:] == ["0.5,inf,,2", "1.0,inf,,2"]
+        # a row whose swept value is illegal is reported; the other rows ran, so the sweep exits 0
+        cfg = write_cfg(tmp_path)
+        assert main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--axis", "outer.n_upsilon", "--values", "17,0"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("row 1 (outer.n_upsilon=0.0): config error: outer.n_upsilon:")
 
     def test_bad_axis_exit_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path)

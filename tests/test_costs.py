@@ -266,6 +266,18 @@ class TestOneEvaluationPath:
                 one = eval_rate_batch(rate, t[i:i + 1], X[i:i + 1], U[i:i + 1])
                 assert _bits(one[0]) == _bits(batch[i])
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), ell=st.integers(1, 12), t=st.floats(0, 1))
+    def test_scalar_terminal_is_a_batch_row(self, data, ell, t):
+        vec = st.lists(st.floats(-2, 2), min_size=ell, max_size=ell).map(np.array)
+        x, x0 = data.draw(vec), data.draw(vec)
+        for name, params in [("indicator_origin", {}), ("indicator_origin", {"t0": t, "x0": x.tolist()}),
+                             ("quadratic_state", {}), ("quadratic_state", {"a": 0.7, "x0": x0.tolist()}),
+                             ("zero", {})]:
+            term = make_terminal(name, **params)
+            batch = eval_terminal_batch(term, t, x[None])
+            assert _bits(eval_terminal(term, t, x).to_float()) == _bits(batch[0])
+
     def test_field_without_evaluator_is_misuse(self):
         with pytest.raises(MisuseError):
             CostField()

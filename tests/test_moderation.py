@@ -539,6 +539,18 @@ class TestAdmissible:
         (lam, traj), (c_lam, c_traj) = solved
         assert lam.value == c_lam.value and np.array_equal(traj.velocities, c_traj.velocities)
 
+    def test_time_varying_bound_is_called_once_per_time(self, fast_cfg):
+        calls = []
+
+        def bound(t):
+            calls.append(t)
+            return 1.1 + t
+
+        spec = AdmissibleSpec(bound)
+        lam, traj = moderate(dataclasses.replace(prob(WQ, upsilon=1.0), admissible=spec), fast_cfg)
+        assert sorted(calls) == traj.mid_times.tolist()   # every start shares the window's times
+        assert lam.is_finite and spec.is_admissible(traj)
+
 
 class TestModerationTable:
     def test_jensen_grid(self, fast_cfg):

@@ -128,6 +128,11 @@ class TestHjResidual:
         j, idx = surface.nearest_node(0.1, 0.9)
         assert hj_residual(surface, QUAD, (j, idx), DUAL_GRID) is None
 
+    def test_callable_infinite_stencil_marker(self):
+        # V = y^2 up to y = 1, +inf beyond: the stencil at y = 1 reaches y = 1.01
+        surf = lambda t, y: float(y @ y) if y[0] <= 1.0 else math.inf
+        assert hj_residual(surf, QUAD, (0.5, [1.0]), DUAL_GRID, step=0.01) is None
+
 
 class TestValueSurfaceLookup:
     @pytest.mark.parametrize("t, x", [(-0.5, 0.0), (1.5, 0.0), (0.5, 5.0), (0.5, -1.2)])
