@@ -114,6 +114,9 @@ def load_config(path) -> dict:
     kind = _get(cfg, "kind", kind=str)
     if kind not in _KINDS:
         _fail("kind", f"must be one of {_KINDS}, got {kind!r}")
+    for block, readers in (("rate", "discounted"), ("outputs", "classic generalized discounted")):
+        if block in cfg and kind not in readers.split():   # a block the kind never reads
+            _fail(block, f"kind {kind!r} never reads it; kinds that do: {readers}")
     return cfg
 
 

@@ -6,10 +6,10 @@ an optional per-coordinate velocity box outside of which the cost is +infinity; 
 :class:`RateField` wraps an interest rate ``m(t, x, u)``.  Both are batch-first:
 the catalog fields carry only a batch evaluator over rows ``(t, X, U)``, and
 every evaluation, the scalar :func:`eval_cost` included, goes through one
-helper that also owns the box and the NaN fault.  A scalar ``evaluator`` is
-kept for user fields without a batch form and is looped row by row.  Catalog
-fields also carry batch ``partials``, which the inner moderation solver uses
-for its exact gradient.
+helper that also owns the box; one rule rejects NaN and -inf rows of every
+field.  A scalar ``evaluator`` is kept for user fields without a batch form and
+is looped row by row.  Catalog fields also carry batch ``partials``, which the
+inner moderation solver uses for its exact gradient.
 Conjugates are computed by exhaustive maximization over a velocity lattice; at
 desk-scale dimensions this is cheap and unconditionally correct.
 """
@@ -47,6 +47,12 @@ __all__ = [
 
 def _as_vec(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
+
+
+def _rows(points) -> np.ndarray:
+    """``points`` as a float array of rows; a flat list is rows of one coordinate."""
+    arr = np.asarray(points, dtype=float)
+    return arr[:, None] if arr.ndim == 1 else arr
 
 
 def _require_evaluator(fld) -> None:
@@ -132,13 +138,19 @@ class RateField:
 
 @dataclass(frozen=True)
 class TerminalCost:
-    """Instantaneous cost condition c(t, x); finiteness defines the departure tube."""
+    """Instantaneous cost condition c(t, x); finiteness defines the departure tube.
+
+    ``evaluator`` maps one state (l,) to a float or an ExtReal, the optional
+    ``batch_evaluator`` states (m, l) to (m,) floats; a catalog terminal is one
+    function serving as both.  The cell pricer makes one scalar call per cell:
+    the benchmark's tracer counts cells from them (ROADMAP item 1 lifts this).
+    """
 
     evaluator: Callable
     batch_evaluator: Optional[Callable] = None
 
     def in_departure_tube(self, t: float, x) -> bool:
-        return eval_terminal(self, t, x).is_finite
+        return math.isfinite(_terminal_value(self, t, _as_vec(x)))
 
 
 def _to_float(raw) -> float:
@@ -164,6 +176,20 @@ def _box(box, name: str) -> np.ndarray:
     return arr
 
 
+def _checked(vals, what: str, at):
+    """``vals`` (an array, or a float for one row) if no row is NaN or -inf: a NaN row is an
+    EvaluationFault, a -inf one too but misuse for a terminal; ``at(i)`` names row i's point."""
+    ok = vals > -np.inf   # false on NaN and -inf; a bool for a float
+    if ok is True or (ok is not False and ok.all()):
+        return vals
+    i = int(np.argmin(ok))
+    bad = "NaN" if np.isnan(np.ravel(vals)[i]) else "-inf"
+    msg = f"{what} evaluator returned {bad} at {at(i)}"
+    if bad == "-inf" and what == "terminal":
+        raise MisuseError(f"{msg}; extended reals have no negative infinity")
+    raise EvaluationFault(msg)
+
+
 def _field_rows(fld, what: str, t, X, U, box=None) -> np.ndarray:
     """Rows of a cost or rate field as a float array with IEEE inf.
 
@@ -180,12 +206,7 @@ def _field_rows(fld, what: str, t, X, U, box=None) -> np.ndarray:
         vals = np.array([_to_float(fld.evaluator(float(t[i]), X[i], U[i])) for i in range(len(U))])
     if box is not None:
         vals = np.where(np.any((U < box[:, 0]) | (U > box[:, 1]), axis=1), np.inf, vals)
-    ok = vals > -np.inf   # false on NaN and -inf
-    if not ok.all():
-        i = int(np.argmin(ok))
-        bad = "NaN" if np.isnan(vals[i]) else "-inf"
-        raise EvaluationFault(f"{what} evaluator returned {bad} at t={t[i]}, x={X[i]}, u={U[i]}")
-    return vals
+    return _checked(vals, what, lambda i: f"t={t[i]}, x={X[i]}, u={U[i]}")
 
 
 def eval_cost_batch(cost: CostField, t: np.ndarray, X: np.ndarray, U: np.ndarray) -> np.ndarray:
@@ -204,45 +225,31 @@ def eval_cost(cost: CostField, t: float, x, u) -> ExtReal:
     return ExtReal(float(row[0]))
 
 
+def _terminal_value(term: TerminalCost, t: float, x: np.ndarray) -> float:
+    """c(t, x) as a float from one scalar evaluator call; ``x`` is an (l,) float array."""
+    return _checked(_to_float(term.evaluator(t, x)), "terminal", lambda i: f"t={t}, x={x}")
+
+
 def eval_terminal(term: TerminalCost, t: float, x) -> ExtReal:
-    x = _as_vec(x)
-    raw = _to_float(term.evaluator(t, x))
-    if math.isnan(raw):
-        raise EvaluationFault(f"terminal evaluator returned NaN at t={t}, x={x}")
-    return ExtReal(raw)
+    return ExtReal(_terminal_value(term, t, _as_vec(x)))
 
 
 def eval_terminal_batch(term: TerminalCost, t: float, X: np.ndarray) -> np.ndarray:
     """Terminal rows c(t, X_i); a NaN row is an EvaluationFault and a -inf row misuse, as in eval_terminal."""
     X = np.asarray(X, dtype=float)
-    if term.batch_evaluator is not None:
-        vals = np.asarray(term.batch_evaluator(t, X), dtype=float)
-    else:
-        vals = np.array([eval_terminal(term, t, X[i]).to_float() for i in range(len(X))])
-    ok = vals > -np.inf   # false on NaN and -inf
-    if not ok.all():
-        i = int(np.argmin(ok))
-        if np.isnan(vals[i]):
-            raise EvaluationFault(f"terminal evaluator returned NaN at t={t}, x={X[i]}")
-        raise MisuseError(f"terminal evaluator returned -inf at t={t}, x={X[i]}; "
-                          "extended reals have no negative infinity")
-    return vals
+    if term.batch_evaluator is None:
+        return np.array([_terminal_value(term, t, row) for row in X])
+    return _checked(np.asarray(term.batch_evaluator(t, X), dtype=float), "terminal",
+                    lambda i: f"t={t}, x={X[i]}")
 
 
 # ---------------------------------------------------------------------------
 # Legendre-Fenchel conjugation
 # ---------------------------------------------------------------------------
 
-def _grid_2d(velocity_grid) -> np.ndarray:
-    g = np.asarray(velocity_grid, dtype=float)
-    if g.ndim == 1:
-        g = g[:, None]
-    return g
-
-
 def _lattice_costs(cost: CostField, t: float, x, velocity_grid):
     """The finite lattice points and their costs at (t, x); all-infinite is an error."""
-    grid = _grid_2d(velocity_grid)
+    grid = _rows(velocity_grid)
     if grid.size == 0:
         raise MisuseError("legendre_fenchel needs a non-empty velocity grid")
     x = _as_vec(x)
@@ -298,11 +305,9 @@ def subdifferential_check(cost: CostField, t: float, x, u, p, grid, tol: float) 
     box = cost.domain_box
     if box is not None and not np.all((_domain_box(box, u.size)[:, 0] <= u) & (u <= box[:, 1])):
         raise MisuseError("subdifferential_check requires u inside the domain box")
-    lv = eval_cost(cost, t, x, u)
-    conj = legendre_fenchel(cost, t, x, p, grid)
-    if not (lv.is_finite and conj.is_finite):
-        return False
-    return abs(float(p @ u) - lv.value - conj.value) <= tol
+    lv = eval_cost(cost, t, x, u).to_float()
+    conj = legendre_fenchel(cost, t, x, p, grid).to_float()   # finite: a max over finite lattice costs
+    return abs(float(p @ u) - lv - conj) <= tol   # False when lv is +inf
 
 
 # ---------------------------------------------------------------------------
@@ -520,30 +525,25 @@ def make_terminal(name: str, /, **params) -> TerminalCost:
         tol = _param(params, "tol", 1e-9)
         _reject_extras(name, params)
 
-        def _ind(t, x):
-            return 0.0 if abs(t - t0) <= tol and np.all(np.abs(x - x0v) <= tol) else math.inf
-
-        return TerminalCost(
-            evaluator=_ind,
-            batch_evaluator=lambda t, X: np.where(
-                (abs(t - t0) <= tol) & np.all(np.abs(X - x0v) <= tol, axis=1), 0.0, np.inf
-            ),
-        )
-    if name == "quadratic_state":
+        def c(t, X):
+            if not abs(t - t0) <= tol:
+                return np.full(X.shape[:-1], np.inf)[()]
+            return np.where(np.all(np.abs(X - x0v) <= tol, axis=-1), 0.0, np.inf)[()]
+    elif name == "quadratic_state":
         a = _param(params, "a", 1.0)
         x0v = _param(params, "x0", 0.0, 1)
         _reject_extras(name, params)
-        return TerminalCost(   # the scalar is a batch row's arithmetic, so the two agree bit for bit
-            evaluator=lambda t, x: a * float(np.add.reduce(np.square(x - x0v))),
-            batch_evaluator=lambda t, X: a * np.sum((X - x0v) ** 2, axis=1),
-        )
-    if name == "zero":
+
+        def c(t, X):
+            return a * np.add.reduce(np.square(X - x0v), axis=-1)
+    elif name == "zero":
         _reject_extras(name, params)
-        return TerminalCost(
-            evaluator=lambda t, x: 0.0,
-            batch_evaluator=lambda t, X: np.zeros(len(X)),
-        )
-    raise MisuseError(f"unknown terminal cost {name!r}")
+
+        def c(t, X):
+            return np.zeros(X.shape[:-1])[()]
+    else:
+        raise MisuseError(f"unknown terminal cost {name!r}")
+    return TerminalCost(evaluator=c, batch_evaluator=c)
 
 
 def _reject_extras(name: str, params: dict) -> None:

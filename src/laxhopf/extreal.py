@@ -1,9 +1,10 @@
 """Extended-real cost values: the reals plus a single absorbing +infinity.
 
-All cost values in this package are carried as :class:`ExtReal`.  Infinity is a
-tagged state, never an IEEE float travelling through sums and mins, so an
-``inf - inf`` can never silently turn into NaN.  There is no negative infinity;
-any operation that would need one (or that receives NaN) raises.
+:class:`ExtReal` is what the public functions return.  Inside the package,
+values are IEEE floats (+infinity as ``inf``), and one rule in
+:mod:`laxhopf.costs` rejects every NaN or -infinity row an evaluator returns.
+An ExtReal has no negative infinity; any operation that would need one (or
+that receives NaN) raises.
 """
 
 from __future__ import annotations

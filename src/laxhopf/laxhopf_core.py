@@ -29,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import (CostField, RateField, TerminalCost, _box, eval_cost_batch, eval_terminal,
-                    eval_terminal_batch)
+from .costs import (CostField, RateField, TerminalCost, _box, _rows, _terminal_value, eval_cost_batch,
+                    eval_terminal, eval_terminal_batch)
 from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
 from .moderation import SolverConfig, _accumulation_factors, _cell_result, _solve_cells, accumulate_rate
@@ -75,9 +75,7 @@ class OuterGrid:
         omegas = np.unique(np.append(0.0, np.asarray(self.omega_values, dtype=float)))
         if not np.all(omegas >= 0):
             raise MisuseError("omega grid values must be nonnegative")
-        lattice = np.asarray(self.upsilon_lattice, dtype=float)
-        if lattice.ndim == 1:
-            lattice = lattice[:, None]
+        lattice = _rows(self.upsilon_lattice)
         if lattice.size == 0:
             raise MisuseError("upsilon lattice must be non-empty")
         object.__setattr__(self, "omega_values", omegas)
@@ -337,26 +335,21 @@ def _moderated_cells(terminal: TerminalCost, cost: CostField, rate: Optional[Rat
     factors (B, N+1) of the solved cells, whose first column is D (None without).
     """
     def cells_fn(cells):
-        out, live = [], []
-        for om, ups in cells:
-            if om == 0.0:
-                out.append((eval_terminal(terminal, T, x).to_float(), None))
-                continue
-            ups = np.array(ups)
-            c_val = eval_terminal(terminal, T - om, x - om * ups)
-            if c_val.is_finite:
-                live.append((len(out), om, ups, c_val.value))
-            out.append((math.inf, None))
-        if live:
-            omegas = [om for _, om, _, _ in live]
-            lam, V = _solve_cells(cost, rate, T, x, omegas, [ups for _, _, ups, _ in live], cfg,
-                                  lambda c: _cell_seed(cfg.seed, live[c][1], live[c][2]))
+        oms = [o for o, _ in cells]
+        om, ups = np.array(oms), np.array([u for _, u in cells])
+        starts = x - om[:, None] * ups   # the zero cell's row is x, bit for bit
+        c = [_terminal_value(terminal, T - o, s) for o, s in zip(oms, starts)]
+        out = [(c_i if o == 0.0 else math.inf, None) for o, c_i in zip(oms, c)]
+        live = np.flatnonzero(np.isfinite(c) & (om > 0))   # the zero cell needs no solve
+        if live.size:
+            lam, V = _solve_cells(cost, rate, T, x, om[live], ups[live], cfg,
+                                  lambda k: _cell_seed(cfg.seed, oms[live[k]], ups[live[k]]))
             done = np.flatnonzero(np.isfinite(lam))
             ds = ([None] * len(done) if rate is None or not done.size else
-                  _accumulation_factors(T, x, np.asarray(omegas)[done], V[done], rate)[:, 0].tolist())
+                  _accumulation_factors(T, x, om[live[done]], V[done], rate)[:, 0].tolist())
             for k, lam_k, d0 in zip(done.tolist(), lam[done].tolist(), ds):
-                i, om, _, c = live[k]
-                out[i] = ((c if d0 is None else d0 * c) + om * lam_k, (lam_k, om, V[k], c, d0))
+                i, o = live[k], oms[live[k]]
+                out[i] = ((c[i] if d0 is None else d0 * c[i]) + o * lam_k, (lam_k, o, V[k], c[i], d0))
         return out
 
     return cells_fn
@@ -372,6 +365,8 @@ def classic_lax_hopf(terminal: TerminalCost, cost: CostField, T: float, x,
     """
     if not (cost.velocity_only and cost.declared_convex_in_u):
         raise MisuseError("classic_lax_hopf requires a velocity-only cost declared convex in u")
+    if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 1):
+        raise MisuseError(f"classic_lax_hopf needs an integer n_steps >= 1, got {n_steps!r}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
 
     def cells_fn(cells):
@@ -379,7 +374,7 @@ def classic_lax_hopf(terminal: TerminalCost, cost: CostField, T: float, x,
         by_omega = {}
         for i, (om, _) in enumerate(cells):
             if om == 0.0:
-                out[i] = (eval_terminal(terminal, T, x).to_float(), None)
+                out[i] = (_terminal_value(terminal, T, x), None)
             else:
                 by_omega.setdefault(om, []).append(i)
         for om, idx in by_omega.items():
@@ -426,11 +421,11 @@ def _certificate(result: ValueResult, terminal: TerminalCost, moderation_lambda:
         return None
     if result.trajectory is None or moderation_lambda is None:
         raise MisuseError("certificate needs the optimal trajectory and moderation value")
-    c_start = eval_terminal(terminal, result.trajectory.window.start, result.start_state)
-    if not (c_start.is_finite and result.value.is_finite and moderation_lambda.is_finite):
+    c_start = _terminal_value(terminal, result.trajectory.window.start, result.start_state)
+    if not (math.isfinite(c_start) and result.value.is_finite and moderation_lambda.is_finite):
         raise MisuseError("certificate needs finite value, start cost and moderation")
     d0 = 1.0 if rate is None else float(accumulate_rate(result.trajectory, rate).factors[0])
-    return abs(enrichment(d0 * c_start.value, result.value.value, result.omega_star) - moderation_lambda.value)
+    return abs(enrichment(d0 * c_start, result.value.value, result.omega_star) - moderation_lambda.value)
 
 
 def optimum_certificate(result: ValueResult, terminal: TerminalCost,
@@ -455,13 +450,13 @@ def dynamic_value_profile(result: ValueResult, terminal: TerminalCost, cost: Cos
     if result.trajectory is None or result.omega_star in (None, 0):
         raise MisuseError("dynamic_value_profile needs an optimizer with positive aperture")
     traj = result.trajectory
-    c_start = eval_terminal(terminal, traj.window.start, traj.states[0])
-    if not c_start.is_finite:
+    c_start = _terminal_value(terminal, traj.window.start, traj.states[0])
+    if not math.isfinite(c_start):
         raise MisuseError("start state leaves the departure tube")
     steps = eval_cost_batch(cost, traj.mid_times, traj.mid_states, traj.velocities)
     if not np.isfinite(steps).all():
         raise MisuseError("optimal trajectory hits an infinite-cost step")
-    vals = np.cumsum(np.concatenate([[c_start.value], traj.dt * steps]))
+    vals = np.cumsum(np.concatenate([[c_start], traj.dt * steps]))
     return list(zip(traj.times.tolist(), vals.tolist()))
 
 
@@ -477,14 +472,10 @@ def wtp_value(terminal: TerminalCost, velocity_bound: float, T: float, x,
     if velocity_bound < 0:
         raise MisuseError(f"velocity bound must be nonnegative, got {velocity_bound}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    pts = np.asarray(state_grid, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _rows(state_grid)
     if pts.shape[1] != len(x):
         raise MisuseError(f"state grid dimension {pts.shape[1]} != state dimension {len(x)}")
-    if omega == 0:
-        return eval_terminal(terminal, T, x)
-    if velocity_bound == 0:
+    if omega == 0 or velocity_bound == 0:
         return eval_terminal(terminal, T - omega, x)
     inside = np.linalg.norm(pts - x, axis=1) <= omega * velocity_bound + 1e-12
     vals = eval_terminal_batch(terminal, T - omega, pts[inside])

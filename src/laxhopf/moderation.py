@@ -62,7 +62,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import CostField, RateField, _domain_box, eval_cost, eval_cost_batch, eval_rate_batch
+from .costs import CostField, RateField, _domain_box, _rows, eval_cost, eval_cost_batch, eval_rate_batch
 from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
 from .trajectories import AdmissibleSpec, Trajectory, Window, _bounds_at, _node_states, _write_csv
@@ -644,9 +644,7 @@ def build_moderation_table(cost, T, x, omega_grid, upsilon_grid, cfg: SolverConf
     regardless of evaluation order.
     """
     omega_grid = np.asarray(omega_grid, dtype=float)
-    upsilon_grid = np.asarray(upsilon_grid, dtype=float)
-    if upsilon_grid.ndim == 1:
-        upsilon_grid = upsilon_grid[:, None]
+    upsilon_grid = _rows(upsilon_grid)
     if omega_grid.size == 0 or upsilon_grid.size == 0:
         raise MisuseError("moderation table grids must be non-empty")
     n, m = len(omega_grid), len(upsilon_grid)

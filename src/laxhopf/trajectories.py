@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .costs import CostField, eval_cost_batch
+from .costs import CostField, _rows, eval_cost_batch
 from .errors import DegenerateWindowError, MisuseError
 from .extreal import INF, ExtReal
 
@@ -102,9 +102,7 @@ def _node_states(ends, V, dt):
 
 def build_trajectory(window: Window, terminal_state, velocities) -> Trajectory:
     terminal_state = np.atleast_1d(np.asarray(terminal_state, dtype=float))
-    velocities = np.asarray(velocities, dtype=float)
-    if velocities.ndim == 1:
-        velocities = velocities[:, None]
+    velocities = _rows(velocities)
     if len(velocities) == 0:
         raise MisuseError("a trajectory needs at least one velocity step")
     if velocities.shape[1] != len(terminal_state):

@@ -587,3 +587,46 @@ class TestRemovedOuterKeys:
         assert docs[0]["upsilon_star"] in grid.upsilon_lattice.tolist()
         assert docs[1]["value"] < docs[0]["value"]   # the search leaves it
 
+
+
+class TestBlocksTheKindNeverReads:
+    """A ``rate`` block is read only under ``kind: discounted``, and an ``outputs`` block
+    never under ``economy``, ``wtp`` or ``verify``; elsewhere either one used to be
+    ignored, malformed or not, and the run exited 0."""
+
+    RATE = {"name": "constant", "params": {"r": 0.5}}
+
+    @pytest.mark.parametrize("overrides", [
+        {"kind": "generalized", "rate": {"nme": "constant"}},
+        {"kind": "generalized", "rate": RATE},
+        {"rate": RATE},
+        dict(ECONOMY, rate=RATE),
+        dict(WTP, rate=RATE),
+        dict(with_level(), rate=RATE),
+    ], ids=["generalized-misspelled", "generalized", "classic", "economy", "wtp", "verify"])
+    def test_rate_exit_2(self, tmp_path, capsys, overrides):
+        cfg = write_cfg(tmp_path, overrides)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: rate:")
+        assert "Traceback" not in err
+        assert not (out / "result.json").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        dict(WTP, outputs={"bogus": 1}),
+        dict(ECONOMY, outputs={"moderation_table": {"omega_grid": [1.0], "upsilon_grid": [[1.0, 0.0]]}}),
+        dict(with_level(), outputs={}),
+    ], ids=["wtp", "economy", "verify"])
+    def test_outputs_exit_2(self, tmp_path, capsys, overrides):
+        cfg = write_cfg(tmp_path, overrides)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: outputs:")
+        assert not (out / "result.json").exists()
+
+    def test_discounted_reads_its_rate(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"kind": "discounted", "rate": self.RATE,
+                                   "solver": {"n_steps": 8, "multi_starts": 0}})
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0

@@ -19,6 +19,7 @@ from laxhopf import (
 )
 from laxhopf.costs import eval_cost_batch, eval_rate_batch, eval_terminal, eval_terminal_batch, make_rate
 from laxhopf.errors import EmptyDomainError, EvaluationFault, MisuseError
+from laxhopf.extreal import ExtReal
 
 QUAD = make_cost("quadratic")                 # |u|^2 / 2
 ABS = make_cost("abs")
@@ -300,14 +301,43 @@ class TestOneEvaluationPath:
         with pytest.raises(EvaluationFault, match=r"rate evaluator returned -inf at t=0\.5, x=\[0\.\], u=\[1\.\]"):
             eval_rate_batch(rate, [0.5, 0.5], [[0.0], [0.0]], [[-1.0], [1.0]])
 
+    @staticmethod
+    def _terminal(bad, batch):
+        """A terminal that is ``bad`` near x = 1 and 0 elsewhere, with or without a batch form."""
+        f = lambda t, x: bad if abs(x[0] - 1.0) < 0.5 else 0.0
+        return TerminalCost(evaluator=f, batch_evaluator=(lambda t, X: np.array([f(t, x) for x in X])) if batch else None)
+
     @pytest.mark.parametrize("batch", [True, False])
     def test_minus_inf_terminal_is_misuse(self, batch):
-        f = lambda t, x: -math.inf if abs(x[0] - 1.0) < 0.5 else 0.0
-        term = TerminalCost(evaluator=f, batch_evaluator=(lambda t, X: np.array([f(t, x) for x in X])) if batch else None)
-        with pytest.raises(MisuseError, match="negative infinity"):
+        # one rule for every path, and the message names the point
+        term = self._terminal(-math.inf, batch)
+        at = r"terminal evaluator returned -inf at t=0\.5, x=\[1\.\]; extended reals have no negative infinity"
+        with pytest.raises(MisuseError, match=at):
             eval_terminal_batch(term, 0.5, [[0.0], [1.0]])
-        with pytest.raises(MisuseError, match="negative infinity"):
+        with pytest.raises(MisuseError, match=at):
             eval_terminal(term, 0.5, [1.0])
+        with pytest.raises(MisuseError, match=at):
+            term.in_departure_tube(0.5, [1.0])
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_nan_terminal_is_a_fault(self, batch):
+        term = self._terminal(math.nan, batch)
+        at = r"terminal evaluator returned NaN at t=0\.5, x=\[1\.\]$"
+        with pytest.raises(EvaluationFault, match=at):
+            eval_terminal_batch(term, 0.5, [[0.0], [1.0]])
+        with pytest.raises(EvaluationFault, match=at):
+            eval_terminal(term, 0.5, [1.0])
+
+    def test_extreal_terminal_values_are_read(self):
+        term = TerminalCost(evaluator=lambda t, x: ExtReal(math.inf) if x[0] > 0 else ExtReal(2.0))
+        assert eval_terminal_batch(term, 0.0, [[-1.0], [1.0]]).tolist() == [2.0, math.inf]
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf], ids=["nan", "-inf"])
+    def test_bad_scalar_cost_row_names_its_point(self, bad):
+        cost = CostField(evaluator=lambda t, x, u: bad if u[0] > 0 else 0.0)
+        name = "NaN" if math.isnan(bad) else "-inf"
+        with pytest.raises(EvaluationFault, match=rf"cost evaluator returned {name} at t=0\.5, x=\[0\.25\], u=\[1\.\]$"):
+            eval_cost_batch(cost, [0.5, 0.5], [[0.25], [0.25]], [[-1.0], [1.0]])
 
 
 class TestStateFree:

@@ -10,6 +10,7 @@ from laxhopf import (
     DPGrids,
     OuterGrid,
     SolverConfig,
+    TerminalCost,
     Window,
     build_trajectory,
     classic_lax_hopf,
@@ -84,6 +85,16 @@ class TestClassic:
     def test_misuse_on_general_cost(self, scalar_grid):
         with pytest.raises(MisuseError):
             classic_lax_hopf(IND, WQ, 1.0, 1.0, scalar_grid)
+
+    @pytest.mark.parametrize("n_steps", [0, -3, 2.5])
+    def test_n_steps_checked_before_the_search(self, scalar_grid, n_steps):
+        # 0 returned a trajectory whose states divided by zero; -3 and 2.5 searched, then failed in np.tile
+        def never(*args):
+            raise AssertionError("the search ran")
+
+        with pytest.raises(MisuseError, match="n_steps"):
+            classic_lax_hopf(TerminalCost(evaluator=never, batch_evaluator=never), QUAD, 1.0, 1.0,
+                             scalar_grid, n_steps=n_steps)
 
     def test_all_infeasible(self):
         grid = OuterGrid.build(omega_max=0.5, n_omega=2, upsilon_box=[[-1, 1]],
