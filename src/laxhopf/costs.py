@@ -49,6 +49,11 @@ def _as_vec(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _rows(points) -> np.ndarray:
     """``points`` as a float array of rows; a flat list is rows of one coordinate."""
     arr = np.asarray(points, dtype=float)

@@ -9,19 +9,18 @@ from one rate batch per pricing call; m = 0 gives the generalized values bit
 for bit.  The zero-aperture cell always contributes c(T, x), so the value never
 exceeds the instantaneous cost where that is finite.  Grid optima are sharpened
 by a coordinate pattern search with step halving around the incumbent.  Cells
-are priced in batches: the grid pass is one batch.  The search is a resumable
-state that reads one cell at a time; at an unpriced cell, a copy of it runs
-ahead, reading every unpriced cell as no improvement, and the cells that path
-asks for are priced in one batch with the missing one.  The search path is that
-of pricing one cell at a time.  The search holds its point, steps and cells as
-tuples of Python floats: the same double arithmetic as on arrays, without a
-numpy call per probe.  A priced cell holds numbers and its velocity row; the
-result is built for the winner only.
+are priced in batches: the grid pass is one batch.  The search is one function
+over a plain state tuple that reads one cell at a time; at an unpriced cell,
+the same search resumed from that state runs ahead, reading every unpriced cell
+as no improvement, and the cells that path asks for are priced in one batch with
+the missing one.  The search path is that of pricing one cell at a time.  The
+search holds its point, steps and cells as tuples of Python floats: the same
+double arithmetic as on arrays, without a numpy call per probe.  A priced cell
+holds numbers and its velocity row; the result is built for the winner only.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 from dataclasses import dataclass, replace
@@ -29,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import (CostField, RateField, TerminalCost, _box, _rows, _terminal_value, eval_cost_batch,
-                    eval_terminal, eval_terminal_batch)
+from .costs import (CostField, RateField, TerminalCost, _box, _integer, _rows, _terminal_value,
+                    eval_cost_batch, eval_terminal, eval_terminal_batch)
 from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
 from .moderation import SolverConfig, _accumulation_factors, _cell_result, _solve_cells, accumulate_rate
@@ -61,8 +60,9 @@ class OuterGrid:
     """Search grid over (omega, upsilon); omega = 0 is always a member.
 
     Construction adds the zero aperture, sorts the apertures without repeats and
-    makes the lattice (m, l).  ``max_rounds`` bounds the pattern search that
-    follows the grid pass; 0 is the grid pass alone.
+    makes the lattice (m, l); apertures and lattice are finite.  ``max_rounds``,
+    an integer >= 0, bounds the pattern search that follows the grid pass; 0 is
+    the grid pass alone.  An integer is an int or a numpy integer, never a bool.
     """
 
     omega_values: np.ndarray        # sorted, 0 plus positive apertures
@@ -70,14 +70,14 @@ class OuterGrid:
     max_rounds: int = 10
 
     def __post_init__(self):
-        if not self.max_rounds >= 0:   # the pattern search stops when its round count reaches it
-            raise MisuseError(f"OuterGrid needs max_rounds >= 0, got {self.max_rounds}")
+        if not (_integer(self.max_rounds) and self.max_rounds >= 0):   # else the search never ends
+            raise MisuseError(f"OuterGrid.max_rounds must be an integer >= 0, got {self.max_rounds!r}")
         omegas = np.unique(np.append(0.0, np.asarray(self.omega_values, dtype=float)))
-        if not np.all(omegas >= 0):
-            raise MisuseError("omega grid values must be nonnegative")
+        if not np.all((omegas >= 0) & (omegas < np.inf)):
+            raise MisuseError(f"OuterGrid.omega_values must be finite and nonnegative, got {omegas.tolist()}")
         lattice = _rows(self.upsilon_lattice)
-        if lattice.size == 0:
-            raise MisuseError("upsilon lattice must be non-empty")
+        if lattice.size == 0 or not np.isfinite(lattice).all():
+            raise MisuseError("OuterGrid.upsilon_lattice must be non-empty and finite")
         object.__setattr__(self, "omega_values", omegas)
         object.__setattr__(self, "upsilon_lattice", lattice)
 
@@ -85,8 +85,11 @@ class OuterGrid:
     def build(omega_max: float, n_omega: int, upsilon_box, n_upsilon: int,
               max_rounds: int = 10) -> "OuterGrid":
         """Uniform grid: n_omega apertures in (0, omega_max] plus 0, and a box lattice."""
-        if omega_max <= 0 or n_omega < 1:
-            raise MisuseError("OuterGrid.build needs omega_max > 0 and n_omega >= 1")
+        if not 0 < omega_max < np.inf:
+            raise MisuseError(f"OuterGrid.build needs a finite omega_max > 0, got {omega_max!r}")
+        for name, n in (("n_omega", n_omega), ("n_upsilon", n_upsilon)):
+            if not (_integer(n) and n >= 1):
+                raise MisuseError(f"OuterGrid.build needs an integer {name} >= 1, got {n!r}")
         omegas = np.linspace(omega_max / n_omega, omega_max, n_omega)
         lattice = _box_lattice(_box(upsilon_box, "upsilon_box"), n_upsilon)
         return OuterGrid(omega_values=omegas, upsilon_lattice=lattice, max_rounds=max_rounds)
@@ -119,133 +122,37 @@ _LOOKAHEAD_CELLS = 16
 _SHRINK = 0.5
 
 
-class _CellCache:
-    """Priced cells by rounded (omega, upsilon); ``fill`` prices every unseen cell in one batch.
+def _search(read, at, strict: bool, omega_max: float, rounds: int):
+    """Greedy coordinate pattern search over y = (omega, *upsilon); its best (value, omega, upsilon).
 
-    ``store`` holds the cells the search has read.  ``ahead`` holds the cells a
-    look-ahead priced before the search read them, each with the exact point it
-    priced: a read takes the entry only at that point, so a key's value is that
-    of the first point the search reads under it.
+    ``at`` is the state (y, steps, best, round, sweep, move, moved) to start or
+    resume at.  Each sweep probes y + steps[d] and y - steps[d] along every
+    coordinate d in turn, omega clipped to [0, omega_max] and the zero cell at
+    omega = 0, and moves to a probe that beats the incumbent (``strict``: on a
+    lower value only); a round repeats sweeps until one moves nowhere (at most
+    50), then scales the steps by ``_SHRINK``.  ``read(cell, state)`` is the value
+    of the probed (omega, upsilon) cell, ``state`` the one that probes it, or
+    None to stop.
     """
-
-    def __init__(self, cells_fn):
-        self.cells_fn = cells_fn
-        self.store = {}
-        self.ahead = {}  # rounded key -> (exact (omega, *upsilon), priced cell)
-        self.keys = {}  # exact (omega, *upsilon) -> rounded key
-
-    def key(self, omega, ups):
-        exact = (omega, *ups)
-        key = self.keys.get(exact)
-        if key is None:
-            key = self.keys[exact] = (round(omega, 12), tuple(np.array(ups).round(12).tolist()))
-        return key
-
-    def fill(self, cells, keys, ahead=False) -> None:
-        """Price the unseen cells of [(omega, upsilon)], whose keys are given, in one call;
-        with ``ahead``, every cell but the first goes to ``ahead``."""
-        todo = {}
-        for key, cell in zip(keys, cells):
-            if key not in self.store and key not in todo:
-                todo[key] = cell
-        if todo:
-            priced = self.cells_fn(list(todo.values()))
-            for (key, (omega, ups)), cell in zip(todo.items(), priced):
-                if ahead and key != keys[0]:
-                    self.ahead[key] = ((omega, *ups), cell)
-                else:
-                    self.store[key] = cell
-
-    def fill_ahead(self, cells, keys) -> None:
-        """Price the asked cell ``cells[0]`` with the speculative rest.  A batch
-        that raises stores nothing; the asked cell is then priced alone, and
-        raises as it would have."""
-        try:
-            self.fill(cells, keys, ahead=True)
-        except (RateOverflowError, EvaluationFault):
-            self.fill(cells[:1], keys[:1])
-
-
-class _PatternSearch:
-    """Resumable greedy coordinate pattern search over y = (omega, *upsilon).
-
-    Each sweep probes y +- step along every coordinate in turn and moves to a
-    probe that beats the incumbent (``strict``: on a lower value only); a
-    round repeats sweeps until one moves nowhere (at most 50), then scales the
-    steps by ``_SHRINK``.  ``probe`` names the next cell and ``feed`` takes its
-    value, so a ``copy.copy`` of the state can be run ahead of the real walk.
-    """
-
-    __slots__ = ("cells", "grid", "omega_max", "moves", "y", "steps", "round", "sweep",
-                 "move", "moved", "strict", "best", "cell")
-
-    def __init__(self, cells, grid, omega_max, steps, best, strict):
-        self.cells, self.grid, self.omega_max = cells, grid, omega_max
-        self.moves = [(d, sgn) for d in range(len(steps)) for sgn in (+1.0, -1.0)]
-        self.y, self.steps = (best[1], *best[2]), tuple(steps)
-        self.round = self.sweep = self.move = 0
-        self.moved, self.strict, self.best, self.cell = False, strict, best, None
-
-    def probe(self):
-        """(key, omega, upsilon) of the next cell the search reads; None once it has ended."""
-        if self.round == self.grid.max_rounds:
-            return None
-        d, sgn = self.moves[self.move]
-        p = list(self.y)
-        p[d] += sgn * self.steps[d]
-        om = min(max(p[0], 0.0), self.omega_max)
-        om, ups = (om, tuple(p[1:])) if om > 0 else (0.0, (0.0,) * (len(p) - 1))
-        self.cell = (om, ups)
-        return self.cells.key(om, ups), om, ups
-
-    def feed(self, value) -> None:
-        """The value of the cell ``probe`` named last; advances the search."""
-        om, ups = self.cell
-        cand = (value, om, ups)
-        if (cand[0] < self.best[0]) if self.strict else (cand < self.best):
-            self.best, self.y, self.moved = cand, (om, *ups), True
-        self.move += 1
-        if self.move < len(self.moves):
-            return
-        self.move, self.sweep = 0, self.sweep + 1
-        if not self.moved or self.sweep == 50:
-            self.round, self.sweep = self.round + 1, 0
-            self.steps = tuple(s * _SHRINK for s in self.steps)
-        self.moved = False
-
-
-def _walk(search: _PatternSearch):
-    """Run ``search`` to its end; returns its best (value, omega, upsilon).
-
-    When the next cell is unpriced, a copy runs ahead and reads every unpriced
-    cell as no improvement; the cells it asks for, up to ``_LOOKAHEAD_CELLS``,
-    are priced in one batch with the missing one.
-    """
-    cells = search.cells
-    store, priced_ahead = cells.store, cells.ahead
-    while (probe := search.probe()) is not None:
-        key, om, ups = probe
-        if key in priced_ahead and key not in store:
-            exact, cell = priced_ahead.pop(key)
-            if exact == (om, *ups):
-                store[key] = cell
-        if key not in store:
-            ahead, keys = [(om, ups)], [key]
-            spec = copy.copy(search)
-            spec.feed(math.inf)
-            while len(keys) < _LOOKAHEAD_CELLS and (probe := spec.probe()) is not None:
-                k, o, u = probe
-                known = store.get(k) or priced_ahead.get(k, (None, None))[1]
-                if known is not None:
-                    spec.feed(known[0])
-                    continue
-                if k not in keys:
-                    ahead.append((o, u))
-                    keys.append(k)
-                spec.feed(math.inf)
-            cells.fill_ahead(ahead, keys)
-        search.feed(store[key][0])
-    return search.best
+    y, steps, best, rnd, sweep, move, moved = at
+    while rnd < rounds:
+        d, down = divmod(move, 2)
+        p = list(y)
+        p[d] = p[d] - steps[d] if down else p[d] + steps[d]
+        om = min(max(p[0], 0.0), omega_max)
+        cell = (om, tuple(p[1:])) if om > 0 else (0.0, (0.0,) * (len(p) - 1))
+        value = read(cell, (y, steps, best, rnd, sweep, move, moved))
+        if value is None:
+            break
+        if (value < best[0]) if strict else ((value, *cell) < best):
+            best, y, moved = (value, *cell), (om, *cell[1]), True
+        move += 1
+        if move == 2 * len(y):
+            move, sweep = 0, sweep + 1
+            if not moved or sweep == 50:
+                rnd, sweep, steps = rnd + 1, 0, tuple(s * _SHRINK for s in steps)
+            moved = False
+    return best
 
 
 def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
@@ -256,51 +163,91 @@ def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
     best positive-aperture grid cell instead, moving on strict gains only, and
     its end point replaces the zero cell only if it is strictly cheaper.
 
-    ``cells_fn`` prices a list of (omega, upsilon tuple) cells.  The grid pass is one
-    batch.  The search (``_PatternSearch``) reads one cell at a time; each
-    time it reaches an unpriced cell, that cell and the unpriced cells a
-    look-ahead copy of the search reads next are priced as one batch, so the
-    search path is that of pricing one cell at a time.
+    ``cells_fn`` prices a list of (omega, upsilon tuple) cells.  The grid pass is
+    one batch.  Cells are stored by rounded (omega, upsilon).  At an unpriced
+    cell, ``_search`` resumes from the walk's state, reading every unpriced cell
+    as +inf, and the cells it asks for, up to ``_LOOKAHEAD_CELLS``, are priced in
+    one batch with the missing one, so the search path is that of pricing one
+    cell at a time.  A look-ahead cell goes to ``ahead`` with the exact point it
+    was priced at, and the walk takes it only at that point.
     """
-    cells = _CellCache(cells_fn)
-    ell = grid.upsilon_lattice.shape[1]
-    zero_ups = (0.0,) * ell
+    store, ahead, keys = {}, {}, {}   # key -> cell; key -> (exact point, cell); exact point -> key
 
-    grid_cells, keys = [], []
+    def key(om, ups):
+        exact = (om, *ups)
+        k = keys.get(exact)
+        if k is None:
+            k = keys[exact] = (round(om, 12), tuple(np.array(ups).round(12).tolist()))
+        return k
+
+    def fill(cells, cell_keys, speculative=False):
+        """Price the unstored cells in one call; with ``speculative``, all but the first
+        go to ``ahead``, and a batch that raises stores nothing: the first cell is then
+        priced alone, and raises as it would have."""
+        todo = {}
+        for k, cell in zip(cell_keys, cells):
+            if k not in store:
+                todo.setdefault(k, cell)
+        try:
+            priced = cells_fn(list(todo.values()))
+        except (RateOverflowError, EvaluationFault):
+            if not speculative:
+                raise
+            todo, priced = {cell_keys[0]: cells[0]}, cells_fn(cells[:1])
+        for (k, (om, ups)), cell in zip(todo.items(), priced):
+            if speculative and k != cell_keys[0]:
+                ahead[k] = ((om, *ups), cell)
+            else:
+                store[k] = cell
+
+    def read(cell, state):
+        k = key(*cell)
+        if k not in store and k in ahead:
+            exact, priced = ahead.pop(k)
+            if exact == (cell[0], *cell[1]):
+                store[k] = priced
+        if k not in store:
+            batch, batch_keys = [cell], [k]
+
+            def peek(c, _):
+                if len(batch_keys) == _LOOKAHEAD_CELLS:
+                    return None
+                ck = key(*c)
+                known = store.get(ck) or ahead.get(ck, (None, None))[1]
+                if known is not None:
+                    return known[0]
+                if ck not in batch_keys:
+                    batch.append(c)
+                    batch_keys.append(ck)
+                return math.inf
+
+            _search(peek, state, strict, omega_max, grid.max_rounds)
+            fill(batch, batch_keys, speculative=True)
+        return store[k][0]
+
+    ell = grid.upsilon_lattice.shape[1]
     lattice = [tuple(ups) for ups in grid.upsilon_lattice.tolist()]
     lattice_keys = [tuple(k) for k in np.round(grid.upsilon_lattice, 12).tolist()]
-    for omega in grid.omega_values.tolist():
-        if omega == 0.0:
-            grid_cells.append((0.0, zero_ups))
-            keys.append(cells.key(0.0, zero_ups))
-        else:
-            grid_cells += [(omega, ups) for ups in lattice]
-            keys += [(round(omega, 12), k) for k in lattice_keys]
-    cells.fill(grid_cells, keys)
-    priced = [(cells.store[key][0], om, ups) for key, (om, ups) in zip(keys, grid_cells)]
+    omegas = grid.omega_values[1:].tolist()   # the positive apertures
+    cells = [(0.0, (0.0,) * ell)] + [(om, ups) for om in omegas for ups in lattice]
+    cell_keys = [key(*cells[0])] + [(round(om, 12), k) for om in omegas for k in lattice_keys]
+    fill(cells, cell_keys)
+    priced = [(store[k][0], *cell) for k, cell in zip(cell_keys, cells)]
     best = min(priced)
 
-    if math.isfinite(best[0]):
-        pos = grid.omega_values[grid.omega_values > 0]
-        d_omega = float(np.min(np.diff(pos))) if len(pos) > 1 else omega_max / 4.0
-        first_steps = [d_omega]
-        for h in range(ell):
-            col = np.unique(grid.upsilon_lattice[:, h])
-            first_steps.append(float(np.min(np.diff(col))) if len(col) > 1 else 0.25)
-
-        if best[1] > 0:
-            best = _walk(_PatternSearch(cells, grid, omega_max, first_steps, best, strict=False))
-        else:
-            # every probe from the zero cell ties with it or maps back to it, so
-            # walk from the best positive-aperture cell instead; the upsilon = 0
-            # column ties with c(T, x) at every omega, so only strict gains move
-            start = min((c for c in priced if c[1] > 0), default=(math.inf,))
-            if math.isfinite(start[0]):
-                best = min(best, _walk(_PatternSearch(cells, grid, omega_max, first_steps,
-                                                      start, strict=True)))
+    # every probe from the zero cell ties with it or maps back to it, so when it
+    # wins, walk from the best positive-aperture cell instead; the upsilon = 0
+    # column ties with c(T, x) at every omega, so only strict gains move
+    strict = best[1] == 0
+    start = min(priced[1:], default=(math.inf,)) if strict else best
+    if math.isfinite(start[0]):
+        cols = [grid.omega_values[1:]] + [np.unique(col) for col in grid.upsilon_lattice.T]
+        steps = tuple(float(np.min(np.diff(col))) if len(col) > 1 else s
+                      for col, s in zip(cols, [omega_max / 4.0] + [0.25] * ell))
+        at = ((start[1], *start[2]), steps, start, 0, 0, 0, False)
+        best = min(best, _search(read, at, strict, omega_max, grid.max_rounds))
     value, omega_star, ups_star = best
-    _, payload = cells.store[cells.key(omega_star, ups_star if omega_star > 0 else zero_ups)]
-    return value, omega_star, np.array(ups_star), payload
+    return value, omega_star, np.array(ups_star), store[key(omega_star, ups_star)][1]
 
 
 def _reduce(T: float, x: np.ndarray, grid: OuterGrid, cells_fn) -> ValueResult:
@@ -365,7 +312,7 @@ def classic_lax_hopf(terminal: TerminalCost, cost: CostField, T: float, x,
     """
     if not (cost.velocity_only and cost.declared_convex_in_u):
         raise MisuseError("classic_lax_hopf requires a velocity-only cost declared convex in u")
-    if not (isinstance(n_steps, (int, np.integer)) and n_steps >= 1):
+    if not (_integer(n_steps) and n_steps >= 1):
         raise MisuseError(f"classic_lax_hopf needs an integer n_steps >= 1, got {n_steps!r}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
 

@@ -62,7 +62,8 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import CostField, RateField, _domain_box, _rows, eval_cost, eval_cost_batch, eval_rate_batch
+from .costs import (CostField, RateField, _domain_box, _integer, _rows, eval_cost, eval_cost_batch,
+                    eval_rate_batch)
 from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
 from .trajectories import AdmissibleSpec, Trajectory, Window, _bounds_at, _node_states, _write_csv
@@ -99,6 +100,9 @@ _SOLVER_AT_LEAST = {"n_steps": 1, "multi_starts": 0, "max_iter": 0, "seed": 0}
 class SolverConfig:
     """Inner-solver settings; every default is deliberate and reproducible.
 
+    Every field is an integer (an int or a numpy integer, never a bool) at least
+    its ``_SOLVER_AT_LEAST`` bound.
+
     The descent's constants are not settings: see _GRAD_TOL, _ARMIJO, _STEP_INIT,
     _STEP_GROWTH, _MAX_BACKTRACKS and _FD_STEP in this module.
     """
@@ -110,8 +114,8 @@ class SolverConfig:
 
     def __post_init__(self):
         for name, low in _SOLVER_AT_LEAST.items():
-            if not getattr(self, name) >= low:
-                raise MisuseError(f"SolverConfig.{name} must be >= {low}, got {getattr(self, name)}")
+            if not (_integer(value := getattr(self, name)) and value >= low):
+                raise MisuseError(f"SolverConfig.{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -420,17 +424,14 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, seed_of,
     and the argmin velocities V (C, N, l): inf and a NaN row for an infeasible cell.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n_steps = int(cfg.n_steps)
+    omegas, upsilons, n_steps = np.asarray(omegas, dtype=float), _rows(upsilons), cfg.n_steps
     if len(omegas) != len(upsilons):
         raise MisuseError(f"moderation needs one upsilon per aperture, got "
                           f"{len(omegas)} apertures, {len(upsilons)} upsilons")
-    omegas = [float(om) for om in omegas]
-    upsilons = [np.atleast_1d(np.asarray(u, dtype=float)) for u in upsilons]
-    for om, ups in zip(omegas, upsilons):
-        if om <= 0:
-            raise MisuseError(f"moderation needs a positive aperture, got {om}")
-        if ups.shape != x.shape:
-            raise MisuseError(f"upsilon dimension {ups.size} != state dimension {x.size}")
+    if not np.all((omegas > 0) & (omegas < np.inf)):
+        raise MisuseError(f"moderation needs positive finite apertures, got {omegas.tolist()}")
+    if upsilons.shape[1:] != x.shape:
+        raise MisuseError(f"upsilon dimension {upsilons.shape[-1]} != state dimension {x.size}")
     box = None if cost.domain_box is None else _domain_box(cost.domain_box, x.size)
     lam, V = np.full(len(omegas), np.inf), np.full((len(omegas), n_steps, x.size), np.nan)
 
@@ -440,11 +441,11 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, seed_of,
         lam[cells[fin]], V[cells[fin]] = val[best[fin]], U[best[fin]]
 
     # the mean of box-constrained steps cannot leave the box
-    cells = np.array([i for i, ups in enumerate(upsilons)
-                      if box is None or not (np.any(ups < box[:, 0]) or np.any(ups > box[:, 1]))], dtype=int)
+    cells = (np.arange(len(omegas)) if box is None else
+             np.flatnonzero(~np.any((upsilons < box[:, 0]) | (upsilons > box[:, 1]), axis=1)))
     if cells.size and cost.separable is not None and admissible is None and (rate is None or rate.time_only):
-        obj = _WindowObjective(cost, rate, T, np.asarray(omegas)[cells], x, n_steps)
-        U, exact = _separable_argmins(obj, cost.separable, np.asarray(upsilons)[cells], box)
+        obj = _WindowObjective(cost, rate, T, omegas[cells], x, n_steps)
+        U, exact = _separable_argmins(obj, cost.separable, upsilons[cells], box)
         lanes = np.flatnonzero(exact)
         take_best(cells[lanes], U[lanes], obj.values(U[lanes], lanes), 1)
         cells = cells[~exact]
@@ -452,7 +453,7 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, seed_of,
         return lam, V
     # lane c * n_starts + k is start k of cell c; start 0 is the constant path
     n_starts = cfg.multi_starts + 1
-    ups = np.repeat(np.asarray(upsilons)[cells], n_starts, axis=0)            # (L, l)
+    ups = np.repeat(upsilons[cells], n_starts, axis=0)                        # (L, l)
     starts = np.repeat(ups[:, None, :], n_steps, axis=1)                       # (L, N, l)
     if n_starts > 1:
         for c, i in enumerate(cells.tolist()):
@@ -461,8 +462,7 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, seed_of,
             scale = 0.5 * float(np.linalg.norm(upsilons[i])) + 0.1
             noise = rng.uniform(-1.0, 1.0, size=(n_starts - 1, n_steps, ups.shape[1]))
             starts[c * n_starts + 1:(c + 1) * n_starts] += noise * scale
-    obj = _WindowObjective(cost, rate, T, np.repeat(np.asarray(omegas)[cells], n_starts), x,
-                           n_steps, admissible)
+    obj = _WindowObjective(cost, rate, T, np.repeat(omegas[cells], n_starts), x, n_steps, admissible)
 
     def project(V, lanes):
         return _project(V, ups[lanes], box)

@@ -36,7 +36,7 @@ from laxhopf import (
 from laxhopf import laxhopf_core
 from laxhopf.costs import eval_rate_batch, eval_terminal
 from laxhopf.errors import MisuseError, RateOverflowError
-from laxhopf.laxhopf_core import _CellCache, _PatternSearch, _reduce
+from laxhopf.laxhopf_core import _outer_minimize, _reduce, _search
 from laxhopf.moderation import _EXP_CAP, _accumulation_factors, _solve_cells
 
 QTERM = make_terminal("quadratic_state")
@@ -126,7 +126,7 @@ class ArraySearch:
         om = min(max(p[0], 0.0), self.omega_max)
         om, ups = (om, p[1:]) if om > 0 else (0.0, np.zeros(len(p) - 1))
         self.cell = (om, ups)
-        return (round(float(om), 12), tuple(np.round(ups, 12).tolist())), om, ups
+        return om, ups
 
     def feed(self, value):
         om, ups = self.cell
@@ -427,13 +427,25 @@ def searches(draw):
 
 
 def walk(search, value):
-    """Every cell ``search`` reads, in order, and its end point."""
+    """Every cell the array ``search`` reads, in order, and its end point."""
     reads = []
     while (probe := search.probe()) is not None:
-        key, om, ups = probe
-        reads.append((key, float(om), tuple(map(float, ups))))
+        om, ups = probe
+        reads.append((float(om), tuple(map(float, ups))))
         search.feed(value(om, ups))
     return reads, (search.best[0], float(search.best[1]), tuple(map(float, search.best[2])))
+
+
+def float_walk(grid, omega_max, steps, best, strict, value):
+    """Every cell ``_search`` reads from ``best``, in order, and its end point."""
+    reads = []
+
+    def read(cell, state):
+        reads.append(cell)
+        return value(*cell)
+
+    at = ((best[1], *best[2]), tuple(steps), best, 0, 0, 0, False)
+    return reads, _search(read, at, strict, omega_max, grid.max_rounds)
 
 
 class TestFloatPatternSearch:
@@ -456,16 +468,25 @@ class TestFloatPatternSearch:
             return 0.01 + float(weights @ (y - center) ** 2)
 
         best = (value(om0, ups0), om0, ups0)
-        got = walk(_PatternSearch(_CellCache(None), grid, omega_max, steps, best, strict), value)
+        got = float_walk(grid, omega_max, steps, best, strict, value)
         want = walk(ArraySearch(grid, omega_max, steps, best, strict), value)
         assert got == want
-        assert all(0.0 <= om <= omega_max for _, om, _ in got[0])
+        assert all(0.0 <= om <= omega_max for om, _ in got[0])
 
     @settings(max_examples=200, deadline=None)
     @given(omega=st.floats(0.0, 10.0), ups=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3))
     def test_keys_are_numpy_rounding(self, omega, ups):
-        key = _CellCache(None).key(omega, tuple(ups))
-        assert key == (round(omega, 12), tuple(np.round(np.array(ups), 12).tolist()))
+        # The grid pass stores the cell (omega, ups) under the lattice's np.round key.
+        # The search's first probe clips back to that very point, and finds it stored
+        # only if the key of a probe is the same numpy rounding; else it is priced again.
+        batches = []
+
+        def cells_fn(cells):
+            batches.append(cells)
+            return [(2.0 if om == 0.0 else 1.0, None) for om, _ in cells]
+
+        _outer_minimize(OuterGrid([omega], [ups], max_rounds=1), cells_fn, omega)
+        assert all((omega, tuple(ups)) not in cells for cells in batches[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -369,6 +370,25 @@ class TestOuterSearch:
         with pytest.raises(MisuseError, match="max_rounds"):
             OuterGrid(grid.omega_values, grid.upsilon_lattice, max_rounds=-1)
 
+    @pytest.mark.parametrize("make, field", [
+        (lambda: OuterGrid.build(1.0, 2, [[-1, 1]], 3, max_rounds=2.5), "max_rounds"),
+        (lambda: OuterGrid([0.5, 1.0], [1.0], max_rounds=math.inf), "max_rounds"),
+        (lambda: OuterGrid([0.5, 1.0], [1.0], max_rounds=True), "max_rounds"),
+        (lambda: OuterGrid([0.5, math.inf], [1.0]), "omega_values"),
+        (lambda: OuterGrid([0.5, 1.0], [[0.5], [math.nan]]), "upsilon_lattice"),
+        (lambda: OuterGrid([0.5, 1.0], [[0.5], [math.inf]]), "upsilon_lattice"),
+        (lambda: OuterGrid.build(1.0, 2.5, [[-1, 1]], 3), "n_omega"),
+        (lambda: OuterGrid.build(1.0, 2, [[-1, 1]], 2.5), "n_upsilon"),
+        (lambda: OuterGrid.build(math.nan, 2, [[-1, 1]], 3), "omega_max"),
+        (lambda: OuterGrid.build(math.inf, 2, [[-1, 1]], 3), "omega_max"),
+    ])
+    def test_construction_checks_its_numbers(self, make, field):
+        # a fractional or infinite max_rounds searched forever; an infinite aperture or a
+        # NaN upsilon failed late in pricing, and an infinite upsilon was priced
+        with pytest.raises(MisuseError, match=field):
+            make()
+        assert OuterGrid.build(1.0, np.int64(2), [[-1, 1]], np.int32(3), max_rounds=np.int64(1)).max_rounds == 1
+
     def test_construction_normalizes(self):
         grid = OuterGrid([0.5, 0.25, 0.5], [1.0, -1.0])
         assert grid.omega_values.tolist() == [0.0, 0.25, 0.5]
@@ -381,25 +401,27 @@ class TestOuterSearch:
 
     def test_failed_speculative_batch_stores_nothing(self):
         from laxhopf.errors import RateOverflowError
-        from laxhopf.laxhopf_core import _CellCache
+        from laxhopf.laxhopf_core import _outer_minimize
 
-        batches = []
+        batches, stored = [], []
 
         def cells_fn(cells):
             batches.append(len(cells))
-            if any(om > 1.0 for om, _ in cells):
+            if any(ups[0] > 1.5 for _, ups in cells):
                 raise RateOverflowError("bad cell")
-            return [(om, None) for om, _ in cells]
+            stored.extend(cells)
+            return [(5.0 if om == 0.0 else (om - 1.0) ** 2 + (ups[0] - 0.9) ** 2, None) for om, ups in cells]
 
-        cache = _CellCache(cells_fn)
-        good, bad = (0.5, np.array([1.0])), (2.0, np.array([1.0]))
-        keys = [cache.key(*good), cache.key(*bad)]
-        cache.fill_ahead([good, bad], keys)
-        assert cache.store == {keys[0]: (0.5, None)}
+        # The grid pass is (0, 0), (1, -1) and (1, 1); the search walks from (1, 1).  The
+        # look-ahead at the good miss (0.75, 1) asks for the bad cell (1, 3) too: that batch
+        # stores nothing, and the good cell is priced alone.  When the walk reaches (1, 3),
+        # its batch and then the cell alone raise.
+        grid = OuterGrid.build(1.0, 1, [[-1, 1]], 2, max_rounds=1)
+        good, bad = (0.75, (1.0,)), (1.0, (3.0,))
         with pytest.raises(RateOverflowError):
-            cache.fill_ahead([bad, good], keys[::-1])
-        assert cache.store == {keys[0]: (0.5, None)}
-        assert batches == [2, 1, 1, 1]
+            _outer_minimize(grid, cells_fn, 1.0)
+        assert stored[3:] == [good] and bad not in stored
+        assert batches == [3] + [2, 1, 1, 1]
 
     @settings(max_examples=60, deadline=None)
     @given(bowl_searches())
@@ -418,27 +440,40 @@ class TestOuterSearch:
 
         reads, want_reads = [], []
         want = _sequential_outer_minimize(grid, cells_fn, grid.omega_values[-1], want_reads)
-        search = laxhopf_core._PatternSearch
-        walks, feed, init = [], search.feed, search.__init__
+        search, walking = laxhopf_core._search, []
 
-        def record_init(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            walks.append(self)
+        def record_search(read, *args):
+            if walking:   # a look-ahead, run from a read of the walk
+                return search(read, *args)
 
-        def record_feed(self, value):
-            if any(self is w for w in walks):  # the real walk, not a look-ahead copy
-                om, ups = self.cell
+            def record(cell, state):
+                om, ups = cell
                 reads.append((float(om), tuple(map(float, ups))))
-            feed(self, value)
+                return read(cell, state)
+
+            walking.append(True)
+            return search(record, *args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(search, "__init__", record_init)
-            mp.setattr(search, "feed", record_feed)
+            mp.setattr(laxhopf_core, "_search", record_search)
             got = laxhopf_core._outer_minimize(grid, cells_fn, grid.omega_values[-1])
         assert got[:2] == want[:2] and np.array_equal(got[2], want[2]) and got[3] == want[3]
         assert reads == want_reads
 
-    def test_gen1d_batches(self, monkeypatch):
+    def test_search_leaves_no_reference_cycle(self, fast_cfg):
+        # a nested function that calls itself is a cycle, which keeps every priced
+        # cell of the query alive until the cyclic collector runs
+        gc.collect()
+        gc.disable()
+        try:
+            generalized_lax_hopf(QTERM, WQ, 1.0, 0.9, OuterGrid.build(1.0, 2, [[-1, 1]], 5), fast_cfg)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @staticmethod
+    def batch_sizes(monkeypatch, query):
+        """The size of each pricing batch of ``query``'s outer search."""
         from laxhopf import laxhopf_core
 
         calls = []
@@ -451,9 +486,29 @@ class TestOuterSearch:
             return inner(grid, count, omega_max)
 
         monkeypatch.setattr(laxhopf_core, "_outer_minimize", counted)
+        assert query().value.is_finite
+        return calls
+
+    def test_gen1d_batches(self, monkeypatch):
         # the gen1d query of bench/workloads.py at x = 0.9: the grid pass plus
         # look-ahead batches of up to 16 cells
         grid = OuterGrid.build(1.0, 2, [[-1, 1]], 5)
         cfg = SolverConfig(n_steps=8, multi_starts=0, max_iter=30, seed=0)
-        res = generalized_lax_hopf(QTERM, WQ, 1.0, 0.9, grid, cfg)
-        assert res.value.is_finite and len(calls) <= 6
+        calls = self.batch_sizes(monkeypatch, lambda: generalized_lax_hopf(QTERM, WQ, 1.0, 0.9, grid, cfg))
+        assert calls == [11, 16, 16, 9, 1]
+
+    @pytest.mark.parametrize("name, sizes", [
+        ("classic1d", [11, 16, 16, 15, 9, 3]),
+        ("const_rate", [11, 16, 16, 16, 12, 1]),
+        ("gen1d", [11, 16, 16, 8]),
+        ("gen1d_negative", [11, 16, 16, 16, 11, 3]),
+        ("gen2d", [26, 16, 16, 16, 16, 16, 4]),
+        ("quickstart", [137, 16, 11]),
+        ("run_moving", [10, 16, 16, 16, 16, 16, 16, 11, 3]),
+        ("velocity_rate", [11, 16, 16, 16, 9, 1]),
+    ])
+    def test_golden_query_batches(self, monkeypatch, name, sizes):
+        # the grid pass, then one batch per look-ahead: these change only with the search
+        from test_golden import queries
+
+        assert self.batch_sizes(monkeypatch, queries()[name]) == sizes

@@ -72,6 +72,29 @@ class TestModerate:
         with pytest.raises(MisuseError):
             moderate(prob(QUAD, omega=0.0), fast_cfg)
 
+    @pytest.mark.parametrize("omega", [math.nan, math.inf])
+    def test_nonfinite_aperture_misuse(self, fast_cfg, omega):
+        with pytest.raises(MisuseError, match="positive finite apertures"):
+            moderate(prob(QUAD, omega=omega), fast_cfg)
+        with pytest.raises(MisuseError, match="positive finite apertures"):
+            build_moderation_table(QUAD, 1.0, [1.0], [0.5, omega], [[0.5]], fast_cfg)
+
+
+class TestSolverConfigIntegers:
+    # a float was truncated or failed later with a raw TypeError, and True ran as 1
+    @pytest.mark.parametrize("field, value", [
+        ("n_steps", 2.9), ("n_steps", 2.0), ("n_steps", True), ("multi_starts", 1.5),
+        ("max_iter", 2.5), ("seed", 0.5), ("seed", False), ("max_iter", np.float64(3.0)),
+    ])
+    def test_non_integers_are_misuse(self, field, value):
+        with pytest.raises(MisuseError, match=f"SolverConfig.{field} must be an integer"):
+            SolverConfig(**{field: value})
+
+    def test_numpy_integers_are_legal(self):
+        cfg = SolverConfig(n_steps=np.int64(4), multi_starts=np.int32(1), max_iter=np.uint8(5), seed=np.int64(2))
+        lam, _ = moderate(prob(QUAD), cfg)
+        assert lam.value == moderate(prob(QUAD), SolverConfig(4, 1, 5, 2))[0].value
+
 
 def counted(cost):
     """The cost with its batch evaluator wrapped to record one entry per call."""
