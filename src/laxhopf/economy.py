@@ -22,7 +22,7 @@ from .errors import MisuseError
 from .extreal import ExtReal
 from .laxhopf_core import OuterGrid, ValueResult, generalized_lax_hopf, optimum_certificate
 from .moderation import SolverConfig
-from .trajectories import _bounds_at
+from .trajectories import _bounds_at, _too_fast
 
 __all__ = [
     "EconomyState",
@@ -135,10 +135,13 @@ def unpack_economy(z: np.ndarray, n_agents: int, dim: int) -> EconomyState:
 def impetus_cost_field(spec: ImpetusCostSpec, n_agents: int, dim: int) -> CostField:
     """Impetus cost as a CostField over the packed (allocations, prices) state.
 
-    ``spec.scalar_cost`` is applied once per row; the speed bounds are checked
-    here and nowhere else, as array operations (a constant bound becomes an
-    array once, here).  The field's ``partials`` are closed-form in the
-    impetus e: with l = s(e), dl/d(x, p) = s'(e) (p', x') and
+    ``spec.scalar_cost`` is applied once per row.  A row is +infinity where an
+    agent's transaction speed or a price-fluctuation speed is past its bound
+    (the speed wall of :class:`AdmissibleSpec`); a constant and a callable
+    bound take the same path, the callable called once per distinct time of a
+    batch.  With ``spec.shared_prices`` only the first agent's price block is
+    bounded.  The field's ``partials`` are closed-form in the impetus e:
+    with l = s(e), dl/d(x, p) = s'(e) (p', x') and
     dl/d(x', p') = s'(e) (p, x), where s' is the central difference of
     ``spec.scalar_cost`` at e (two scalar calls per row), so the inner solver
     takes its exact adjoint gradient.
@@ -146,11 +149,6 @@ def impetus_cost_field(spec: ImpetusCostSpec, n_agents: int, dim: int) -> CostFi
     if len(spec.gamma_agents) != n_agents:
         raise MisuseError("one transaction bound per agent is required")
     half = n_agents * dim
-    # a constant bound plus its 1e-12 slack becomes an array once; a callable one is
-    # priced per batch at the distinct times of its rows
-    agent_slack = None if any(callable(g) for g in spec.gamma_agents) else \
-        np.array([float(g) for g in spec.gamma_agents]) + 1e-12
-    price_slack = None if callable(spec.gamma_price) else float(spec.gamma_price) + 1e-12
 
     def split(Z, Zd):
         """Velocity blocks Xd, Pd (m, n_agents, dim) of the rows and their impetus e (m,)."""
@@ -162,22 +160,15 @@ def impetus_cost_field(spec: ImpetusCostSpec, n_agents: int, dim: int) -> CostFi
     def scalar_rows(e):
         return np.array([float(spec.scalar_cost(v)) for v in e])
 
-    def norms(V):  # np.linalg.norm(V, axis=2) without its Python overhead
-        return np.sqrt(np.add.reduce(V * V, axis=2))
-
     def batch(t, Z, Zd):
         Xd, Pd, e = split(Z, Zd)
-        vals = scalar_rows(e)
-        xa_slack, p_slack = agent_slack, price_slack
-        if xa_slack is None or p_slack is None:
-            t = np.broadcast_to(np.asarray(t, dtype=float), (len(Z),))
-            if xa_slack is None:
-                xa_slack = np.stack([_bounds_at(g, t) for g in spec.gamma_agents], axis=1) + 1e-12
-            if p_slack is None:
-                p_slack = (_bounds_at(spec.gamma_price, t) + 1e-12)[:, None]
-        bad = np.any(norms(Xd) > xa_slack, axis=1)
-        bad |= np.any(norms(Pd[:, :1] if spec.shared_prices else Pd) > p_slack, axis=1)
-        return np.where(bad, np.inf, vals)
+        bad = np.zeros(len(Z), dtype=bool)
+        for a, gamma in enumerate(spec.gamma_agents):
+            bad |= _too_fast(Xd[:, a], _bounds_at(gamma, t))
+        price_bound = _bounds_at(spec.gamma_price, t)
+        for a in range(1 if spec.shared_prices else n_agents):
+            bad |= _too_fast(Pd[:, a], price_bound)
+        return np.where(bad, np.inf, scalar_rows(e))
 
     def partials(t, Z, Zd):
         e = split(Z, Zd)[2]

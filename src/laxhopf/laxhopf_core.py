@@ -32,7 +32,8 @@ from .costs import (CostField, RateField, TerminalCost, _box, _integer, _rows, _
                     eval_cost_batch, eval_terminal, eval_terminal_batch)
 from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
-from .moderation import SolverConfig, _accumulation_factors, _cell_result, _solve_cells, accumulate_rate
+from .moderation import (SolverConfig, _accumulation_factors, _cell_result, _finite, _solve_cells,
+                         accumulate_rate)
 from .trajectories import Trajectory, Window, enrichment
 
 __all__ = [
@@ -255,6 +256,7 @@ def _reduce(T: float, x: np.ndarray, grid: OuterGrid, cells_fn) -> ValueResult:
     prices a batch of cells: (value, (lambda, omega, velocities or None,
     c_start, D or None)) or (value, None) for each.  It builds the result from
     the winning cell's payload alone."""
+    _finite(T=T, x=x)
     if (ell := grid.upsilon_lattice.shape[1]) != len(x):
         raise MisuseError(f"upsilon lattice dimension {ell} != state dimension {len(x)}")
     value, om, ups, payload = _outer_minimize(grid, cells_fn, float(np.max(grid.omega_values)))

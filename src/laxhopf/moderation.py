@@ -66,7 +66,8 @@ from .costs import (CostField, RateField, _domain_box, _integer, _rows, eval_cos
                     eval_rate_batch)
 from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
-from .trajectories import AdmissibleSpec, Trajectory, Window, _bounds_at, _node_states, _write_csv
+from .trajectories import (AdmissibleSpec, Trajectory, Window, _bounds_at, _node_states, _too_fast,
+                           _write_csv)
 
 __all__ = [
     "SolverConfig",
@@ -145,8 +146,8 @@ class _WindowObjective:
         self.dt = self.omega / self.n
         self.scale = self.dt / self.omega
         self.mid_times = (float(T) - self.omega)[:, None] + self.dt[:, None] * (np.arange(self.n) + 0.5)
-        self.bounds = None if admissible is None else _bounds_at(
-            admissible.velocity_bound, self.mid_times.ravel()).reshape(self.mid_times.shape)
+        self.bounds = None if admissible is None else np.broadcast_to(
+            _bounds_at(admissible.velocity_bound, self.mid_times), self.mid_times.shape)
 
     def _rows(self, U: np.ndarray, lanes: np.ndarray, mids=None):
         """Midpoint rows (t, X, U) of velocities U (B, N, l), flattened to B*N rows; and dt (B, 1).
@@ -181,8 +182,7 @@ class _WindowObjective:
         rows = self._rows(U, lanes)
         raw = lvals = eval_cost_batch(self.cost, *rows[:3]).reshape(len(U), self.n)
         if self.bounds is not None:
-            norms = np.linalg.norm(U, axis=2)
-            lvals = np.where(norms > self.bounds[lanes] + 1e-12, np.inf, lvals)
+            lvals = np.where(_too_fast(U, self.bounds[lanes]), np.inf, lvals)
         w = None
         if self.rate is not None:
             w = self._weights(rows, lanes)
@@ -415,6 +415,16 @@ def _line_search(obj, project, ids, u, v, g, step):
     return trial, tval, rows, step, fail
 
 
+def _finite(**named) -> None:
+    """Raise a MisuseError that names the first argument with an entry that is not finite.
+
+    A Python loop: on the few entries of a solve's arguments it costs less than numpy's calls.
+    """
+    for name, value in named.items():
+        if not all(map(math.isfinite, (value := np.asarray(value)).ravel().tolist())):
+            raise MisuseError(f"{name} must be finite, got {value.tolist()}")
+
+
 def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, seed_of, admissible=None):
     """Solve many (omega, upsilon) cells: separable windows in closed form, the rest
     in lockstep descent with one lane per start of each cell.
@@ -425,6 +435,7 @@ def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, seed_of,
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     omegas, upsilons, n_steps = np.asarray(omegas, dtype=float), _rows(upsilons), cfg.n_steps
+    _finite(T=T, x=x, upsilon=upsilons)
     if len(omegas) != len(upsilons):
         raise MisuseError(f"moderation needs one upsilon per aperture, got "
                           f"{len(omegas)} apertures, {len(upsilons)} upsilons")
@@ -622,6 +633,17 @@ def jensen_gap(cost: CostField, T, x, omega, upsilon, cfg: SolverConfig, rng=Non
     return lam - pointwise.to_float()
 
 
+def _lookup(values: np.ndarray, index: tuple) -> ExtReal:
+    """values[index]; a wrong count of indices, or an index that is not an integer in
+    [0, size) of its axis, is misuse: a lookup never wraps."""
+    if len(index) != values.ndim:
+        raise MisuseError(f"a lookup needs {values.ndim} indices, got {len(index)}")
+    for axis, (i, size) in enumerate(zip(index, values.shape)):
+        if not (_integer(i) and 0 <= i < size):
+            raise MisuseError(f"index {i} is outside axis {axis} of size {size}")
+    return ExtReal(float(values[index]))
+
+
 @dataclass(frozen=True)
 class ModerationTable:
     """Off-line grid of moderated costs over (omega, upsilon) pairs."""
@@ -633,7 +655,7 @@ class ModerationTable:
     base_point: tuple            # (T, x)
 
     def value_at(self, i: int, j: int) -> ExtReal:
-        return ExtReal(float(self.values[i, j]))
+        return _lookup(self.values, (i, j))
 
 
 def build_moderation_table(cost, T, x, omega_grid, upsilon_grid, cfg: SolverConfig) -> ModerationTable:

@@ -114,12 +114,19 @@ def build_trajectory(window: Window, terminal_state, velocities) -> Trajectory:
     return Trajectory(window=window, terminal_state=terminal_state, velocities=velocities)
 
 
-def _bounds_at(bound: Union[float, Callable], t: np.ndarray) -> np.ndarray:
-    """The speed bound at every time of t (m,); a callable is called once per distinct time."""
+def _bounds_at(bound: Union[float, Callable], t):
+    """The speed bound at the times t: a float for a numeric bound; for a callable,
+    an array of t's shape, the bound called once per distinct time."""
     if not callable(bound):
-        return np.full(len(t), float(bound))
-    times, back = np.unique(t, return_inverse=True)
-    return np.array([float(bound(float(tv))) for tv in times])[back]
+        return float(bound)
+    times, back = np.unique(np.ravel(t), return_inverse=True)
+    return np.array([float(bound(float(tv))) for tv in times])[back].reshape(np.shape(t))
+
+
+def _too_fast(V: np.ndarray, limit) -> np.ndarray:
+    """The one speed wall: True where the norm of V's last axis is past ``limit`` plus
+    1e-12; ``limit`` broadcasts over V's leading axes."""
+    return np.sqrt(np.add.reduce(V * V, axis=-1)) > limit + 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,8 +136,7 @@ class AdmissibleSpec:
     velocity_bound: Union[float, Callable[[float], float]]
 
     def is_admissible(self, traj: Trajectory) -> bool:
-        bounds = _bounds_at(self.velocity_bound, traj.mid_times)
-        return not np.any(np.linalg.norm(traj.velocities, axis=1) > bounds + 1e-12)
+        return not np.any(_too_fast(traj.velocities, _bounds_at(self.velocity_bound, traj.mid_times)))
 
 
 def average_transaction(traj: Trajectory) -> np.ndarray:

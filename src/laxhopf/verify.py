@@ -43,7 +43,7 @@ from .costs import (
 from .errors import CommensurabilityError, MisuseError
 from .extreal import ExtReal
 from .laxhopf_core import OuterGrid, generalized_lax_hopf
-from .moderation import SolverConfig, jensen_gap
+from .moderation import SolverConfig, _lookup, jensen_gap
 
 __all__ = [
     "DPGrids",
@@ -134,7 +134,7 @@ class ValueSurface:
     values: np.ndarray   # (n_t + 1, *state dims), IEEE inf for unreachable nodes
 
     def value_at(self, time_index: int, state_index) -> ExtReal:
-        return ExtReal(float(self.values[(time_index, *np.atleast_1d(state_index))]))
+        return _lookup(self.values, (time_index, *np.atleast_1d(state_index)))
 
     def nearest_node(self, t: float, x) -> tuple:
         return self.grids.nearest_node(t, x)
@@ -348,7 +348,6 @@ class Scenario:
     x: np.ndarray
     outer_grid: OuterGrid
     solver_cfg: SolverConfig
-    reference: Optional[float] = None
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,7 @@ def test_criterion_2_jensen_coincidence():
 def test_criterion_3_generalized_vs_oracle():
     t0 = time.perf_counter()
     scenario = Scenario(terminal=IND, cost=WQ, T=1.0, x=np.array([1.0]),
-                        outer_grid=GRID17, solver_cfg=CFG, reference=REF_WQ)
+                        outer_grid=GRID17, solver_cfg=CFG)
     levels = [
         DPGrids.build(0.0, 1.0, 10, [[-2, 2]], 0.01, [[-2, 2]], 0.1),
         DPGrids.build(0.0, 1.0, 25, [[-2, 2]], 0.004, [[-2, 2]], 0.1),

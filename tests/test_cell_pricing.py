@@ -514,3 +514,28 @@ class TestDimensionMisuse:
         grid2 = OuterGrid.build(1.0, 2, [[-1, 1], [-1, 1]], 3)
         with pytest.raises(MisuseError, match="upsilon lattice dimension 2 != state dimension 1"):
             generalized_lax_hopf(QTERM, QUAD, 1.0, 1.0, grid2, self.CFG)
+
+
+NONFINITE_GRID = OuterGrid.build(1, 2, [[-1, 1]], 5)
+NONFINITE_CFG = SolverConfig(n_steps=4, multi_starts=0, max_iter=5)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("T", lambda: classic_lax_hopf(QTERM, QUAD, math.nan, 0.5, NONFINITE_GRID)),
+    ("T", lambda: generalized_lax_hopf(QTERM, QUAD, math.nan, 0.5, NONFINITE_GRID, NONFINITE_CFG)),
+    ("T", lambda: generalized_lax_hopf(QTERM, QUAD, math.inf, 0.5, NONFINITE_GRID, NONFINITE_CFG)),
+    ("x", lambda: generalized_lax_hopf(QTERM, QUAD, 1.0, math.nan, NONFINITE_GRID, NONFINITE_CFG)),
+    ("T", lambda: discounted_value(QTERM, QUAD, make_rate("constant", r=0.6), math.nan, 0.5,
+                                   NONFINITE_GRID, NONFINITE_CFG)),
+    ("T", lambda: moderate(ModerationProblem(QUAD, math.nan, [1.0], 0.5, [0.5]), NONFINITE_CFG)),
+    ("x", lambda: moderate(ModerationProblem(QUAD, 1.0, [math.nan], 0.5, [0.5]), NONFINITE_CFG)),
+    ("upsilon", lambda: moderate(ModerationProblem(QUAD, 1.0, [1.0], 0.5, [math.nan]), NONFINITE_CFG)),
+    ("upsilon", lambda: moderate(ModerationProblem(QUAD, 1.0, [1.0], 0.5, [math.inf]), NONFINITE_CFG)),
+    ("T", lambda: build_moderation_table(QUAD, math.nan, [1.0], [0.5], [[0.5]], NONFINITE_CFG)),
+], ids=["classic-T-nan", "generalized-T-nan", "generalized-T-inf", "generalized-x-nan",
+        "discounted-T-nan", "moderate-T-nan", "moderate-x-nan", "moderate-upsilon-nan",
+        "moderate-upsilon-inf", "table-T-nan"])
+def test_nonfinite_input_is_misuse(name, call):
+    # each of these once returned a value, blamed the terminal or the cost, or warned
+    with pytest.raises(MisuseError, match=f"^{name} must be finite"):
+        call()

@@ -98,6 +98,32 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
         assert "V=0.25" in capsys.readouterr().out
 
+    def test_wtp_unreachable_exit_3(self, tmp_path, capsys):
+        # no grid point within omega * bound = 1 of x = 5 is the origin, the indicator's one finite point
+        cfg = write_cfg(tmp_path, {
+            "kind": "wtp", "x": [5.0], "cost": None, "outer": None,
+            "wtp": {"velocity_bound": 1, "omega": 1, "state_box": [[-6, 6]], "n_state": 121},
+        })
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 3
+        assert capsys.readouterr().out == "V=inf\n"
+        assert json.loads((out / "result.json").read_text()) == {"value": "inf"}
+
+    def test_rate_overflow_exit_1(self, tmp_path, capsys):
+        # the first window's accumulated rate passes the exp cap at its first midpoint
+        cfg = write_cfg(tmp_path, {
+            "kind": "discounted", "x": [0.5], "terminal": {"name": "quadratic_state"},
+            "rate": {"name": "constant", "params": {"r": 1000}},
+            "outer": {"omega_max": 1.0, "n_omega": 2, "upsilon_box": [[-1, 1]], "n_upsilon": 3},
+            "solver": {"n_steps": 4, "multi_starts": 0},
+        })
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(cfg), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: accumulated rate overflows exp at node 0 (t=0.125)\n"
+        assert "Traceback" not in captured.err and captured.out == ""
+        assert not (out / "result.json").exists()
+
 
     def test_classic_kind_writes_moderation_table(self, tmp_path):
         cfg = write_cfg(tmp_path, {"outputs": {"moderation_table": {"omega_grid": [1.0],

@@ -608,6 +608,18 @@ class TestModerationTable:
         with pytest.raises(MisuseError):
             build_moderation_table(QUAD, 1.0, 0.0, [], [[1.0]], fast_cfg)
 
+    @pytest.mark.parametrize("i, j, match", [
+        (-1, -1, "index -1 is outside axis 0 of size 2"),
+        (0, -1, "index -1 is outside axis 1 of size 3"),
+        (2, 0, "index 2 is outside axis 0 of size 2"),
+        (1, 3, "index 3 is outside axis 1 of size 3"),
+    ])
+    def test_index_lookup_never_wraps(self, fast_cfg, i, j, match):
+        table = build_moderation_table(QUAD, 1.0, 0.0, [0.5, 1.0], [[-1.0], [0.0], [2.0]], fast_cfg)
+        assert table.value_at(1, 2).value == table.values[1, 2]
+        with pytest.raises(MisuseError, match=match):
+            table.value_at(i, j)
+
     def test_csv_serializes_inf(self, tmp_path, fast_cfg):
         boxed = make_cost("quadratic", domain=[[-1, 1]])
         table = build_moderation_table(boxed, 1.0, 0.0, [1.0], [[2.0]], fast_cfg)

@@ -25,7 +25,7 @@ SURFACE = {
     'ModerationTable': "(omega_grid: 'np.ndarray', upsilon_grid: 'np.ndarray', values: 'np.ndarray', argmins: 'list', base_point: 'tuple') -> None",
     'OuterGrid': "(omega_values: 'np.ndarray', upsilon_lattice: 'np.ndarray', max_rounds: 'int' = 10) -> None",
     'RateField': "(evaluator: 'Optional[Callable]' = None, batch_evaluator: 'Optional[Callable]' = None, partials: 'Optional[Callable]' = None, time_only: 'bool' = False) -> None",
-    'Scenario': "(terminal: 'TerminalCost', cost: 'CostField', T: 'float', x: 'np.ndarray', outer_grid: 'OuterGrid', solver_cfg: 'SolverConfig', reference: 'Optional[float]' = None) -> None",
+    'Scenario': "(terminal: 'TerminalCost', cost: 'CostField', T: 'float', x: 'np.ndarray', outer_grid: 'OuterGrid', solver_cfg: 'SolverConfig') -> None",
     'SolverConfig': "(n_steps: 'int' = 32, multi_starts: 'int' = 8, max_iter: 'int' = 200, seed: 'int' = 0) -> None",
     'TerminalCost': "(evaluator: 'Callable', batch_evaluator: 'Optional[Callable]' = None) -> None",
     'Trajectory': "(window: 'Window', terminal_state: 'np.ndarray', velocities: 'np.ndarray') -> None",

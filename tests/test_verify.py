@@ -148,6 +148,21 @@ class TestValueSurfaceLookup:
         assert surface.nearest_node(1.04, 1.004) == (10, (200,))
         assert surface.nearest_node(-0.04, -1.004) == (0, (0,))
 
+    @pytest.mark.parametrize("time_index, state_index, match", [
+        (-1, -1, "index -1 is outside axis 0 of size 3"),
+        (0, -1, "index -1 is outside axis 1 of size 5"),
+        (3, 0, "index 3 is outside axis 0 of size 3"),
+        (0, 5, "index 5 is outside axis 1 of size 5"),
+        (0, (1, 1), "a lookup needs 2 indices, got 3"),
+        (0, (), "a lookup needs 2 indices, got 1"),
+    ])
+    def test_index_lookup_never_wraps(self, time_index, state_index, match):
+        g = DPGrids.build(0.0, 1.0, 2, [[-1, 1]], 0.5, [[-1, 1]], 1.0)
+        surface = ValueSurface(g, np.arange(15.0).reshape(3, 5))
+        assert surface.value_at(2, 4).value == 14.0 and surface.value_at(1, (2,)).value == 7.0
+        with pytest.raises(MisuseError, match=match):
+            surface.value_at(time_index, state_index)
+
 
 class TestJensenSuite:
     def test_quadratic(self, fast_cfg):
@@ -177,7 +192,6 @@ class TestConvergenceStudy:
             terminal=IND, cost=WQ, T=1.0, x=np.array([1.0]),
             outer_grid=OuterGrid.build(1.0, 8, [[-2, 2]], 21),
             solver_cfg=SolverConfig(n_steps=32, multi_starts=2, seed=0),
-            reference=1.0 / (2.0 * math.log(2.0)),
         )
 
     def test_decreasing_errors(self):
