@@ -54,6 +54,33 @@ def _integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _finite(**named) -> None:
+    """Raise a MisuseError naming the first argument with an entry that is not finite; a few
+    entries take a Python loop, which costs less than numpy's calls."""
+    for name, value in named.items():
+        small = (value := np.asarray(value)).size <= 64
+        if not (all(map(math.isfinite, value.ravel().tolist())) if small else np.isfinite(value).all()):
+            raise MisuseError(f"{name} must be finite, got {value.tolist()}")
+
+
+def _number(low=-math.inf, above=False, integer=False, **named) -> None:
+    """Raise a MisuseError naming the first argument that is not a finite number (with
+    ``integer``, an integer, never a bool) at least ``low``, or above it with ``above``."""
+    for name, value in named.items():
+        ok = _integer(value) if integer else isinstance(value, (int, float, np.integer, np.floating))
+        if not (ok and math.isfinite(value) and (value > low if above else value >= low)):
+            what = "an integer" if integer else "a finite number"
+            bound = "" if low == -math.inf else f" {'>' if above else '>='} {low}"
+            raise MisuseError(f"{name} must be {what}{bound}, got {value!r}")
+
+
+def _dims(dim: int, of: str = "x", **named) -> None:
+    """Raise a MisuseError naming the first array whose last axis is not ``dim``, the state ``of``'s."""
+    for name, value in named.items():
+        if value.shape[-1:] != (dim,):
+            raise MisuseError(f"{name} dimension {value.shape[-1]} != state dimension {dim} of {of}")
+
+
 def _rows(points) -> np.ndarray:
     """``points`` as a float array of rows; a flat list is rows of one coordinate."""
     arr = np.asarray(points, dtype=float)
@@ -147,15 +174,15 @@ class TerminalCost:
 
     ``evaluator`` maps one state (l,) to a float or an ExtReal, the optional
     ``batch_evaluator`` states (m, l) to (m,) floats; a catalog terminal is one
-    function serving as both.  The cell pricer makes one scalar call per cell:
-    the benchmark's tracer counts cells from them (ROADMAP item 1 lifts this).
+    function serving as both.  The cell pricer makes one scalar call per cell,
+    because the benchmark's tracer counts cells from the scalar terminal calls.
     """
 
     evaluator: Callable
     batch_evaluator: Optional[Callable] = None
 
     def in_departure_tube(self, t: float, x) -> bool:
-        return math.isfinite(_terminal_value(self, t, _as_vec(x)))
+        return eval_terminal(self, t, x).is_finite
 
 
 def _to_float(raw) -> float:
@@ -226,7 +253,10 @@ def eval_rate_batch(rate: RateField, t: np.ndarray, X: np.ndarray, U: np.ndarray
 
 def eval_cost(cost: CostField, t: float, x, u) -> ExtReal:
     """l(t, x, u) as one row of :func:`eval_cost_batch`."""
-    row = eval_cost_batch(cost, [float(t)], _as_vec(x)[None], _as_vec(u)[None])
+    x, u = _as_vec(x), _as_vec(u)
+    _finite(t=t, x=x, u=u)
+    _dims(len(x), u=u)
+    row = eval_cost_batch(cost, [float(t)], x[None], u[None])
     return ExtReal(float(row[0]))
 
 
@@ -236,6 +266,7 @@ def _terminal_value(term: TerminalCost, t: float, x: np.ndarray) -> float:
 
 
 def eval_terminal(term: TerminalCost, t: float, x) -> ExtReal:
+    _finite(t=t, x=x)
     return ExtReal(_terminal_value(term, t, _as_vec(x)))
 
 
@@ -252,12 +283,13 @@ def eval_terminal_batch(term: TerminalCost, t: float, X: np.ndarray) -> np.ndarr
 # Legendre-Fenchel conjugation
 # ---------------------------------------------------------------------------
 
-def _lattice_costs(cost: CostField, t: float, x, velocity_grid):
-    """The finite lattice points and their costs at (t, x); all-infinite is an error."""
-    grid = _rows(velocity_grid)
+def _lattice_costs(cost: CostField, t: float, x, velocity_grid, **duals):
+    """The lattice points of finite cost at (t, x) and their costs; ``duals``: named dual points."""
+    grid, x = _rows(velocity_grid), _as_vec(x)
     if grid.size == 0:
         raise MisuseError("legendre_fenchel needs a non-empty velocity grid")
-    x = _as_vec(x)
+    _finite(t=t, x=x, velocity_grid=grid, **duals)
+    _dims(len(x), velocity_grid=grid, **duals)
     m = len(grid)
     lvals = eval_cost_batch(cost, np.full(m, float(t)), np.broadcast_to(x, (m, len(x))), grid)
     finite = np.isfinite(lvals)
@@ -274,8 +306,9 @@ def legendre_fenchel(cost: CostField, t: float, x, p, velocity_grid) -> ExtReal:
     A lower bound on the true supremum, converging under grid refinement.
     Raises :class:`EmptyDomainError` when every grid point has infinite cost.
     """
-    grid, lvals = _lattice_costs(cost, t, x, velocity_grid)
-    return ExtReal(float((grid @ _as_vec(p) - lvals).max()))
+    p = _as_vec(p)
+    grid, lvals = _lattice_costs(cost, t, x, velocity_grid, p=p)
+    return ExtReal(float((grid @ p - lvals).max()))
 
 
 @dataclass(frozen=True)
@@ -298,13 +331,14 @@ def build_conjugate_table(cost: CostField, t: float, x, dual_grid, velocity_grid
     """l*(t, x, p) at every dual point p, from one cost evaluation of the lattice."""
     dual = np.asarray(dual_grid, dtype=float)
     duals = dual if dual.ndim > 1 else dual[:, None]
-    grid, lvals = _lattice_costs(cost, t, x, velocity_grid)
+    grid, lvals = _lattice_costs(cost, t, x, velocity_grid, dual_grid=duals)
     vals = np.array([float((grid @ p - lvals).max()) for p in duals])
     return ConjugateTable(dual_grid=dual, values=vals, base_point=(float(t), _as_vec(x)))
 
 
 def subdifferential_check(cost: CostField, t: float, x, u, p, grid, tol: float) -> bool:
     """True iff <p,u> = l(t,x,u) + l*(t,x,p) within tol (p in the subdifferential at u)."""
+    _finite(grid=grid, tol=tol)
     u = _as_vec(u)
     p = _as_vec(p)
     box = cost.domain_box
@@ -356,10 +390,9 @@ def check_marchaud(
     the domain box sits inside the R-ball, values are nonnegative and bounded
     by R on the domain, and midpoint convexity in u holds at sampled pairs.
     """
-    if n_samples < 1:
-        raise MisuseError("check_marchaud needs n_samples >= 1")
-    if c_const <= 0:
-        raise MisuseError("check_marchaud needs a positive growth constant")
+    _number(1, integer=True, n_samples=n_samples)
+    _number(0, above=True, c_const=c_const)
+    _finite(t_range=t_range, convexity_tol=convexity_tol)
     rng = np.random.default_rng(rng)
     x_box = _box(x_box, "x_box")
     ell = len(x_box)

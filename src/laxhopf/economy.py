@@ -17,7 +17,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .costs import CostField, TerminalCost, eval_cost
+from .costs import CostField, TerminalCost, _as_vec, _dims, _finite, _number, eval_cost
 from .errors import MisuseError
 from .extreal import ExtReal
 from .laxhopf_core import OuterGrid, ValueResult, generalized_lax_hopf, optimum_certificate
@@ -52,9 +52,8 @@ class EconomyState:
         a = np.asarray(self.allocations, dtype=float)
         p = np.asarray(self.prices, dtype=float)
         if a.ndim != 2 or p.shape != a.shape:
-            raise MisuseError(
-                f"allocations {a.shape} and prices {p.shape} must share (n_agents, dim)"
-            )
+            raise MisuseError(f"allocations {a.shape} and prices {p.shape} must share (n_agents, dim)")
+        _finite(allocations=a, prices=p)
         object.__setattr__(self, "allocations", a)
         object.__setattr__(self, "prices", p)
 
@@ -72,22 +71,27 @@ def patrimonial_value(state: EconomyState) -> float:
     return float(np.sum(state.prices * state.allocations))
 
 
+def _velocities(state: EconomyState, x_dot, p_dot):
+    """``x_dot`` and ``p_dot`` as finite float arrays of the state's shape."""
+    x_dot, p_dot = np.asarray(x_dot, dtype=float), np.asarray(p_dot, dtype=float)
+    _finite(x_dot=x_dot, p_dot=p_dot)
+    if not (shape := state.allocations.shape) == x_dot.shape == p_dot.shape:
+        raise MisuseError(f"x_dot {x_dot.shape} and p_dot {p_dot.shape} must match the state's {shape}")
+    return x_dot, p_dot
+
+
 def impetus(state: EconomyState, x_dot, p_dot) -> float:
     """Time derivative of the patrimonial value along an evolution:
     sum_i (<p_i, x_i'> + <p_i', x_i>)."""
-    x_dot = np.asarray(x_dot, dtype=float)
-    p_dot = np.asarray(p_dot, dtype=float)
-    if x_dot.shape != state.allocations.shape or p_dot.shape != state.prices.shape:
-        raise MisuseError("velocity shapes must match the economy state")
+    x_dot, p_dot = _velocities(state, x_dot, p_dot)
     return float(np.sum(state.prices * x_dot) + np.sum(p_dot * state.allocations))
 
 
 def impact_of_price_fluctuation(p_prime, x) -> float:
     """Inner product <p', x> of a price fluctuation with a commodity."""
-    p_prime = np.atleast_1d(np.asarray(p_prime, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if p_prime.shape != x.shape:
-        raise MisuseError(f"shape mismatch {p_prime.shape} vs {x.shape}")
+    p_prime, x = _as_vec(p_prime), _as_vec(x)
+    _finite(p_prime=p_prime, x=x)
+    _dims(len(x), p_prime=p_prime)
     return float(p_prime @ x)
 
 
@@ -100,6 +104,10 @@ class ImpetusCostSpec:
     gamma_agents: tuple                            # per-agent bounds on transaction norms
     shared_prices: bool = False                    # all agents quote one common price
 
+    def __post_init__(self):   # as in AdmissibleSpec, a numeric bound is finite and >= 0
+        for name, b in [("gamma_price", self.gamma_price), *(("gamma_agents", g) for g in self.gamma_agents)]:
+            _number(0, **{} if callable(b) else {name: b})
+
 
 def impetus_cost(spec: ImpetusCostSpec, t: float, state: EconomyState,
                  x_dot, p_dot) -> ExtReal:
@@ -107,10 +115,7 @@ def impetus_cost(spec: ImpetusCostSpec, t: float, state: EconomyState,
 
     One row of :func:`impetus_cost_field` at the packed state and velocities.
     """
-    x_dot = np.asarray(x_dot, dtype=float)
-    p_dot = np.asarray(p_dot, dtype=float)
-    if x_dot.shape != state.allocations.shape or p_dot.shape != state.prices.shape:
-        raise MisuseError("velocity shapes must match the economy state")
+    x_dot, p_dot = _velocities(state, x_dot, p_dot)
     field = impetus_cost_field(spec, state.n_agents, state.dim)
     return eval_cost(field, t, pack_economy(state.allocations, state.prices),
                      pack_economy(x_dot, p_dot))
@@ -118,18 +123,16 @@ def impetus_cost(spec: ImpetusCostSpec, t: float, state: EconomyState,
 
 def pack_economy(allocations, prices) -> np.ndarray:
     """Flatten (allocations, prices) into the doubled-state vector."""
-    a = np.asarray(allocations, dtype=float)
-    p = np.asarray(prices, dtype=float)
-    return np.concatenate([a.ravel(), p.ravel()])
+    state = EconomyState(allocations, prices)
+    return np.concatenate([state.allocations.ravel(), state.prices.ravel()])
 
 
 def unpack_economy(z: np.ndarray, n_agents: int, dim: int) -> EconomyState:
-    z = np.asarray(z, dtype=float)
-    half = n_agents * dim
-    return EconomyState(
-        allocations=z[:half].reshape(n_agents, dim),
-        prices=z[half:].reshape(n_agents, dim),
-    )
+    _number(1, integer=True, n_agents=n_agents, dim=dim)
+    if (z := np.asarray(z, dtype=float)).shape != (2 * n_agents * dim,):
+        raise MisuseError(f"z is {z.shape}; {n_agents} agents in dim {dim} need ({2 * n_agents * dim},)")
+    _finite(z=z)
+    return EconomyState(*z.reshape(2, n_agents, dim))
 
 
 def impetus_cost_field(spec: ImpetusCostSpec, n_agents: int, dim: int) -> CostField:
@@ -146,6 +149,7 @@ def impetus_cost_field(spec: ImpetusCostSpec, n_agents: int, dim: int) -> CostFi
     ``spec.scalar_cost`` at e (two scalar calls per row), so the inner solver
     takes its exact adjoint gradient.
     """
+    _number(1, integer=True, n_agents=n_agents, dim=dim)
     if len(spec.gamma_agents) != n_agents:
         raise MisuseError("one transaction bound per agent is required")
     half = n_agents * dim
@@ -191,19 +195,11 @@ def economic_value(terminal: TerminalCost, spec: ImpetusCostSpec, T: float,
     ``terminal`` is a cost over (t, packed state); the grid's upsilon lattice
     spans both the transaction and the price-fluctuation directions.
     """
-    a = np.asarray(allocations, dtype=float)
-    if a.ndim != 2:
-        raise MisuseError("allocations must have shape (n_agents, dim)")
-    n_agents, dim = a.shape
-    z = pack_economy(a, prices)
-    cost = impetus_cost_field(spec, n_agents, dim)
-    return generalized_lax_hopf(terminal, cost, T, z, grid, cfg)
+    state = EconomyState(allocations, prices)
+    cost = impetus_cost_field(spec, state.n_agents, state.dim)
+    return generalized_lax_hopf(terminal, cost, T, pack_economy(state.allocations, state.prices), grid, cfg)
 
 
 def economy_enrichment_certificate(result: ValueResult, terminal: TerminalCost) -> Optional[float]:
     """|(W(T) - W(T - omega*)) / omega* - Lambda*| at the optimal evolution."""
-    if result.omega_star is None or result.omega_star == 0:
-        return None
-    if result.moderation_lambda is None:
-        raise MisuseError("certificate needs the moderated impetus value")
     return optimum_certificate(result, terminal, result.moderation_lambda)

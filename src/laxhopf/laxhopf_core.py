@@ -28,12 +28,11 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import (CostField, RateField, TerminalCost, _box, _integer, _rows, _terminal_value,
+from .costs import (CostField, RateField, TerminalCost, _box, _dims, _finite, _number, _rows, _terminal_value,
                     eval_cost_batch, eval_terminal, eval_terminal_batch)
 from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
-from .moderation import (SolverConfig, _accumulation_factors, _cell_result, _finite, _solve_cells,
-                         accumulate_rate)
+from .moderation import SolverConfig, _accumulation_factors, _cell_result, _solve_cells, accumulate_rate
 from .trajectories import Trajectory, Window, enrichment
 
 __all__ = [
@@ -71,8 +70,7 @@ class OuterGrid:
     max_rounds: int = 10
 
     def __post_init__(self):
-        if not (_integer(self.max_rounds) and self.max_rounds >= 0):   # else the search never ends
-            raise MisuseError(f"OuterGrid.max_rounds must be an integer >= 0, got {self.max_rounds!r}")
+        _number(0, integer=True, **{"OuterGrid.max_rounds": self.max_rounds})   # else the search never ends
         omegas = np.unique(np.append(0.0, np.asarray(self.omega_values, dtype=float)))
         if not np.all((omegas >= 0) & (omegas < np.inf)):
             raise MisuseError(f"OuterGrid.omega_values must be finite and nonnegative, got {omegas.tolist()}")
@@ -86,11 +84,8 @@ class OuterGrid:
     def build(omega_max: float, n_omega: int, upsilon_box, n_upsilon: int,
               max_rounds: int = 10) -> "OuterGrid":
         """Uniform grid: n_omega apertures in (0, omega_max] plus 0, and a box lattice."""
-        if not 0 < omega_max < np.inf:
-            raise MisuseError(f"OuterGrid.build needs a finite omega_max > 0, got {omega_max!r}")
-        for name, n in (("n_omega", n_omega), ("n_upsilon", n_upsilon)):
-            if not (_integer(n) and n >= 1):
-                raise MisuseError(f"OuterGrid.build needs an integer {name} >= 1, got {n!r}")
+        _number(0, above=True, omega_max=omega_max)
+        _number(1, integer=True, n_omega=n_omega, n_upsilon=n_upsilon)
         omegas = np.linspace(omega_max / n_omega, omega_max, n_omega)
         lattice = _box_lattice(_box(upsilon_box, "upsilon_box"), n_upsilon)
         return OuterGrid(omega_values=omegas, upsilon_lattice=lattice, max_rounds=max_rounds)
@@ -257,8 +252,7 @@ def _reduce(T: float, x: np.ndarray, grid: OuterGrid, cells_fn) -> ValueResult:
     c_start, D or None)) or (value, None) for each.  It builds the result from
     the winning cell's payload alone."""
     _finite(T=T, x=x)
-    if (ell := grid.upsilon_lattice.shape[1]) != len(x):
-        raise MisuseError(f"upsilon lattice dimension {ell} != state dimension {len(x)}")
+    _dims(len(x), **{"upsilon lattice": grid.upsilon_lattice})
     value, om, ups, payload = _outer_minimize(grid, cells_fn, float(np.max(grid.omega_values)))
     if not math.isfinite(value):
         return ValueResult(INF, None, None, None, None)
@@ -314,8 +308,7 @@ def classic_lax_hopf(terminal: TerminalCost, cost: CostField, T: float, x,
     """
     if not (cost.velocity_only and cost.declared_convex_in_u):
         raise MisuseError("classic_lax_hopf requires a velocity-only cost declared convex in u")
-    if not (_integer(n_steps) and n_steps >= 1):
-        raise MisuseError(f"classic_lax_hopf needs an integer n_steps >= 1, got {n_steps!r}")
+    _number(1, integer=True, n_steps=n_steps)
     x = np.atleast_1d(np.asarray(x, dtype=float))
 
     def cells_fn(cells):
@@ -416,14 +409,10 @@ def wtp_value(terminal: TerminalCost, velocity_bound: float, T: float, x,
     Start states reachable with speed at most the bound form the ball of radius
     omega * bound around x; zero aperture returns c(T, x) exactly.
     """
-    if omega < 0:
-        raise MisuseError(f"aperture must be nonnegative, got {omega}")
-    if velocity_bound < 0:
-        raise MisuseError(f"velocity bound must be nonnegative, got {velocity_bound}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    pts = _rows(state_grid)
-    if pts.shape[1] != len(x):
-        raise MisuseError(f"state grid dimension {pts.shape[1]} != state dimension {len(x)}")
+    _number(0, velocity_bound=velocity_bound, omega=omega)
+    x, pts = np.atleast_1d(np.asarray(x, dtype=float)), _rows(state_grid)
+    _finite(T=T, x=x, state_grid=pts)
+    _dims(len(x), **{"state grid": pts})
     if omega == 0 or velocity_bound == 0:
         return eval_terminal(terminal, T - omega, x)
     inside = np.linalg.norm(pts - x, axis=1) <= omega * velocity_bound + 1e-12

@@ -62,8 +62,8 @@ from typing import Optional
 
 import numpy as np
 
-from .costs import (CostField, RateField, _domain_box, _integer, _rows, eval_cost, eval_cost_batch,
-                    eval_rate_batch)
+from .costs import (CostField, RateField, _dims, _domain_box, _finite, _integer, _number, _rows, eval_cost,
+                    eval_cost_batch, eval_rate_batch)
 from .errors import EvaluationFault, MisuseError, RateOverflowError
 from .extreal import INF, ExtReal
 from .trajectories import (AdmissibleSpec, Trajectory, Window, _bounds_at, _node_states, _too_fast,
@@ -115,8 +115,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name, low in _SOLVER_AT_LEAST.items():
-            if not (_integer(value := getattr(self, name)) and value >= low):
-                raise MisuseError(f"SolverConfig.{name} must be an integer >= {low}, got {value!r}")
+            _number(low, integer=True, **{f"SolverConfig.{name}": getattr(self, name)})
 
 
 @dataclass(frozen=True)
@@ -415,34 +414,25 @@ def _line_search(obj, project, ids, u, v, g, step):
     return trial, tval, rows, step, fail
 
 
-def _finite(**named) -> None:
-    """Raise a MisuseError that names the first argument with an entry that is not finite.
-
-    A Python loop: on the few entries of a solve's arguments it costs less than numpy's calls.
-    """
-    for name, value in named.items():
-        if not all(map(math.isfinite, (value := np.asarray(value)).ravel().tolist())):
-            raise MisuseError(f"{name} must be finite, got {value.tolist()}")
-
-
-def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, seed_of, admissible=None):
+def _solve_cells(cost, rate, T, x, omegas, upsilons, cfg: SolverConfig, seed_of, admissible=None,
+                 names=("omega", "upsilon")):
     """Solve many (omega, upsilon) cells: separable windows in closed form, the rest
     in lockstep descent with one lane per start of each cell.
 
     ``seed_of(c)`` gives the seed or generator of cell c (None: ``cfg.seed``),
-    called only for the cells whose descent draws starts.  Returns lambda (C,)
-    and the argmin velocities V (C, N, l): inf and a NaN row for an infeasible cell.
+    called only for the cells whose descent draws starts; misuse messages call the
+    apertures and upsilons ``names``.  Returns lambda (C,) and the argmin
+    velocities V (C, N, l): inf and a NaN row for an infeasible cell.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     omegas, upsilons, n_steps = np.asarray(omegas, dtype=float), _rows(upsilons), cfg.n_steps
-    _finite(T=T, x=x, upsilon=upsilons)
+    _finite(T=T, x=x, **{names[1]: upsilons})
     if len(omegas) != len(upsilons):
         raise MisuseError(f"moderation needs one upsilon per aperture, got "
                           f"{len(omegas)} apertures, {len(upsilons)} upsilons")
     if not np.all((omegas > 0) & (omegas < np.inf)):
-        raise MisuseError(f"moderation needs positive finite apertures, got {omegas.tolist()}")
-    if upsilons.shape[1:] != x.shape:
-        raise MisuseError(f"upsilon dimension {upsilons.shape[-1]} != state dimension {x.size}")
+        raise MisuseError(f"moderation needs positive finite apertures, got {names[0]} = {omegas.tolist()}")
+    _dims(x.size, **{names[1]: upsilons})
     box = None if cost.domain_box is None else _domain_box(cost.domain_box, x.size)
     lam, V = np.full(len(omegas), np.inf), np.full((len(omegas), n_steps, x.size), np.nan)
 
@@ -672,7 +662,7 @@ def build_moderation_table(cost, T, x, omega_grid, upsilon_grid, cfg: SolverConf
     n, m = len(omega_grid), len(upsilon_grid)
     lam, V = _solve_cells(
         cost, None, T, x, np.repeat(omega_grid, m), np.tile(upsilon_grid, (n, 1)),
-        cfg, lambda c: np.random.SeedSequence([cfg.seed, *divmod(c, m)]),
+        cfg, lambda c: np.random.SeedSequence([cfg.seed, *divmod(c, m)]), names=("omega_grid", "upsilon_grid"),
     )
     argmins = [[_cell_result(lam[i * m + j], V[i * m + j], T, x, omega_grid[i])[1] for j in range(m)]
                for i in range(n)]

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
-from .costs import CostField, _rows, eval_cost_batch
+from .costs import CostField, _dims, _finite, _number, _rows, eval_cost_batch
 from .errors import DegenerateWindowError, MisuseError
 from .extreal import INF, ExtReal
 
@@ -43,8 +43,8 @@ class Window:
     omega: float
 
     def __post_init__(self):
-        if self.omega < 0:
-            raise MisuseError(f"aperture must be nonnegative, got {self.omega}")
+        _number(T=self.T)
+        _number(0, omega=self.omega)
 
     @property
     def start(self) -> float:
@@ -101,14 +101,11 @@ def _node_states(ends, V, dt):
 
 
 def build_trajectory(window: Window, terminal_state, velocities) -> Trajectory:
-    terminal_state = np.atleast_1d(np.asarray(terminal_state, dtype=float))
-    velocities = _rows(velocities)
+    terminal_state, velocities = np.atleast_1d(np.asarray(terminal_state, dtype=float)), _rows(velocities)
     if len(velocities) == 0:
         raise MisuseError("a trajectory needs at least one velocity step")
-    if velocities.shape[1] != len(terminal_state):
-        raise MisuseError(
-            f"velocity dimension {velocities.shape[1]} != state dimension {len(terminal_state)}"
-        )
+    _finite(terminal_state=terminal_state, velocities=velocities)
+    _dims(len(terminal_state), "terminal_state", velocities=velocities)
     if window.omega == 0:
         raise DegenerateWindowError("zero-aperture window cannot carry velocity steps")
     return Trajectory(window=window, terminal_state=terminal_state, velocities=velocities)
@@ -135,6 +132,10 @@ class AdmissibleSpec:
 
     velocity_bound: Union[float, Callable[[float], float]]
 
+    def __post_init__(self):   # a number is finite and >= 0; a callable is read per time
+        if not callable(self.velocity_bound):
+            _number(0, velocity_bound=self.velocity_bound)
+
     def is_admissible(self, traj: Trajectory) -> bool:
         return not np.any(_too_fast(traj.velocities, _bounds_at(self.velocity_bound, traj.mid_times)))
 
@@ -156,8 +157,8 @@ def cumulated_cost(traj: Trajectory, cost: CostField) -> ExtReal:
 
 def enrichment(v_start: float, v_end: float, omega: float) -> float:
     """Profit-to-duration ratio (V(T) - V(T - omega)) / omega."""
-    if omega <= 0:
-        raise MisuseError(f"enrichment needs a positive aperture, got {omega}")
+    _number(v_start=v_start, v_end=v_end)
+    _number(0, above=True, omega=omega)
     return (v_end - v_start) / omega
 
 
@@ -173,8 +174,8 @@ def interest_rates(v_start: float, v_end: float, omega: float) -> InterestRates:
     A rate whose denominator is zero (or, for the symmetric rate, whose
     geometric mean is undefined) is reported as None, not a global failure.
     """
-    if omega <= 0:
-        raise MisuseError(f"interest rates need a positive aperture, got {omega}")
+    _number(v_start=v_start, v_end=v_end)
+    _number(0, above=True, omega=omega)
     profit = v_end - v_start
     forward = profit / (omega * v_start) if v_start != 0 else None
     backward = profit / (omega * v_end) if v_end != 0 else None

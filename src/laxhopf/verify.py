@@ -32,14 +32,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .costs import (
-    CostField,
-    TerminalCost,
-    _box,
-    eval_cost_batch,
-    eval_terminal_batch,
-    legendre_fenchel,
-)
+from .costs import (CostField, TerminalCost, _box, _finite, _integer, _number, eval_cost_batch,
+                    eval_terminal_batch, legendre_fenchel)
 from .errors import CommensurabilityError, MisuseError
 from .extreal import ExtReal
 from .laxhopf_core import OuterGrid, generalized_lax_hopf
@@ -70,14 +64,16 @@ class DPGrids:
     velocity_axes: tuple  # per-coordinate velocity value arrays
 
     def __post_init__(self):
+        _number(t0=self.t0)
+        _number(self.t0, above=True, T=self.T)
+        _number(1, integer=True, n_t=self.n_t)
         object.__setattr__(self, "state_axes", tuple(np.asarray(a, float) for a in self.state_axes))
         object.__setattr__(self, "velocity_axes", tuple(np.asarray(a, float) for a in self.velocity_axes))
-        if self.n_t < 1 or self.T <= self.t0:
-            raise MisuseError("DPGrids needs n_t >= 1 and T > t0")
         if len(self.state_axes) != len(self.velocity_axes):
             raise MisuseError("state and velocity grids must share the dimension")
         dt = self.dt
         for d, (ax, vs) in enumerate(zip(self.state_axes, self.velocity_axes)):
+            _finite(state_axes=ax, velocity_axes=vs)
             if len(ax) < 2:
                 raise MisuseError(f"state axis {d} needs at least two nodes")
             h = ax[1] - ax[0]
@@ -105,14 +101,12 @@ class DPGrids:
 
     @staticmethod
     def build(t0, T, n_t, state_box, state_step, velocity_box, velocity_step) -> "DPGrids":
-        s_axes, v_axes = [], []
-        for lo, hi in _box(state_box, "state_box"):
-            n = int(round((hi - lo) / state_step))
-            s_axes.append(lo + state_step * np.arange(n + 1))
-        for lo, hi in _box(velocity_box, "velocity_box"):
-            n = int(round((hi - lo) / velocity_step))
-            v_axes.append(lo + velocity_step * np.arange(n + 1))
-        return DPGrids(float(t0), float(T), int(n_t), tuple(s_axes), tuple(v_axes))
+        _number(0, above=True, state_step=state_step, velocity_step=velocity_step)
+
+        def axes(box, name, step):   # the nodes lo + k * step of each [lo, hi] row
+            return tuple(lo + step * np.arange(int(round((hi - lo) / step)) + 1) for lo, hi in _box(box, name))
+        return DPGrids(float(t0), float(T), n_t, axes(state_box, "state_box", state_step),
+                       axes(velocity_box, "velocity_box", velocity_step))
 
     def nearest_node(self, t: float, x) -> tuple:
         """Indices of the node nearest to (t, x); more than half a step off the grid is misuse."""
@@ -260,9 +254,9 @@ def hj_residual(surface, cost: CostField, node, velocity_grid, step: Optional[fl
     undefined at that node).
     """
     if callable(surface):
-        if step is None or step <= 0:
-            raise MisuseError("a callable surface needs a positive stencil step")
+        _number(0, above=True, step=step)
         t, y = float(node[0]), np.atleast_1d(np.asarray(node[1], float))
+        _finite(node=[t, *y])
         steps = [step] * (1 + len(y))
 
         def at(axis, k):   # the value k steps along axis (0: time, d + 1: state d) from the node
@@ -275,11 +269,8 @@ def hj_residual(surface, cost: CostField, node, velocity_grid, step: Optional[fl
         j, idx = node
         idx = tuple(np.atleast_1d(idx))
         g, W = surface.grids, surface.values
-        if not (1 <= j <= g.n_t - 1):
-            raise MisuseError("node must be interior in time")
-        for d, i in enumerate(idx):
-            if not (1 <= i <= len(g.state_axes[d]) - 2):
-                raise MisuseError("node must be interior in state")
+        if len(idx) != g.dim or not all(_integer(i) and 1 <= i <= n - 2 for i, n in zip((j, *idx), W.shape)):
+            raise MisuseError(f"node must be interior integer indices (time, {g.dim} states), got {node!r}")
         t, y = float(g.times[j]), np.array([g.state_axes[d][idx[d]] for d in range(g.dim)])
         steps = [g.dt] + [ax[1] - ax[0] for ax in g.state_axes]
 
@@ -318,6 +309,9 @@ def jensen_suite(cost: CostField, n_samples: int, omega_range, upsilon_box,
     optimum; negative gaps beyond the quadrature floor 1e-6 mean velocity
     mixing beats the pointwise cost, i.e. the declared convexity is not real.
     """
+    _number(1, integer=True, n_samples=n_samples)
+    _number(0, integer=True, seed=seed)
+    _finite(omega_range=omega_range, tol=tol)
     rng = np.random.default_rng(seed)
     upsilon_box = _box(upsilon_box, "upsilon_box")
     samples, pos, neg = [], [], []
@@ -368,6 +362,7 @@ def convergence_study(scenario: Scenario, levels: Sequence[DPGrids]):
     """
     if len(levels) < 2:
         raise MisuseError("convergence_study needs at least two refinement levels")
+    _finite(T=scenario.T, x=scenario.x)
     nodes = [grids.nearest_node(scenario.T, scenario.x) for grids in levels]   # misuse before any run
     formula = generalized_lax_hopf(
         scenario.terminal, scenario.cost, scenario.T, scenario.x,

@@ -162,3 +162,39 @@ class TestActualizedCertificate:
         assert res.omega_star == 0.0
         assert actualized_enrichment_certificate(res, make_terminal("zero"),
                                                  ZERO_RATE) is None
+
+
+class TestVelocityRateClosedForm:
+    """The benchmark's ``velocity_rate`` query against a closed form that shares no code with it.
+
+    With m = u the accumulation factor from t to T is e^{x(T) - x(t)}, and y = e^{-x/2}
+    turns e^{-x} |x'|^2 / 2 into 2 |y'|^2, so on the window [0, 1] that the query picks
+    V(x) = min_{x0} e^{x - x0} x0^2 + 2 e^x (e^{-x/2} - e^{-x0/2})^2.
+    """
+
+    @staticmethod
+    def closed_form(x: float) -> float:
+        def f(x0):
+            return np.exp(x - x0) * x0 ** 2 + 2.0 * np.exp(x) * (np.exp(-x / 2) - np.exp(-x0 / 2)) ** 2
+        grid = np.linspace(-3.0, 3.0, 60001)
+        i = int(np.argmin(f(grid)))
+        lo, hi = grid[i - 1], grid[i + 1]
+        for _ in range(60):   # golden section on the bracket of the grid minimum
+            a, b = lo + 0.382 * (hi - lo), hi - 0.382 * (hi - lo)
+            lo, hi = (lo, b) if f(a) < f(b) else (a, hi)
+        return float(f(0.5 * (lo + hi)))
+
+    @pytest.mark.parametrize("x, value", [(-1.1, 0.2530037350), (1.0, 0.5293717521), (1.1, 0.6721453064)])
+    def test_the_reference(self, x, value):
+        assert self.closed_form(x) == pytest.approx(value, abs=1e-10)
+
+    @pytest.mark.parametrize("x", [-1.1, 1.0, 1.1])
+    def test_second_order_in_n_steps(self, x):
+        # |error| * N^2 measured 1.1e-3 to 4.3e-3 at N = 8, 16, 32, 64 on these three
+        # points; 5e-3 / N^2 pins the order with room for the search's resolution
+        from laxhopf import OuterGrid
+        grid, ref = OuterGrid.build(1, 2, [[-1, 1]], 5), self.closed_form(x)
+        for n in (8, 16, 32, 64):
+            cfg = SolverConfig(n_steps=n, multi_starts=1, max_iter=30)
+            res = discounted_value(QTERM, QUAD, make_rate("velocity"), 1.0, [x], grid, cfg)
+            assert abs(res.value.value - ref) <= 5e-3 / n ** 2, n

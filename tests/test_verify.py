@@ -133,6 +133,16 @@ class TestHjResidual:
         surf = lambda t, y: float(y @ y) if y[0] <= 1.0 else math.inf
         assert hj_residual(surf, QUAD, (0.5, [1.0]), DUAL_GRID, step=0.01) is None
 
+    @pytest.mark.parametrize("node", [(2, (3,)), (2, (3, 3, 3)), (2.0, (3, 3)), (2, (3, 0)), (4, (3, 3))])
+    def test_node_of_a_surface_is_named(self, node):
+        # a node with one state index too few on a 2-D surface raised a raw IndexError
+        g = DPGrids.build(0.0, 1.0, 4, [[-1, 1], [-1, 1]], 0.25, [[-1, 1], [-1, 1]], 1.0)
+        surface = ValueSurface(g, np.zeros((5, 9, 9)))
+        velocities = list(itertools.product([-1.0, 0.0, 1.0], repeat=2))
+        assert hj_residual(surface, QUAD, (2, (3, 3)), velocities) == 0.0
+        with pytest.raises(MisuseError, match="node"):
+            hj_residual(surface, QUAD, node, velocities)
+
 
 class TestValueSurfaceLookup:
     @pytest.mark.parametrize("t, x", [(-0.5, 0.0), (1.5, 0.0), (0.5, 5.0), (0.5, -1.2)])
