@@ -25,25 +25,6 @@ import numpy as np
 from .errors import EmptyDomainError, EvaluationFault, MisuseError, ParameterError
 from .extreal import ExtReal
 
-__all__ = [
-    "CostField",
-    "RateField",
-    "TerminalCost",
-    "ConjugateTable",
-    "MarchaudReport",
-    "eval_cost",
-    "eval_cost_batch",
-    "eval_rate_batch",
-    "eval_terminal",
-    "legendre_fenchel",
-    "build_conjugate_table",
-    "subdifferential_check",
-    "check_marchaud",
-    "make_cost",
-    "make_rate",
-    "make_terminal",
-]
-
 
 def _as_vec(x) -> np.ndarray:
     return np.atleast_1d(np.asarray(x, dtype=float))
@@ -198,12 +179,8 @@ def _domain_box(box: np.ndarray, dim: int) -> np.ndarray:
 
 def _box(box, name: str) -> np.ndarray:
     """``box`` as a (k, 2) float array of finite [lo, hi] rows with lo <= hi."""
-    try:
-        arr = np.asarray(box, dtype=float)
-    except (TypeError, ValueError):
-        arr = np.empty(0)
-    ok = arr.ndim == 2 and arr.shape[1] == 2 and len(arr) > 0 and np.isfinite(arr).all()
-    if not (ok and np.all(arr[:, 0] <= arr[:, 1])):
+    arr = _numbers(box, 2)
+    if arr is None or arr.shape[1:] != (2,) or not np.all(arr[:, 0] <= arr[:, 1]):
         raise MisuseError(f"{name} needs a non-empty list of finite [lo, hi] pairs with lo <= hi, got {box!r}")
     return arr
 
@@ -458,16 +435,18 @@ def _param(params: dict, key: str, default, ndim: int = 0):
     float, 1 a 1-D array of finite numbers, 2 None or [lo, hi] pairs with lo <= hi.
     Anything else is a :class:`ParameterError`."""
     raw = params.pop(key, default)
-    if raw is None and ndim == 2:
-        return None
-    arr = _numbers(raw, ndim)
-    if ndim == 2 and arr is not None:   # a list of [lo, hi] pairs
-        arr = arr if arr.ndim == 2 and arr.shape[1] == 2 and np.all(arr[:, 0] <= arr[:, 1]) else None
+    if ndim == 2:
+        try:
+            return None if raw is None else _box(raw, key)
+        except MisuseError:
+            arr = None
+    else:
+        arr = _numbers(raw, ndim)
     if arr is None:
         what = ("a finite number", "a finite number or a list of them",
                 "[lo, hi] pairs of finite numbers with lo <= hi")[ndim]
         raise ParameterError(key, f"expected {what}, got {raw!r}")
-    return float(arr) if ndim == 0 else _as_vec(arr) if ndim == 1 else arr
+    return float(arr) if ndim == 0 else _as_vec(arr)
 
 
 def make_cost(name: str, /, **params) -> CostField:

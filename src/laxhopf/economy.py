@@ -24,20 +24,6 @@ from .laxhopf_core import OuterGrid, ValueResult, generalized_lax_hopf, optimum_
 from .moderation import SolverConfig
 from .trajectories import _bounds_at, _too_fast
 
-__all__ = [
-    "EconomyState",
-    "ImpetusCostSpec",
-    "patrimonial_value",
-    "impetus",
-    "impact_of_price_fluctuation",
-    "impetus_cost",
-    "impetus_cost_field",
-    "pack_economy",
-    "unpack_economy",
-    "economic_value",
-    "economy_enrichment_certificate",
-]
-
 _SLOPE_STEP = 1e-6  # relative central-difference step for the scalar cost's slope
 
 
@@ -102,7 +88,7 @@ class ImpetusCostSpec:
     scalar_cost: Callable[[float], float]
     gamma_price: Union[float, Callable]            # bound on each price fluctuation norm
     gamma_agents: tuple                            # per-agent bounds on transaction norms
-    shared_prices: bool = False                    # all agents quote one common price
+    shared_prices: bool = False   # bounds only the first agent's prices; nothing ties the others' to them
 
     def __post_init__(self):   # as in AdmissibleSpec, a numeric bound is finite and >= 0
         for name, b in [("gamma_price", self.gamma_price), *(("gamma_agents", g) for g in self.gamma_agents)]:
@@ -143,11 +129,11 @@ def impetus_cost_field(spec: ImpetusCostSpec, n_agents: int, dim: int) -> CostFi
     (the speed wall of :class:`AdmissibleSpec`); a constant and a callable
     bound take the same path, the callable called once per distinct time of a
     batch.  With ``spec.shared_prices`` only the first agent's price block is
-    bounded.  The field's ``partials`` are closed-form in the impetus e:
-    with l = s(e), dl/d(x, p) = s'(e) (p', x') and
-    dl/d(x', p') = s'(e) (p, x), where s' is the central difference of
-    ``spec.scalar_cost`` at e (two scalar calls per row), so the inner solver
-    takes its exact adjoint gradient.
+    bounded, and nothing ties the other agents' prices to it.  The field's
+    ``partials`` are closed-form in the impetus e: with l = s(e),
+    dl/d(x, p) = s'(e) (p', x') and dl/d(x', p') = s'(e) (p, x), where s' is
+    the central difference of ``spec.scalar_cost`` at e (two scalar calls per
+    row), so the inner solver takes its exact adjoint gradient.
     """
     _number(1, integer=True, n_agents=n_agents, dim=dim)
     if len(spec.gamma_agents) != n_agents:

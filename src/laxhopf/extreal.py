@@ -14,8 +14,6 @@ from functools import total_ordering
 
 from .errors import EvaluationFault, MisuseError
 
-__all__ = ["ExtReal", "INF", "ext_min", "ext_sum"]
-
 
 @total_ordering
 class ExtReal:

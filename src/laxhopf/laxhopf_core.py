@@ -35,19 +35,6 @@ from .extreal import INF, ExtReal
 from .moderation import SolverConfig, _accumulation_factors, _cell_result, _solve_cells, accumulate_rate
 from .trajectories import Trajectory, Window, enrichment
 
-__all__ = [
-    "OuterGrid",
-    "ValueResult",
-    "classic_lax_hopf",
-    "generalized_lax_hopf",
-    "discounted_value",
-    "optimum_certificate",
-    "actualized_enrichment_certificate",
-    "dynamic_value_profile",
-    "wtp_value",
-    "value_result_to_json",
-]
-
 
 def _box_lattice(box, n: int) -> np.ndarray:
     """The (n^l, l) lattice of n points along each [lo, hi] row of ``box``, the last axis fastest."""
@@ -160,21 +147,18 @@ def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
     its end point replaces the zero cell only if it is strictly cheaper.
 
     ``cells_fn`` prices a list of (omega, upsilon tuple) cells.  The grid pass is
-    one batch.  Cells are stored by rounded (omega, upsilon).  At an unpriced
+    one batch.  Two probes are one cell when every coordinate agrees after
+    ``round(., 12)``, which is exact for every finite float.  At an unpriced
     cell, ``_search`` resumes from the walk's state, reading every unpriced cell
     as +inf, and the cells it asks for, up to ``_LOOKAHEAD_CELLS``, are priced in
     one batch with the missing one, so the search path is that of pricing one
     cell at a time.  A look-ahead cell goes to ``ahead`` with the exact point it
     was priced at, and the walk takes it only at that point.
     """
-    store, ahead, keys = {}, {}, {}   # key -> cell; key -> (exact point, cell); exact point -> key
+    store, ahead = {}, {}   # key -> cell; key -> (exact point, cell)
 
     def key(om, ups):
-        exact = (om, *ups)
-        k = keys.get(exact)
-        if k is None:
-            k = keys[exact] = (round(om, 12), tuple(np.array(ups).round(12).tolist()))
-        return k
+        return round(om, 12), tuple([round(u, 12) for u in ups])
 
     def fill(cells, cell_keys, speculative=False):
         """Price the unstored cells in one call; with ``speculative``, all but the first
@@ -223,10 +207,10 @@ def _outer_minimize(grid: OuterGrid, cells_fn, omega_max: float):
 
     ell = grid.upsilon_lattice.shape[1]
     lattice = [tuple(ups) for ups in grid.upsilon_lattice.tolist()]
-    lattice_keys = [tuple(k) for k in np.round(grid.upsilon_lattice, 12).tolist()]
+    row_keys = [key(0.0, ups)[1] for ups in lattice]   # once per lattice row, not per cell
     omegas = grid.omega_values[1:].tolist()   # the positive apertures
     cells = [(0.0, (0.0,) * ell)] + [(om, ups) for om in omegas for ups in lattice]
-    cell_keys = [key(*cells[0])] + [(round(om, 12), k) for om in omegas for k in lattice_keys]
+    cell_keys = [key(*cells[0])] + [(round(om, 12), k) for om in omegas for k in row_keys]
     fill(cells, cell_keys)
     priced = [(store[k][0], *cell) for k, cell in zip(cell_keys, cells)]
     best = min(priced)

@@ -69,19 +69,6 @@ from .extreal import INF, ExtReal
 from .trajectories import (AdmissibleSpec, Trajectory, Window, _bounds_at, _node_states, _too_fast,
                            _write_csv)
 
-__all__ = [
-    "SolverConfig",
-    "ModerationProblem",
-    "ModerationTable",
-    "AccumulationProfile",
-    "moderate",
-    "discounted_moderate",
-    "accumulate_rate",
-    "build_moderation_table",
-    "jensen_gap",
-    "moderation_table_to_csv",
-]
-
 _EXP_CAP = 700.0  # exp overflow guard on accumulated rates
 _REL_DECREASE = 1e-12  # a start stops once an accepted step gains <= this * max(|f|, 1)
 _GRAD_TOL = 1e-8       # a start stops once its projected gradient norm is below this

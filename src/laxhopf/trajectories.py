@@ -20,20 +20,6 @@ from .costs import CostField, _dims, _finite, _number, _rows, eval_cost_batch
 from .errors import DegenerateWindowError, MisuseError
 from .extreal import INF, ExtReal
 
-__all__ = [
-    "Window",
-    "Trajectory",
-    "AdmissibleSpec",
-    "InterestRates",
-    "build_trajectory",
-    "average_transaction",
-    "cumulated_cost",
-    "enrichment",
-    "interest_rates",
-    "refine_trajectory",
-    "trajectory_to_csv",
-]
-
 
 @dataclass(frozen=True)
 class Window:

@@ -32,25 +32,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .costs import (CostField, TerminalCost, _box, _finite, _integer, _number, eval_cost_batch,
+from .costs import (CostField, TerminalCost, _box, _finite, _integer, _number, _numbers, eval_cost_batch,
                     eval_terminal_batch, legendre_fenchel)
 from .errors import CommensurabilityError, MisuseError
 from .extreal import ExtReal
 from .laxhopf_core import OuterGrid, generalized_lax_hopf
 from .moderation import SolverConfig, _lookup, jensen_gap
-
-__all__ = [
-    "DPGrids",
-    "ValueSurface",
-    "JensenReport",
-    "Scenario",
-    "ConvergenceRow",
-    "dp_oracle",
-    "hj_residual",
-    "jensen_suite",
-    "convergence_study",
-    "surface_to_csv",
-]
 
 
 @dataclass(frozen=True)
@@ -311,7 +298,10 @@ def jensen_suite(cost: CostField, n_samples: int, omega_range, upsilon_box,
     """
     _number(1, integer=True, n_samples=n_samples)
     _number(0, integer=True, seed=seed)
-    _finite(omega_range=omega_range, tol=tol)
+    span = _numbers(omega_range, 1)
+    if span is None or span.shape != (2,) or not 0 < span[0] <= span[1]:
+        raise MisuseError(f"omega_range needs two finite numbers 0 < lo <= hi, got {omega_range!r}")
+    _finite(tol=tol)
     rng = np.random.default_rng(seed)
     upsilon_box = _box(upsilon_box, "upsilon_box")
     samples, pos, neg = [], [], []

@@ -476,9 +476,9 @@ class TestFloatPatternSearch:
     @settings(max_examples=200, deadline=None)
     @given(omega=st.floats(0.0, 10.0), ups=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=3))
     def test_keys_are_numpy_rounding(self, omega, ups):
-        # The grid pass stores the cell (omega, ups) under the lattice's np.round key.
+        # The grid pass stores the cell (omega, ups) under its round(., 12) key.
         # The search's first probe clips back to that very point, and finds it stored
-        # only if the key of a probe is the same numpy rounding; else it is priced again.
+        # only if the key of a probe is the same rounding; else it is priced again.
         batches = []
 
         def cells_fn(cells):

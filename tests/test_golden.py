@@ -67,6 +67,9 @@ def queries():
     return {
         "gen1d": lambda: generalized_lax_hopf(QS, WQ, 1.0, 0.8, GRID1, CFG),
         "gen1d_negative": lambda: generalized_lax_hopf(QS, WQ, 1.0, -1.2, GRID1, CFG),
+        # a tenths grid: the search reads cells that equal a priced one after round(., 12)
+        "gen1d_tenths": lambda: generalized_lax_hopf(
+            QS, WQ, 1.0, 0.83, OuterGrid.build(1.0, 10, [[-2, 2]], 21), CFG),
         "gen2d": lambda: generalized_lax_hopf(QS, WQ, 1.0, [0.7, -0.8], GRID2, CFG),
         "quickstart": lambda: generalized_lax_hopf(
             IND, WQ, 1.0, 1.0, OuterGrid.build(1.0, 8, [[-2, 2]], 17), SolverConfig(seed=0)),

@@ -506,6 +506,7 @@ class TestOuterSearch:
         ("quickstart", [137, 16, 11]),
         ("run_moving", [10, 16, 16, 16, 16, 16, 16, 11, 3]),
         ("velocity_rate", [11, 16, 16, 16, 9, 1]),
+        ("gen1d_tenths", [211, 16, 16, 16, 12, 6, 1]),
     ])
     def test_golden_query_batches(self, monkeypatch, name, sizes):
         # the grid pass, then one batch per look-ahead: these change only with the search
